@@ -64,7 +64,7 @@ class RunConfig:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
     if env:
@@ -99,7 +99,7 @@ def _cmd_gen(args) -> int:
     budget = _budget(args)
     s = build(base, args.t, budget)
     if args.format == "dot":
-        text = to_dot(s.graph, graph_name="S")
+        text = to_dot(s.graph, graph_name="S", label=s.word_label)
     else:
         text = format_edge_list(s.graph)
     _emit(text, args.out)
@@ -195,7 +195,7 @@ def _cmd_construct(args) -> int:
     if args.dot:
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(s.graph, graph_name="S", colors=colors))
+            fh.write(to_dot(s.graph, graph_name="S", colors=colors, label=s.word_label))
     _emit(report.to_json(sierpinski=s if args.words else None) + "\n", args.out)
     return 0
 

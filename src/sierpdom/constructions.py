@@ -18,9 +18,17 @@ from .errors import ContractError
 from .formulas import gamma_knt, gamma_r_knt_upper, gamma_r_sierpinski_path
 from .generators import complete_graph, cycle_graph, path_graph
 from .graphs import Graph
-from .roman import RomanFunction, derived_sets, is_roman_dominating
-from .sierpinski import SierpinskiGraph, build, extreme_vertices
-from .solver import Certificate, gamma_r_exact, is_roman_graph
+from .roman import DerivedSets, RomanFunction, derived_sets, is_roman_dominating
+from .sierpinski import (
+    SierpinskiGraph,
+    build,
+    extreme_vertices,
+    id_of,
+    suffix_ids,
+    suffix_labels,
+    word_of,
+)
+from .solver import Certificate, gamma_exact, gamma_r_exact
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,7 @@ def lift_base_function(f: RomanFunction, base: Graph, t: int) -> RomanFunction:
         raise ValueError("lift needs depth at least 2")
     if not is_roman_dominating(f, base):
         raise ContractError("base labeling is not Roman dominating")
-    n = base.order
-    return RomanFunction(tuple(f.labels[vid % n] for vid in range(n**t)))
+    return RomanFunction(suffix_labels(f.labels, base.order, t))
 
 
 def bound_value(f: RomanFunction, base: Graph, t: int) -> int:
@@ -76,20 +83,13 @@ def bound_value(f: RomanFunction, base: Graph, t: int) -> int:
     ds = derived_sets(f, base)
     if len(ds.linked_ones) % 2:
         raise AssertionError("linked 1-vertices do not pair up; labeling cannot be minimal")
-    n = base.order
-    inner = (
-        n * f.weight
-        - len(f.twos)
-        - len(ds.linked_positive)
-        - ds.remote_one_count
-        + len(ds.linked_ones) // 2
+    return _product_bound(f, ds, base.order, t, ds.remote_one_count)
+
+
+def _product_bound(f: RomanFunction, ds: DerivedSets, n: int, t: int, remote: int) -> int:
+    return n ** (t - 2) * (
+        n * f.weight - len(f.twos) - len(ds.linked_positive) - remote + len(ds.linked_ones) // 2
     )
-    return n ** (t - 2) * inner
-
-
-def _pair_ids(n: int, t: int, x: int, y: int) -> range:
-    """Ids of all words ending in the two letters (x, y), one per prefix."""
-    return range(x * n + y, n**t, n * n)
 
 
 def theorem_upper_bound_construction(
@@ -118,7 +118,7 @@ def theorem_upper_bound_construction(
     n = base.order
     s = build(base, t, max_vertices)
     ds = derived_sets(f, base)
-    labels = [f.labels[vid % n] for vid in range(s.order)]
+    labels = list(suffix_labels(f.labels, n, t))
     notes: list[str] = []
     steps: list[str] = []
     weights: list[tuple[str, int]] = [("lift", sum(labels))]
@@ -135,14 +135,14 @@ def theorem_upper_bound_construction(
 
     changed = False
     for u in sorted(f.twos):
-        for vid in _pair_ids(n, t, u, u):
+        for vid in suffix_ids(n, t, (u, u)):
             labels[vid] = 1
             changed = True
     commit("step1", changed)
 
     changed = False
     for v in sorted(ds.linked_twos):
-        for vid in _pair_ids(n, t, v, v):
+        for vid in suffix_ids(n, t, (v, v)):
             labels[vid] = 0
             changed = True
     commit("step2", changed)
@@ -155,11 +155,11 @@ def theorem_upper_bound_construction(
     changed = False
     for a, b in base.edges:
         if a in linked and b in linked:
-            for vid in _pair_ids(n, t, a, a):
+            for vid in suffix_ids(n, t, (a, a)):
                 labels[vid] = 0
-            for vid in _pair_ids(n, t, b, a):
+            for vid in suffix_ids(n, t, (b, a)):
                 labels[vid] = 0
-            for vid in _pair_ids(n, t, a, b):
+            for vid in suffix_ids(n, t, (a, b)):
                 labels[vid] = 2
             changed = True
     commit("step3", changed)
@@ -212,27 +212,20 @@ def theorem_upper_bound_construction(
             disjoint = total == len(set().union(*families))
             if sizes_ok and disjoint:
                 for x, y in zero_pairs:
-                    for vid in _pair_ids(n, t, x, y):
+                    for vid in suffix_ids(n, t, (x, y)):
                         labels[vid] = 0
                 for x, y in one_pairs:
-                    for vid in _pair_ids(n, t, x, y):
+                    for vid in suffix_ids(n, t, (x, y)):
                         labels[vid] = 1
                 for x, y in two_pairs:
-                    for vid in _pair_ids(n, t, x, y):
+                    for vid in suffix_ids(n, t, (x, y)):
                         labels[vid] = 2
                 theta_applied = True
             else:
                 notes.append("step4-skipped: pattern families overlap or miscount")
     commit("step4", theta_applied)
 
-    inner = (
-        n * f.weight
-        - len(f.twos)
-        - len(ds.linked_positive)
-        - (ds.remote_one_count if theta_applied else 0)
-        + len(ds.linked_ones) // 2
-    )
-    predicted = n ** (t - 2) * inner
+    predicted = _product_bound(f, ds, n, t, ds.remote_one_count if theta_applied else 0)
     out = RomanFunction(tuple(labels))
     actual = out.weight
     valid = is_roman_dominating(out, s.graph)
@@ -256,11 +249,22 @@ def roman_graph_bound(g: Graph, t: int, max_vertices: Optional[int] = None) -> C
     simplifies to gamma(G) * n**(t-2) * (2n - 1) when the 2s are
     pairwise nonadjacent.
     """
-    roman, f = is_roman_graph(g)
-    if not roman:
-        raise ContractError("base graph's Roman number is not twice its domination number")
+    dom = gamma_exact(g)
     cert = gamma_r_exact(g)
+    if cert.value != 2 * dom.value:
+        raise ContractError("base graph's Roman number is not twice its domination number")
+    f = RomanFunction.from_sets(g.order, twos=dom.witness)
     return theorem_upper_bound_construction(f, g, t, cert, max_vertices)
+
+
+def _pair_table(n: int, twos, ones) -> list[int]:
+    """Labels of the two-letter words: 2 on the pairs in twos, 1 on those in ones."""
+    table = [0] * (n * n)
+    for pair in twos:
+        table[id_of(pair, n)] = 2
+    for pair in ones:
+        table[id_of(pair, n)] = 1
+    return table
 
 
 def path_construction(n: int, t: int, max_vertices: Optional[int] = None) -> ConstructionReport:
@@ -296,13 +300,7 @@ def path_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Con
     if per_prefix != 6 * k * k + 8 * k + 3:
         raise AssertionError(f"per-prefix weight {per_prefix}, expected {6 * k * k + 8 * k + 3}")
     s = build(path_graph(n), t, max_vertices)
-    grid = [[0] * n for _ in range(n)]
-    for x, y in twos:
-        grid[x][y] = 2
-    for x, y in ones:
-        grid[x][y] = 1
-    labels = tuple(grid[(vid // n) % n][vid % n] for vid in range(s.order))
-    out = RomanFunction(labels)
+    out = RomanFunction(suffix_labels(_pair_table(n, twos, ones), n, t))
     predicted = gamma_r_sierpinski_path(n, t)
     if out.weight != predicted:
         raise AssertionError("construction weight disagrees with the closed form")
@@ -349,18 +347,14 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
     k = n // 3
     s = build(base, t, max_vertices)
     pair_twos = {(i, (i + 1 + 3 * kk) % n) for i in range(n) for kk in range(k)}
-    grid = [[0] * n for _ in range(n)]
-    for x, y in pair_twos:
-        grid[x][y] = 2
+    pair_ones: set[tuple[int, int]] = set()
     steps = ("packing-blocks",)
     if n % 3 == 2:
         pair_ones = {(i, (i - 2) % n) for i in range(n)}
         if pair_ones & pair_twos:
             raise AssertionError("1-pattern collides with the 2-pattern")
-        for x, y in pair_ones:
-            grid[x][y] = 1
         steps = ("packing-blocks", "shift-ones")
-    labels = tuple(grid[(vid // n) % n][vid % n] for vid in range(s.order))
+    labels = suffix_labels(_pair_table(n, pair_twos, pair_ones), n, t)
     out = RomanFunction(labels)
     if n % 3 == 1:
         seen = 0
@@ -461,36 +455,32 @@ def complete_graph_construction(n: int, t: int, max_vertices: Optional[int] = No
         labels = [0] * (n * n)
         labels[0] = 1
         for i in range(1, n):
-            labels[i * n] = 2
+            labels[id_of((i, 0), n)] = 2
         level = 2
         steps_l = ["depth-2-base"]
         while level < t:
             prev = labels
-            size_prev = n**level
+            block = len(prev)
             code = perfect_code_knt(n, level, max_vertices)
-            level += 2
-            size = n**level
-            block = size // (n * n)
-            labels = [0] * size
-            run = (size_prev - 1) // (n - 1)
-            for w in range(block):
-                labels[w] = prev[w]
+            labels = [0] * (n * n * block)
+            labels[:block] = prev
             for i in range(1, n):
-                base_off = i * block
-                swap = _digit_swap_table(n, level - 2, i)
+                off = id_of((0, i), n) * block
+                letters = {0: i, i: 0}
                 for w in range(block):
-                    labels[base_off + w] = prev[swap[w]]
-                labels[base_off + i * run] = 0
+                    swapped = id_of([letters.get(d, d) for d in word_of(w, n, level)], n)
+                    labels[off + swapped] = prev[w]
+                labels[off + id_of((i,) * level, n)] = 0
             for i in range(1, n):
-                off = (i * n) * block
+                off = id_of((i, 0), n) * block
                 for w in code:
                     labels[off + w] = 2
             for i in range(1, n):
                 for j in range(1, n):
-                    off = (i * n + j) * block
-                    for w in range(block):
-                        labels[off + w] = prev[w]
+                    off = id_of((i, j), n) * block
+                    labels[off : off + block] = prev
                     labels[off] = 0
+            level += 2
             expect = gamma_r_knt_upper(n, level)
             if sum(labels) != expect:
                 raise AssertionError(
@@ -511,23 +501,3 @@ def complete_graph_construction(n: int, t: int, max_vertices: Optional[int] = No
         valid=valid,
         steps_applied=steps,
     )
-
-
-def _digit_swap_table(n: int, length: int, i: int) -> list[int]:
-    """Table mapping each word id to the id with letters 0 and i swapped."""
-    size = n**length
-    table = list(range(size))
-    for w in range(size):
-        x = w
-        out = 0
-        power = 1
-        for _ in range(length):
-            x, d = divmod(x, n)
-            if d == 0:
-                d = i
-            elif d == i:
-                d = 0
-            out += d * power
-            power *= n
-        table[w] = out
-    return table

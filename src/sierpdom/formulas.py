@@ -113,13 +113,9 @@ def universal_vertex_value(n: int, t: int) -> int:
     return n ** (t - 2) * (2 * n - 1)
 
 
-def min_degree_lower_bound(n: int, t: int) -> int:
-    """Lower bound on gamma_R(S(G, t)) when at most one base vertex has degree >= n-2."""
-    if n < 4:
-        raise ValueError("needs base order at least 4")
-    if t < 2:
-        raise ValueError("depth must be at least 2")
-    return n ** (t - 2) * (2 * n - 1)
+# Lower bound on gamma_R(S(G, t)) when at most one base vertex has degree
+# >= n-2: the same value as a single universal vertex gives.
+min_degree_lower_bound = universal_vertex_value
 
 
 @dataclass(frozen=True)

@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 
 class Graph:
-    """Finite undirected simple graph with optional display labels."""
+    """Finite undirected simple graph on vertices 0..n-1, with an optional name."""
 
-    __slots__ = ("_n", "_edges", "_adj", "_adj_mask", "_closed_mask", "name", "_labels")
+    __slots__ = ("_n", "_edges", "_adj", "_adj_mask", "_closed_mask", "name")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]] = (),
-        name: str = "",
-        labels: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if n < 1:
             raise ValueError("graph order must be at least 1")
         canon = set()
@@ -50,11 +44,6 @@ class Graph:
         self._adj_mask = tuple(masks)
         self._closed_mask = tuple(m | (1 << v) for v, m in enumerate(masks))
         self.name = name
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels must cover every vertex")
-        self._labels = labels
 
     @property
     def order(self) -> int:
@@ -112,15 +101,6 @@ class Graph:
                     seen |= 1 << y
                     frontier.append((y, d + 1))
         return None
-
-    def label(self, v: int) -> str:
-        if self._labels is not None:
-            return self._labels[v]
-        return str(v)
-
-    @property
-    def labels(self) -> Optional[tuple[str, ...]]:
-        return self._labels
 
     def digest(self) -> str:
         """Short content hash of the canonical edge list."""
@@ -199,11 +179,16 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Graph, graph_name: str = "G", colors: Optional[dict[int, str]] = None) -> str:
-    """Render as Graphviz DOT, one node per vertex with its display label."""
+def to_dot(
+    g: Graph,
+    graph_name: str = "G",
+    colors: Optional[dict[int, str]] = None,
+    label: Callable[[int], str] = str,
+) -> str:
+    """Render as Graphviz DOT, one node per vertex, labeled by label(v)."""
     out = [f"graph {graph_name} {{"]
     for v in g.vertices:
-        attrs = [f'label="{g.label(v)}"']
+        attrs = [f'label="{label(v)}"']
         if colors and v in colors:
             attrs.append("style=filled")
             attrs.append(f'fillcolor="{colors[v]}"')

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .errors import ContractError
 from .graphs import Graph
-from .sierpinski import SierpinskiGraph
+from .sierpinski import SierpinskiGraph, prefix_vertices, word_of
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ class RomanFunction:
                 raise ValueError("word-keyed labeling needs the Sierpinski graph to decode")
             labels = [0] * sierpinski.order
             for key, x in doc["labels_by_word"].items():
-                word = tuple(int(c) for c in (key.split("-") if "-" in key else key))
-                labels[sierpinski.id_of(word)] = x
+                labels[sierpinski.id_of_label(key)] = x
             f = cls(tuple(labels))
         else:
             f = cls(tuple(doc["labels"]))
@@ -196,22 +195,17 @@ def copy_weight_profile(f: RomanFunction, s: SierpinskiGraph) -> list[CopyProfil
         raise ContractError("labeling is not Roman dominating on this graph")
     profiles = []
     for pid in range(n ** (s.depth - 1)):
-        anchor = pid % n
-        block = range(pid * n, (pid + 1) * n)
+        prefix = word_of(pid, n, s.depth - 1)
+        anchor = prefix[-1]
+        block = prefix_vertices(s, prefix)
         w = sum(f.labels[v] for v in block)
         left = max(0, anchor - 1)
         right = max(0, n - anchor - 2)
         surplus = w - _ceil_two_thirds(left) - _ceil_two_thirds(right)
-        ext = pid * n + anchor
-        corner = s.graph.degree(ext) != s.base.degree(anchor)
-        prefix = []
-        q = pid
-        for _ in range(s.depth - 1):
-            q, d = divmod(q, n)
-            prefix.append(d)
+        corner = s.graph.degree(block[anchor]) != s.base.degree(anchor)
         profiles.append(
             CopyProfile(
-                prefix=tuple(reversed(prefix)),
+                prefix=prefix,
                 anchor=anchor,
                 left_count=left,
                 right_count=right,

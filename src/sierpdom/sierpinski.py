@@ -6,12 +6,17 @@ lexicographic word order.  Two words are adjacent exactly when they have
 the shapes w a b b..b and w b a a..a for some base edge {a, b}: the edge
 sits at level r when the differing suffix has length r.  S(G, 1) is G
 itself.
+
+This module is the one place that knows the coding: word_of and id_of
+convert between ids and words, format_word and parse_word between words
+and display labels (letters joined with '-' when n > 10), and suffix_ids
+and suffix_labels address words by their trailing letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
 from .graphs import Graph
@@ -34,37 +39,71 @@ class SierpinskiGraph:
         return self.graph.order
 
     def word_of(self, vid: int) -> Word:
-        """Digits of vid base n, most significant first, padded to depth."""
-        n = self.base.order
-        out = []
-        for _ in range(self.depth):
-            vid, d = divmod(vid, n)
-            out.append(d)
-        return tuple(reversed(out))
+        return word_of(vid, self.base.order, self.depth)
 
     def id_of(self, word: Word) -> int:
-        n = self.base.order
         if len(word) != self.depth:
             raise ValueError(f"word {word} does not have length {self.depth}")
-        vid = 0
-        for d in word:
-            if not 0 <= d < n:
-                raise ValueError(f"letter {d} not a base vertex")
-            vid = vid * n + d
-        return vid
+        return id_of(word, self.base.order)
 
     def words(self) -> Iterator[Word]:
         for vid in range(self.order):
             yield self.word_of(vid)
 
     def word_label(self, vid: int) -> str:
-        return _word_str(self.word_of(vid), self.base.order)
+        return format_word(self.word_of(vid), self.base.order)
+
+    def id_of_label(self, label: str) -> int:
+        """Inverse of word_label."""
+        return self.id_of(parse_word(label, self.base.order))
 
 
-def _word_str(word: Word, n: int) -> str:
+def word_of(vid: int, n: int, length: int) -> Word:
+    """Digits of vid base n, most significant first, padded to length."""
+    out = []
+    for _ in range(length):
+        vid, d = divmod(vid, n)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+def id_of(word: Word, n: int) -> int:
+    """The word read as a base-n numeral; every letter must be a base vertex."""
+    vid = 0
+    for d in word:
+        if not 0 <= d < n:
+            raise ValueError(f"letter {d} not a base vertex")
+        vid = vid * n + d
+    return vid
+
+
+def format_word(word: Word, n: int) -> str:
+    """Display label: the letters concatenated, joined with '-' when n > 10."""
     if n <= 10:
         return "".join(str(d) for d in word)
     return "-".join(str(d) for d in word)
+
+
+def parse_word(label: str, n: int) -> Word:
+    """Exact inverse of format_word for the same n."""
+    return tuple(int(c) for c in (label if n <= 10 else label.split("-")))
+
+
+def suffix_ids(n: int, length: int, suffix: Word) -> range:
+    """Ids of all words of the given length that end in suffix, one per prefix."""
+    return range(id_of(suffix, n), n**length, n ** len(suffix))
+
+
+def suffix_labels(table: Sequence[int], n: int, length: int) -> tuple[int, ...]:
+    """Per-word values read off each word's last k letters.
+
+    table has n**k entries indexed by the id of a length-k word, so word
+    vid gets table[vid % n**k]; ids run prefix-major, which makes that the
+    table repeated once per prefix.
+    """
+    if len(table) not in [n**k for k in range(length + 1)]:
+        raise ValueError(f"table of {len(table)} entries is not indexed by suffixes of base {n}")
+    return tuple(table) * (n**length // len(table))
 
 
 def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
@@ -93,21 +132,11 @@ def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> Sierpi
             head = w * n
             for a, b in base.edges:
                 edges.append(((head + a) * rep + b * run, (head + b) * rep + a * run))
-    labels = [_word_str(_digits(v, n, depth), n) for v in range(total)]
-    name = f"S({base.name or 'G'},{depth})"
-    g = Graph(total, edges, name=name, labels=labels)
+    g = Graph(total, edges, name=f"S({base.name or 'G'},{depth})")
     expect = base.size * (total - 1) // (n - 1)
     if g.size != expect:
         raise AssertionError(f"edge generation produced {g.size} edges, expected {expect}")
     return SierpinskiGraph(base, depth, g)
-
-
-def _digits(vid: int, n: int, depth: int) -> Word:
-    out = []
-    for _ in range(depth):
-        vid, d = divmod(vid, n)
-        out.append(d)
-    return tuple(reversed(out))
 
 
 def extreme_vertices(s: SierpinskiGraph) -> tuple[int, ...]:
@@ -128,12 +157,7 @@ def copy_vertices(s: SierpinskiGraph, prefix: Word) -> tuple[int, ...]:
     if len(prefix) != s.depth - 1:
         raise ValueError(f"prefix must have length {s.depth - 1}")
     n = s.base.order
-    pid = 0
-    for d in prefix:
-        if not 0 <= d < n:
-            raise ValueError(f"letter {d} not a base vertex")
-        pid = pid * n + d
-    block = tuple(range(pid * n, pid * n + n))
+    block = prefix_vertices(s, prefix)
     inner = sum(
         1
         for i in range(n)
@@ -153,11 +177,7 @@ def prefix_vertices(s: SierpinskiGraph, prefix: Word) -> tuple[int, ...]:
     if not 0 < len(prefix) <= s.depth:
         raise ValueError("prefix length must be between 1 and depth")
     n = s.base.order
-    pid = 0
-    for d in prefix:
-        if not 0 <= d < n:
-            raise ValueError(f"letter {d} not a base vertex")
-        pid = pid * n + d
+    pid = id_of(prefix, n)
     span = n ** (s.depth - len(prefix))
     return tuple(range(pid * span, (pid + 1) * span))
 

@@ -154,7 +154,8 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
 
     rec(0, 0, 0, 0)
     witness = frozenset(_bits(best_mask))
-    assert is_dominating_set(g, witness) and len(witness) == best_size
+    if not is_dominating_set(g, witness) or len(witness) != best_size:
+        raise AssertionError("domination witness failed its certificate check")
     return Certificate("domination", best_size, witness, nodes, time.perf_counter() - start)
 
 
@@ -267,7 +268,8 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
         nodes += extra
         if twos is not None:
             break
-    assert twos is not None, "no witness at the proven optimum"
+    if twos is None:
+        raise AssertionError("no witness at the proven optimum")
     covered = 0
     for u in twos:
         covered |= g.closed_masks[u]
@@ -278,7 +280,8 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     for u in twos:
         labels[u] = 2
     f = RomanFunction(tuple(labels))
-    assert is_roman_dominating(f, g) and f.weight == value
+    if not is_roman_dominating(f, g) or f.weight != value:
+        raise AssertionError("Roman witness failed its certificate check")
     return Certificate("roman", value, f, nodes, time.perf_counter() - start)
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -236,6 +237,11 @@ def test_budget_flag_and_env(capsys, monkeypatch):
     )
     assert code == 0
     assert out.splitlines()[0] == "27 26"
+    code, _, err = run(
+        capsys, "gen", "--family", "path", "--n", "3", "--t", "3", "--budget", "0"
+    )
+    assert code == 3
+    assert "budget" in err
     monkeypatch.setenv(BUDGET_ENV, "plenty")
     code, _, err = run(capsys, "gen", "--family", "path", "--n", "3", "--t", "3")
     assert code == 2
@@ -255,3 +261,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 17
+
+
+# sha256 of stdout: word labels, DOT and word-keyed JSON must stay byte-identical
+GOLDEN_STDOUT = [
+    (
+        "gen --family complete --n 11 --t 2 --format dot",
+        "11026a0100c90071421cae3e4fe6b2c205f05c7dea7c024e361f6311c2eff2ab",
+    ),
+    (
+        "gen --family path --n 3 --t 2 --format dot",
+        "55631d944601c8485bd1da8dc4e11d39dc66cb48c4c8c79c831123b57be62f11",
+    ),
+    (
+        "construct --family cycle --n 4 --t 2 --words",
+        "d77eb3df98a9856b97534fe0ade90c1da48ceef0c4eb9786c7a662e2861ffd9f",
+    ),
+    (
+        "construct --family complete --n 11 --t 1 --words",
+        "a12e221bd2ff3a2112d73a7f5208973bd662e4a4702865ecdefff0799d2df123",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

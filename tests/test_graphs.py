@@ -142,8 +142,8 @@ def test_edge_list_parse_errors():
 
 
 def test_dot_output():
-    g = Graph(3, [(0, 1), (1, 2)], labels=("a", "b", "c"))
-    dot = to_dot(g, graph_name="T", colors={1: "black"})
+    g = Graph(3, [(0, 1), (1, 2)])
+    dot = to_dot(g, graph_name="T", colors={1: "black"}, label=lambda v: "abc"[v])
     assert "graph T {" in dot
     assert '1 [label="b", style=filled, fillcolor="black"];' in dot
     assert "  0 -- 1;" in dot

@@ -20,6 +20,7 @@ from sierpdom import (
     random_connected_graph,
     star_graph,
 )
+from sierpdom.sierpinski import format_word, id_of, parse_word, suffix_ids, suffix_labels
 
 
 def test_depth_one_is_the_base():
@@ -199,5 +200,29 @@ def test_recursive_decomposition():
 
 def test_graph_labels_are_words():
     s = build(path_graph(3), 2)
-    assert s.graph.label(5) == "12"
+    assert s.word_label(5) == "12"
     assert s.graph.name == "S(P3,2)"
+
+
+@pytest.mark.parametrize("n,depth", [(3, 3), (10, 2), (11, 1), (11, 2), (12, 3)])
+def test_word_labels_parse_back(n, depth):
+    s = build(complete_graph(n), depth)
+    for vid in range(s.order):
+        assert s.id_of_label(s.word_label(vid)) == vid
+    assert parse_word(format_word((10,), 11), 11) == (10,)
+    with pytest.raises(ValueError):
+        parse_word("1-2", 10)
+
+
+def test_suffix_helpers_are_modular():
+    n, t = 4, 3
+    assert list(suffix_ids(n, t, (2, 1))) == [
+        vid for vid in range(n**t) if vid % (n * n) == id_of((2, 1), n)
+    ]
+    table = list(range(n * n))
+    assert suffix_labels(table, n, t) == tuple(vid % (n * n) for vid in range(n**t))
+    assert suffix_labels((5, 6, 7, 8), n, 1) == (5, 6, 7, 8)
+    with pytest.raises(ValueError):
+        suffix_labels((1, 2), n, t)
+    with pytest.raises(ValueError):
+        suffix_ids(n, t, (4,))

@@ -2,6 +2,8 @@
 
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,28 @@ def test_roman_graph_detection():
     assert is_roman_graph(path_graph(2))[0]
     assert is_roman_graph(path_graph(3))[0]
     assert not is_roman_graph(cycle_graph(4))[0]  # 3 < 2 * 2
+
+
+def test_certificate_checks_survive_optimization():
+    # the witness checks are explicit raises, so python -O keeps them
+    script = """
+from sierpdom import solver
+from sierpdom.generators import path_graph
+solver.is_roman_dominating = lambda f, g: False
+solver.is_dominating_set = lambda g, vs: False
+for solve in (solver.gamma_r_exact, solver.gamma_exact):
+    try:
+        solve(path_graph(4))
+    except AssertionError as exc:
+        print("raised:", exc)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines() == [
+        "raised: Roman witness failed its certificate check",
+        "raised: domination witness failed its certificate check",
+    ]
 
 
 def test_certificate_json_shape():
