@@ -7,8 +7,9 @@ solver and constructions over the named families), and sweep (random
 connected bases, property checks).
 
 Exit codes: 0 success, 1 a verified property failed, 2 bad input,
-3 budget or timeout.  Machine output is JSON lines without timing
-fields, so a rerun with the same arguments and seed is byte-identical.
+3 budget or timeout, 4 any other error (for example a RecursionError).
+Machine output is JSON lines without timing fields, so a rerun with the
+same arguments and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ def _solve_target(args) -> tuple[Graph, Optional[SierpinskiGraph]]:
         s = build(base, args.depth or 1, budget)
         return s.graph, s
     if args.input:
+        if args.depth is not None:
+            raise ValueError(
+                "--depth does not apply to --input; use --sierpinski FILE --depth D"
+            )
         with open(args.input) as fh:
             return parse_edge_list(fh.read(), name=os.path.basename(args.input)), None
     base = _load_base(args)
@@ -517,6 +522,9 @@ def main(argv=None) -> int:
     except (BudgetError, SolveTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # exit 1 is reserved for a failed verified property
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

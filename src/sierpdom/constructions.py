@@ -402,9 +402,9 @@ def _exact_cover_code(g: Graph, seeds: tuple[int, ...]) -> Optional[frozenset[in
                 chosen.pop()
         return False
 
-    if rec(dominated):
-        return frozenset(chosen)
-    return None
+    found = rec(dominated)
+    del rec  # rec reaches itself through its closure; free the search state now
+    return frozenset(chosen) if found else None
 
 
 def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> frozenset[int]:

@@ -14,6 +14,17 @@ Witnesses are canonicalized in a second phase: among minimum-weight
 labelings, maximize the number of 2s (equivalently minimize the number
 of 1s), then take the lexicographically smallest 2-set.  Searches are
 sequential and deterministic.
+
+Two further lower bounds prune the searches.  The witness phase keeps
+suffix reach masks (everything some vertex at index >= i can cover) and
+drops a node once the vertices no remaining candidate can reach
+outnumber the 1s allowed.  The domination search also counts a greedy
+2-packing: undominated vertices whose unexcluded closed neighborhoods
+are pairwise disjoint each need a dominator of their own.  Both bounds
+only cut subtrees that hold no better solution (no k-set at all in the
+witness phase), and neither changes the branching order, so the first
+optimum found by `gamma_exact` and the lexicographically smallest 2-set
+are the same as without them; only `Certificate.nodes` shrinks.
 """
 
 from __future__ import annotations
@@ -139,6 +150,16 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
         need = min_picks(ucount, covs)
         if need is None or size + need >= best_size:
             return
+        # greedy 2-packing: undominated vertices with pairwise disjoint
+        # candidate sets each need a chosen dominator of their own
+        packed, claimed = 0, 0
+        for w in _bits(undom):
+            cand = closed[w] & ~excluded
+            if not cand & claimed:
+                packed += 1
+                claimed |= cand
+        if size + packed >= best_size:
+            return
         v, vd = -1, -1
         for i in _bits(undom):
             if deg[i] > vd:
@@ -153,6 +174,7 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
             ex |= 1 << u
 
     rec(0, 0, 0, 0)
+    del rec  # rec reaches itself through its closure; free the search state now
     witness = frozenset(_bits(best_mask))
     if not is_dominating_set(g, witness) or len(witness) != best_size:
         raise AssertionError("domination witness failed its certificate check")
@@ -216,6 +238,7 @@ def _roman_value(g: Graph, deadline: _Deadline) -> tuple[int, int]:
         rec(dominated, settled_ones | (1 << v), weight + 1, excluded | closed[v])
 
     rec(0, 0, 0, 0)
+    del rec  # rec reaches itself through its closure; free the search state now
     return best, nodes
 
 
@@ -225,6 +248,9 @@ def _lex_min_two_set(
     """Lexicographically smallest k-subset covering at least target_cover."""
     n = g.order
     closed = g.closed_masks
+    reach = [0] * (n + 1)  # reach[i]: all vertices some u >= i can cover
+    for u in range(n - 1, -1, -1):
+        reach[u] = reach[u + 1] | closed[u]
     nodes = 0
 
     def rec(i: int, left: int, covered: int) -> Optional[list[int]]:
@@ -234,6 +260,9 @@ def _lex_min_two_set(
         if left == 0:
             return [] if covered.bit_count() >= target_cover else None
         if n - i < left:
+            return None
+        # vertices no u >= i can reach must take label 1; more than allowed?
+        if (covered | reach[i]).bit_count() < target_cover:
             return None
         gains = sorted(
             ((closed[u] & ~covered).bit_count() for u in range(i, n)), reverse=True
@@ -245,7 +274,9 @@ def _lex_min_two_set(
             return [i] + take
         return rec(i + 1, left, covered)
 
-    return rec(0, k, 0), nodes
+    found = rec(0, k, 0)
+    del rec  # rec reaches itself through its closure; free the search state now
+    return found, nodes
 
 
 def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:

@@ -253,6 +253,27 @@ def test_missing_file_is_an_input_error(capsys):
     assert "error:" in err
 
 
+def test_input_with_depth_is_rejected(capsys, tmp_path):
+    # --input solves the file as given, so a depth would be silently ignored
+    base = tmp_path / "P3.txt"
+    base.write_text("3 2\n0 1\n1 2\n")
+    code, out, err = run(capsys, "solve", "--input", str(base), "--depth", "2", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--sierpinski" in err
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("sierpdom.cli.gamma_r_exact", deep)
+    code, out, err = run(capsys, "solve", "--family", "path", "--n", "4")
+    assert code == 4
+    assert out == ""
+    assert err == "error: RecursionError: maximum recursion depth exceeded\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sierpdom.cli", "formula", "--name", "path", "--n", "5", "--t", "2"],

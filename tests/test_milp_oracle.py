@@ -1,0 +1,62 @@
+"""Solver values against a MILP at orders brute force cannot reach.
+
+The oracle is the ReVelle-Rosing integer program solved by scipy's HiGHS
+backend; it shares no code with the branch and bound, only the built
+graph's edge list.
+"""
+
+import pytest
+
+np = pytest.importorskip("numpy")
+scipy_optimize = pytest.importorskip("scipy.optimize")
+
+from sierpdom import build, complete_graph, cycle_graph, gamma_exact, gamma_r_exact, path_graph, star_graph
+
+
+def milp_value(g, roman):
+    """Minimum weight by the ReVelle-Rosing program.
+
+    Roman: x_v (label 1) and y_v (label 2) in {0, 1}, minimize
+    sum x + 2 sum y subject to x_v + y_v + sum of y over N(v) >= 1.
+    Domination: z_v in {0, 1}, minimize sum z subject to sum of z over N[v] >= 1.
+    """
+    n = g.order
+    if roman:
+        a = np.zeros((n, 2 * n))
+        for v in range(n):
+            a[v, v] = a[v, n + v] = 1
+        for u, v in g.edges:
+            a[u, n + v] = a[v, n + u] = 1
+        cost = np.array([1.0] * n + [2.0] * n)
+    else:
+        a = np.eye(n)
+        for u, v in g.edges:
+            a[u, v] = a[v, u] = 1
+        cost = np.ones(n)
+    res = scipy_optimize.milp(
+        cost,
+        constraints=scipy_optimize.LinearConstraint(a, lb=1, ub=np.inf),
+        integrality=np.ones(len(cost)),
+        bounds=scipy_optimize.Bounds(0, 1),
+    )
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+def test_milp_matches_brute_force_sized_cases():
+    # P7: gamma 3, gamma_R 5; C6: 2 and 4; K4: 1 and 2
+    assert [milp_value(path_graph(7), r) for r in (False, True)] == [3, 5]
+    assert [milp_value(cycle_graph(6), r) for r in (False, True)] == [2, 4]
+    assert [milp_value(complete_graph(4), r) for r in (False, True)] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "base,t",
+    [(cycle_graph(6), 2), (cycle_graph(7), 2), (path_graph(7), 2), (complete_graph(3), 3), (star_graph(4), 3)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_solver_matches_milp(base, t):
+    g = build(base, t).graph
+    assert 27 <= g.order <= 64
+    assert gamma_exact(g).value == milp_value(g, roman=False)
+    assert gamma_r_exact(g).value == milp_value(g, roman=True)

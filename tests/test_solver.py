@@ -1,5 +1,7 @@
 """Exact solvers: values, witnesses, canonical tie-breaks, limits."""
 
+import gc
+import hashlib
 import json
 import random
 import subprocess
@@ -24,6 +26,7 @@ from sierpdom import (
     is_roman_dominating,
     is_roman_graph,
     path_graph,
+    perfect_code_knt,
     random_connected_graph,
     star_graph,
 )
@@ -216,3 +219,75 @@ def test_disconnected_graphs_are_fine():
     g = Graph(6, [(0, 1), (2, 3)])
     assert gamma_r_exact(g).value == roman_min_enumerated(g)
     assert gamma_exact(g).value == domination_min_subsets(g)
+
+
+def _sierpinski(fam, n, t):
+    base = {"P": path_graph, "C": cycle_graph, "K": complete_graph, "star": star_graph}[fam](n)
+    return build(base, t).graph
+
+
+# Search-node counts are deterministic, so they catch a search regression
+# without timing; the bounds must keep pruning at least this well.
+NODE_COUNTS = [
+    (gamma_r_exact, "C", 6, 2, 22_289),
+    (gamma_r_exact, "C", 7, 2, 2_367),
+    (gamma_r_exact, "star", 4, 3, 1_394),
+    (gamma_exact, "P", 7, 2, 81),
+]
+
+
+@pytest.mark.parametrize(
+    "solve,fam,n,t,nodes",
+    NODE_COUNTS,
+    ids=[f"{solve.__name__}:S({fam}{n},{t})" for solve, fam, n, t, _ in NODE_COUNTS],
+)
+def test_search_node_counts(solve, fam, n, t, nodes):
+    assert solve(_sierpinski(fam, n, t)).nodes == nodes
+
+
+# sha256 of json.dumps(sorted γ witness) and json.dumps(γ_R labels), recorded
+# before the reach-mask and packing prunes: a valid prune keeps both the first
+# optimum found by gamma_exact and the canonical gamma_r_exact witness.
+WITNESS_SHA256 = [
+    ("P", 7, 2, 18, "0ac009506cdcf9188e95159d40f70da96f6816a33d1c5e570af47f643ba3f5ed",
+     32, "7df52fe7dace1968d69da8feaf4de9fba2c73b61079b4920f727e71830eeaf46"),
+    ("star", 4, 3, 16, "791309061c2a97eda979369a9dee0ff7f301859c207e6b70fcefe7fb6a090bdf",
+     28, "c27de62d20bc9d9e2edb1da5a53c907c2b5ce59d95f104006d4c007bbc5dce75"),
+    ("K", 3, 3, 7, "bc73030441d45bc4902534160c84f1cfc520e54f72f92c14b17b9411e477dcd4",
+     14, "4bf9c189438fb9730181324db3961302f1f410fbb0cf1007cdb9878afdabfb2a"),
+    ("C", 6, 2, 12, "d512cd91bca59c830e5844cbc82baeb140738e61a56b822a7fd3de36ba3b8291",
+     22, "71efa597e0b0de411dcd75a196c9e260020fc88c0d3b4b08e61b0119a728ea22"),
+    ("P", 6, 2, 12, "9e7f70ae277f60270fbd47d9513c5e09be0ffb8875de296ee0916dcb94db9e3b",
+     22, "71efa597e0b0de411dcd75a196c9e260020fc88c0d3b4b08e61b0119a728ea22"),
+]
+
+
+@pytest.mark.parametrize(
+    "fam,n,t,gamma,gamma_sha,roman,roman_sha",
+    WITNESS_SHA256,
+    ids=[f"S({fam}{n},{t})" for fam, n, t, *_ in WITNESS_SHA256],
+)
+def test_witnesses_are_pinned(fam, n, t, gamma, gamma_sha, roman, roman_sha):
+    def sha(doc):
+        return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+    g = _sierpinski(fam, n, t)
+    dom = gamma_exact(g)
+    assert (dom.value, sha(sorted(dom.witness))) == (gamma, gamma_sha)
+    rom = gamma_r_exact(g)
+    assert (rom.value, sha(list(rom.witness.labels))) == (roman, roman_sha)
+
+
+def test_searches_leave_no_reference_cycles():
+    # a recursive closure that outlives its search keeps the search state
+    # (graph masks, candidate lists) alive until the next full collection
+    g = build(cycle_graph(5), 2).graph
+    gc.collect()
+    gc.disable()
+    try:
+        gamma_exact(g)
+        gamma_r_exact(g)
+        perfect_code_knt(3, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
