@@ -185,18 +185,19 @@ def _cmd_construct(args) -> int:
                 f"supplied labeling has weight {f.weight}, optimal is {cert.value}"
             )
         report = constructions.theorem_upper_bound_construction(f, base, args.t, cert, budget)
-        s = build(base, args.t, budget)
     elif args.n is None:
         raise ValueError(f"--family {args.family} needs --n")
     elif args.family == "path":
+        base = path_graph(args.n)
         report = constructions.path_construction(args.n, args.t, budget)
-        s = build(path_graph(args.n), args.t, budget)
     elif args.family == "cycle":
+        base = cycle_graph(args.n)
         report = constructions.cycle_construction(args.n, args.t, budget)
-        s = build(cycle_graph(args.n), args.t, budget)
     else:
+        base = complete_graph(args.n)
         report = constructions.complete_graph_construction(args.n, args.t, budget)
-        s = build(complete_graph(args.n), args.t, budget)
+    # the construction built S(G, t) already; only the word labels and DOT need it here
+    s = build(base, args.t, budget) if args.dot or args.words else None
     if args.dot:
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ContractError
-from .formulas import gamma_knt, gamma_r_knt_upper, gamma_r_sierpinski_path
+from .formulas import (
+    gamma_knt,
+    gamma_r_knt_upper,
+    gamma_r_sierpinski_cycle,
+    gamma_r_sierpinski_path,
+)
 from .generators import complete_graph, cycle_graph, path_graph
 from .graphs import Graph
 from .roman import DerivedSets, RomanFunction, derived_sets, is_roman_dominating
@@ -327,21 +332,20 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
     if n < 4:
         raise ValueError("cycle construction needs order at least 4")
     base = cycle_graph(n)
+    bracket = gamma_r_sierpinski_cycle(n, t)
     if n % 3 == 0:
         cert = gamma_r_exact(base)
         rep = theorem_upper_bound_construction(cert.witness, base, t, cert, max_vertices)
-        upper = n ** (t - 1) * (2 * n - 1) // 3
-        lower = n ** (t - 1) * (2 * n - 3) // 3
-        if rep.actual_weight != upper:
+        if rep.actual_weight != bracket.upper:
             raise AssertionError("fallback construction missed the bracket's upper end")
         return ConstructionReport(
             function=rep.function,
-            predicted_weight=upper,
+            predicted_weight=bracket.upper,
             actual_weight=rep.actual_weight,
             valid=rep.valid,
             steps_applied=rep.steps_applied,
             step_weights=rep.step_weights,
-            lower_bound=lower,
+            lower_bound=bracket.lower,
             notes=rep.notes + ("exact value open for this residue",),
         )
     k = n // 3
@@ -366,7 +370,7 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
                 seen |= cm
         if seen != (1 << s.order) - 1:
             raise AssertionError("2-set does not cover the graph")
-    predicted = n ** (t - 1) * (2 * n // 3)
+    predicted = bracket.exact
     if out.weight != predicted:
         raise AssertionError("construction weight disagrees with the closed form")
     return ConstructionReport(

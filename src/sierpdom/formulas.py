@@ -8,6 +8,7 @@ ends.  Divisibility is asserted before every integer division.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 
@@ -138,10 +139,15 @@ def knt_lower_bound_for_any_graph(n: int, t: int, solve_limit: int = 40) -> KntL
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
     if n**t <= solve_limit:
-        from .generators import complete_graph
-        from .sierpinski import build
-        from .solver import gamma_r_exact
-
-        cert = gamma_r_exact(build(complete_graph(n), t).graph)
-        return KntLowerBound(cert.value, "exact-solve")
+        return KntLowerBound(_gamma_r_knt_solved(n, t), "exact-solve")
     return KntLowerBound(gamma_knt(n, t), "domination-formula")
+
+
+@lru_cache(maxsize=None)
+def _gamma_r_knt_solved(n: int, t: int) -> int:
+    """gamma_R(S(K_n, t)) by exact solve, once per (n, t); callers keep n**t small."""
+    from .generators import complete_graph
+    from .sierpinski import build
+    from .solver import gamma_r_exact
+
+    return gamma_r_exact(build(complete_graph(n), t).graph).value

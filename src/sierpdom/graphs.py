@@ -1,7 +1,9 @@
 """Immutable simple graphs on vertices 0..n-1.
 
-Adjacency is stored twice: as sorted neighbor tuples for iteration and
-as per-vertex int bitmasks for the solver and the domination predicates.
+Adjacency is stored once, as sorted neighbor tuples.  The exact searches
+and the domination predicates read closed neighborhoods as int bitmasks;
+those are built from the tuples on first use and then cached, so a graph
+that is only built, serialized or validated never holds them.
 Edges are deduplicated and canonicalized to (min, max) pairs, so two
 graphs compare equal exactly when they have the same order and edge set.
 """
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, Optional
 class Graph:
     """Finite undirected simple graph on vertices 0..n-1, with an optional name."""
 
-    __slots__ = ("_n", "_edges", "_adj", "_adj_mask", "_closed_mask", "name")
+    __slots__ = ("_n", "_edges", "_adj", "_closed_mask", "name")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if n < 1:
@@ -35,14 +37,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(nb)) for nb in adj)
-        masks = []
-        for v in range(n):
-            m = 0
-            for u in self._adj[v]:
-                m |= 1 << u
-            masks.append(m)
-        self._adj_mask = tuple(masks)
-        self._closed_mask = tuple(m | (1 << v) for v, m in enumerate(masks))
+        self._closed_mask: Optional[tuple[int, ...]] = None
         self.name = name
 
     @property
@@ -63,13 +58,16 @@ class Graph:
         return range(self._n)
 
     @property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Open neighborhoods as bitmasks."""
-        return self._adj_mask
-
-    @property
     def closed_masks(self) -> tuple[int, ...]:
-        """Closed neighborhoods (vertex included) as bitmasks."""
+        """Closed neighborhoods (vertex included) as bitmasks, built on first use."""
+        if self._closed_mask is None:
+            masks = []
+            for v, nb in enumerate(self._adj):
+                m = 1 << v
+                for u in nb:
+                    m |= 1 << u
+                masks.append(m)
+            self._closed_mask = tuple(masks)
         return self._closed_mask
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -84,7 +82,7 @@ class Graph:
         return len(self._adj[v])
 
     def adjacent(self, u: int, v: int) -> bool:
-        return bool(self._adj_mask[u] >> v & 1)
+        return v in self._adj[u]
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """BFS distance between u and v, or None when unreachable."""

@@ -93,12 +93,11 @@ def is_roman_dominating(f: RomanFunction, g: Graph) -> bool:
     """Check the defining condition: every 0-vertex sees a 2."""
     if f.order != g.order:
         raise ValueError(f"labeling covers {f.order} vertices, graph has {g.order}")
-    twos_mask = 0
-    for v, x in enumerate(f.labels):
-        if x == 2:
-            twos_mask |= 1 << v
+    labels = f.labels
     return all(
-        g.adj_masks[v] & twos_mask for v, x in enumerate(f.labels) if x == 0
+        any(labels[u] == 2 for u in g.neighbors(v))
+        for v, x in enumerate(labels)
+        if x == 0
     )
 
 
@@ -126,23 +125,13 @@ class DerivedSets:
 def derived_sets(f: RomanFunction, g: Graph) -> DerivedSets:
     if not is_roman_dominating(f, g):
         raise ContractError("labeling is not Roman dominating on this graph")
-    ones, twos, zeros = f.ones, f.twos, f.zeros
-
-    def mask(vs):
-        m = 0
-        for v in vs:
-            m |= 1 << v
-        return m
-
-    ones_m, twos_m, zeros_m = mask(ones), mask(twos), mask(zeros)
-    pos_m = ones_m | twos_m
-    linked_ones = frozenset(v for v in ones if g.adj_masks[v] & ones_m)
-    linked_twos = frozenset(v for v in twos if g.adj_masks[v] & twos_m)
-    linked_positive = frozenset(
-        v for v in ones | twos if g.adj_masks[v] & pos_m
-    )
+    ones, twos = f.ones, f.twos
+    near = {v: [f.labels[u] for u in g.neighbors(v)] for v in ones | twos}
+    linked_ones = frozenset(v for v in ones if 1 in near[v])
+    linked_twos = frozenset(v for v in twos if 2 in near[v])
+    linked_positive = frozenset(v for v, nb in near.items() if any(nb))
     lone_ones = ones - linked_ones
-    candidates = [v for v in twos if (g.adj_masks[v] & zeros_m).bit_count() == 2]
+    candidates = [v for v in twos if near[v].count(0) == 2]
     junction = set()
     remote = set()
     for v in candidates:

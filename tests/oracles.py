@@ -23,7 +23,7 @@ def roman_min_enumerated(g: Graph) -> int:
         for v, x in enumerate(labels):
             if x == 2:
                 twos |= 1 << v
-        if all(g.adj_masks[v] & twos for v, x in enumerate(labels) if x == 0):
+        if all(g.closed_masks[v] & twos for v, x in enumerate(labels) if x == 0):
             best = w
     return best
 
@@ -38,7 +38,7 @@ def roman_min_canonical(g: Graph) -> tuple[int, ...]:
         for v, x in enumerate(labels):
             if x == 2:
                 twos |= 1 << v
-        if not all(g.adj_masks[v] & twos for v, x in enumerate(labels) if x == 0):
+        if not all(g.closed_masks[v] & twos for v, x in enumerate(labels) if x == 0):
             continue
         two_set = tuple(v for v, x in enumerate(labels) if x == 2)
         one_set = tuple(v for v, x in enumerate(labels) if x == 1)

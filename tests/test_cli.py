@@ -310,3 +310,13 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_rows_are_pinned(capsys, tmp_path):
+    """The default verify run writes byte-identical JSON rows for every family."""
+    rows_file = tmp_path / "rows.jsonl"
+    code, out, _ = run(capsys, "verify", "--out", str(rows_file))
+    assert code == 0
+    assert out.count("pass") == 16
+    digest = hashlib.sha256(rows_file.read_bytes()).hexdigest()
+    assert digest == "1437bf872c759c65de6e1659fb8485397e6ac227c860bfe89d7fe8cac3e73b2b"

@@ -158,3 +158,22 @@ def test_knt_lower_bound_large_falls_back():
 def test_knt_lower_bound_threshold_is_configurable():
     assert knt_lower_bound_for_any_graph(3, 2, solve_limit=8).method == "domination-formula"
     assert knt_lower_bound_for_any_graph(3, 2, solve_limit=9).method == "exact-solve"
+
+
+def test_knt_lower_bound_solves_each_instance_once(monkeypatch):
+    from sierpdom import formulas, solver
+
+    formulas._gamma_r_knt_solved.cache_clear()
+    real = solver.gamma_r_exact
+    solved = []
+
+    def solve_once(g, *args, **kwargs):
+        if solved:
+            raise AssertionError("S(K_n, t) solved a second time")
+        solved.append(g.order)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "gamma_r_exact", solve_once)
+    first = knt_lower_bound_for_any_graph(3, 3)
+    assert knt_lower_bound_for_any_graph(3, 3) == first == KntLowerBound(14, "exact-solve")
+    assert solved == [27]

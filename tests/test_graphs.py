@@ -1,10 +1,13 @@
 """Graph core: construction, queries, predicates, serialization."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from sierpdom import (
     Graph,
+    build,
     complete_graph,
     cycle_graph,
     format_edge_list,
@@ -58,8 +61,30 @@ def test_neighborhoods():
 def test_bitmasks_match_neighbor_lists():
     g = cycle_graph(6)
     for v in g.vertices:
-        assert g.adj_masks[v] == sum(1 << u for u in g.neighbors(v))
-        assert g.closed_masks[v] == g.adj_masks[v] | (1 << v)
+        assert g.closed_masks[v] == sum(1 << u for u in g.neighbors(v) + (v,))
+
+
+@given(small_graphs())
+def test_adjacent_matches_neighbor_lists(g):
+    for u in g.vertices:
+        assert g.adjacent(u, u) is False
+        for v in g.vertices:
+            assert g.adjacent(u, v) == (v in g.neighbors(u)) == ((min(u, v), max(u, v)) in g.edges)
+
+
+def _build_peak_bytes(t):
+    tracemalloc.start()
+    try:
+        build(path_graph(2), t)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_is_linear():
+    """Four times the vertices may cost at most six times the peak memory."""
+    small, large = _build_peak_bytes(12), _build_peak_bytes(14)
+    assert large <= 6 * small
 
 
 def test_distance_small_cases():
