@@ -4,7 +4,10 @@ Subcommands: gen (emit S(G, t) as edge list or DOT), solve (exact
 domination or Roman domination), construct (closed-form labelings),
 formula (closed-form values as JSON), verify (cross-check formulas,
 solver and constructions over the named families), and sweep (random
-connected bases, property checks).
+connected bases, property checks).  Each of construct, formula and
+verify dispatches through one table, which also supplies its argparse
+choices.  verify --families must name families from its table; an
+unknown name is bad input (exit 2) and nothing is verified.
 
 Exit codes: 0 success, 1 a verified property failed, 2 bad input,
 3 budget or timeout, 4 any other error (for example a RecursionError).
@@ -20,6 +23,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import constructions, formulas
@@ -114,12 +118,7 @@ def _cmd_gen(args) -> int:
             "size": s.graph.size,
             "extreme_vertices": [s.word_label(v) for v in extreme_vertices(s)],
         }
-        line = json.dumps(meta, sort_keys=True) + "\n"
-        if args.meta == "-":
-            sys.stdout.write(line)
-        else:
-            with open(args.meta, "w") as fh:
-                fh.write(line)
+        _emit(json.dumps(meta, sort_keys=True) + "\n", None if args.meta == "-" else args.meta)
     return 0
 
 
@@ -171,6 +170,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+_CONSTRUCTIONS = {
+    "path": constructions.path_construction,
+    "cycle": constructions.cycle_construction,
+    "complete": constructions.complete_graph_construction,
+}
+
+
 def _cmd_construct(args) -> int:
     budget = _budget(args)
     if args.family == "theorem":
@@ -181,21 +187,13 @@ def _cmd_construct(args) -> int:
             f = RomanFunction.from_json(fh.read())
         cert = gamma_r_exact(base)
         if cert.value != f.weight:
-            raise ContractError(
-                f"supplied labeling has weight {f.weight}, optimal is {cert.value}"
-            )
+            raise ContractError(f"supplied labeling has weight {f.weight}, optimal is {cert.value}")
         report = constructions.theorem_upper_bound_construction(f, base, args.t, cert, budget)
     elif args.n is None:
         raise ValueError(f"--family {args.family} needs --n")
-    elif args.family == "path":
-        base = path_graph(args.n)
-        report = constructions.path_construction(args.n, args.t, budget)
-    elif args.family == "cycle":
-        base = cycle_graph(args.n)
-        report = constructions.cycle_construction(args.n, args.t, budget)
     else:
-        base = complete_graph(args.n)
-        report = constructions.complete_graph_construction(args.n, args.t, budget)
+        base = _FAMILIES[args.family](args.n)
+        report = _CONSTRUCTIONS[args.family](args.n, args.t, budget)
     # the construction built S(G, t) already; only the word labels and DOT need it here
     s = build(base, args.t, budget) if args.dot or args.words else None
     if args.dot:
@@ -206,162 +204,135 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _gamma_r_path_cycle(n: int, t: int) -> int:
+    return formulas.gamma_r_path_cycle(n)  # the same for every depth t
+
+
+# each value is an int or an object with to_dict()
+_FORMULAS = {
+    "path-cycle": _gamma_r_path_cycle,
+    "path": formulas.gamma_r_sierpinski_path,
+    "cycle": formulas.gamma_r_sierpinski_cycle,
+    "complete-gamma": formulas.gamma_knt,
+    "complete-roman-upper": formulas.gamma_r_knt_upper,
+    "universal": formulas.universal_vertex_value,
+    "min-degree-lower": formulas.min_degree_lower_bound,
+    "complete-lower-any": formulas.knt_lower_bound_for_any_graph,
+}
+
+
 def _cmd_formula(args) -> int:
-    n, t = args.n, args.t
-    name = args.name
-    if name == "path-cycle":
-        doc = {"value": formulas.gamma_r_path_cycle(n)}
-    elif name == "path":
-        doc = {"value": formulas.gamma_r_sierpinski_path(n, t)}
-    elif name == "cycle":
-        doc = formulas.gamma_r_sierpinski_cycle(n, t).to_dict()
-    elif name == "complete-gamma":
-        doc = {"value": formulas.gamma_knt(n, t)}
-    elif name == "complete-roman-upper":
-        doc = {"value": formulas.gamma_r_knt_upper(n, t)}
-    elif name == "universal":
-        doc = {"value": formulas.universal_vertex_value(n, t)}
-    elif name == "min-degree-lower":
-        doc = {"value": formulas.min_degree_lower_bound(n, t)}
-    else:
-        doc = formulas.knt_lower_bound_for_any_graph(n, t).to_dict()
-    doc.update({"formula": name, "n": n, "t": t})
+    value = _FORMULAS[args.name](args.n, args.t)
+    doc = {"value": value} if isinstance(value, int) else value.to_dict()
+    doc.update({"formula": args.name, "n": args.n, "t": args.t})
     _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     return 0
 
 
-def _universal_examples() -> list[Graph]:
+def _lifted_construction(base: Graph, budget: int):
+    """The depth-2 product-bound construction from the solver's optimal base labeling."""
+    cert = gamma_r_exact(base)
+    return constructions.theorem_upper_bound_construction(cert.witness, base, 2, cert, budget)
+
+
+def _check_depth_two(base, lo, hi, construct, timeout, budget):
+    """gamma_R(S(base, 2)) lies in [lo, hi]; the construction is valid with weight hi."""
+    got = gamma_r_exact(build(base, 2, budget).graph, time_limit=timeout).value
+    rep = construct(budget)
+    ok = lo <= got <= hi and rep.valid and rep.actual_weight == hi
+    return {"solver": got, "construction": rep.actual_weight, "construction_valid": rep.valid}, ok
+
+
+def _check_complete(n, t, expected, timeout, budget):
+    g = build(complete_graph(n), t, budget).graph
+    dom = gamma_exact(g, time_limit=timeout).value
+    rom = gamma_r_exact(g, time_limit=timeout).value
+    rep = constructions.complete_graph_construction(n, t, budget)
+    upper = expected["roman_upper"]
+    ok = dom == expected["gamma"] and rom <= upper and rep.valid and rep.actual_weight == upper
+    got = {"gamma": dom, "roman": rom}
+    return {"solver": got, "construction": rep.actual_weight, "construction_valid": rep.valid}, ok
+
+
+def _check_code_size(n, t, expected, timeout, budget):
+    size = len(constructions.perfect_code_knt(n, t, budget))  # no solve, so no time limit
+    return {"size": size}, size == expected
+
+
+# Each family yields (instance, expected, run) rows; run(timeout, budget) solves
+# before it constructs and returns the row's result fields and whether they pass.
+def _verify_paths(args):
+    for n in range(3, min(args.max_n, 6) + 1):
+        expect = formulas.gamma_r_sierpinski_path(n, 2)
+        base = path_graph(n)
+        if n % 3 == 2:
+            construct = partial(constructions.path_construction, n, 2)
+        else:
+            construct = partial(_lifted_construction, base)
+        yield f"S(P{n},2)", expect, partial(_check_depth_two, base, expect, expect, construct)
+
+
+def _verify_cycles(args):
+    for n in range(4, min(args.max_n, 6) + 1):
+        vb = formulas.gamma_r_sierpinski_cycle(n, 2)
+        construct = partial(constructions.cycle_construction, n, 2)
+        run = partial(_check_depth_two, cycle_graph(n), vb.lower, vb.upper, construct)
+        yield f"S(C{n},2)", vb.to_dict(), run
+
+
+def _verify_complete(args):
+    for t in range(1, min(args.max_t, 3) + 1):
+        expected = {"gamma": formulas.gamma_knt(3, t)}
+        expected["roman_upper"] = formulas.gamma_r_knt_upper(3, t)
+        yield f"S(K3,{t})", expected, partial(_check_complete, 3, t, expected)
+
+
+def _verify_universal(args):
     plus = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)], name="star4+e")
-    return [star_graph(4), plus, star_graph(5)]
+    for g in (star_graph(4), plus, star_graph(5)):
+        expect = formulas.universal_vertex_value(g.order, 2)
+        run = partial(_check_depth_two, g, expect, expect, partial(_lifted_construction, g))
+        yield f"S({g.name},2)", expect, run
 
 
-def _verify_rows(args):
-    budget = _budget(args)
-    families = set(args.families.split(",")) if args.families else {
-        "paths",
-        "cycles",
-        "complete",
-        "universal",
-        "perfect-codes",
-    }
-    timeout = args.timeout
+def _verify_perfect_codes(args):
+    for n, t in ((3, 2), (3, 3), (2, 2)):
+        expect = formulas.gamma_knt(n, t)
+        yield f"S(K{n},{t})", expect, partial(_check_code_size, n, t, expect)
 
-    def solve_value(g):
-        return gamma_r_exact(g, time_limit=timeout).value
 
-    if "paths" in families:
-        for n in range(3, min(args.max_n, 6) + 1):
-            expect = formulas.gamma_r_sierpinski_path(n, 2)
-            row = {"family": "paths", "instance": f"S(P{n},2)", "expected": expect}
-            try:
-                base = path_graph(n)
-                got = solve_value(build(base, 2, budget).graph)
-                if n % 3 == 2:
-                    rep = constructions.path_construction(n, 2, budget)
-                else:
-                    cert = gamma_r_exact(base)
-                    rep = constructions.theorem_upper_bound_construction(
-                        cert.witness, base, 2, cert, budget
-                    )
-                row.update(
-                    solver=got,
-                    construction=rep.actual_weight,
-                    construction_valid=rep.valid,
-                    status="pass"
-                    if got == expect and rep.valid and rep.actual_weight == expect
-                    else "fail",
-                )
-            except SolveTimeout:
-                row["status"] = "timeout"
-            yield row
-    if "cycles" in families:
-        for n in range(4, min(args.max_n, 6) + 1):
-            vb = formulas.gamma_r_sierpinski_cycle(n, 2)
-            row = {
-                "family": "cycles",
-                "instance": f"S(C{n},2)",
-                "expected": vb.to_dict(),
-            }
-            try:
-                got = solve_value(build(cycle_graph(n), 2, budget).graph)
-                rep = constructions.cycle_construction(n, 2, budget)
-                ok = (
-                    vb.lower <= got <= vb.upper
-                    and rep.valid
-                    and rep.actual_weight == vb.upper
-                )
-                row.update(
-                    solver=got,
-                    construction=rep.actual_weight,
-                    construction_valid=rep.valid,
-                    status="pass" if ok else "fail",
-                )
-            except SolveTimeout:
-                row["status"] = "timeout"
-            yield row
-    if "complete" in families:
-        for t in range(1, min(args.max_t, 3) + 1):
-            n = 3
-            row = {"family": "complete", "instance": f"S(K{n},{t})"}
-            try:
-                g = build(complete_graph(n), t, budget).graph
-                dom = gamma_exact(g, time_limit=timeout).value
-                rom = gamma_r_exact(g, time_limit=timeout).value
-                rep = constructions.complete_graph_construction(n, t, budget)
-                expect_dom = formulas.gamma_knt(n, t)
-                upper = formulas.gamma_r_knt_upper(n, t)
-                ok = dom == expect_dom and rom <= upper and rep.valid and rep.actual_weight == upper
-                row.update(
-                    expected={"gamma": expect_dom, "roman_upper": upper},
-                    solver={"gamma": dom, "roman": rom},
-                    construction=rep.actual_weight,
-                    construction_valid=rep.valid,
-                    status="pass" if ok else "fail",
-                )
-            except SolveTimeout:
-                row["status"] = "timeout"
-            yield row
-    if "universal" in families:
-        for g in _universal_examples():
-            expect = formulas.universal_vertex_value(g.order, 2)
-            row = {"family": "universal", "instance": f"S({g.name},2)", "expected": expect}
-            try:
-                got = solve_value(build(g, 2, budget).graph)
-                cert = gamma_r_exact(g)
-                rep = constructions.theorem_upper_bound_construction(
-                    cert.witness, g, 2, cert, budget
-                )
-                ok = got == expect and rep.valid and rep.actual_weight == expect
-                row.update(
-                    solver=got,
-                    construction=rep.actual_weight,
-                    construction_valid=rep.valid,
-                    status="pass" if ok else "fail",
-                )
-            except SolveTimeout:
-                row["status"] = "timeout"
-            yield row
-    if "perfect-codes" in families:
-        for n, t in ((3, 2), (3, 3), (2, 2)):
-            row = {
-                "family": "perfect-codes",
-                "instance": f"S(K{n},{t})",
-                "expected": formulas.gamma_knt(n, t),
-            }
-            try:
-                code = constructions.perfect_code_knt(n, t, budget)
-                row.update(size=len(code), status="pass" if len(code) == row["expected"] else "fail")
-            except SolveTimeout:
-                row["status"] = "timeout"
-            yield row
+_VERIFY = {
+    "paths": _verify_paths,
+    "cycles": _verify_cycles,
+    "complete": _verify_complete,
+    "universal": _verify_universal,
+    "perfect-codes": _verify_perfect_codes,
+}
+
+
+def _verify_families(spec: Optional[str]) -> list[str]:
+    """The --families names in table order; an unknown name is bad input."""
+    wanted = spec.split(",") if spec else list(_VERIFY)
+    unknown = [name for name in wanted if name not in _VERIFY]
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"unknown verify families {names}; known: {','.join(_VERIFY)}")
+    return [name for name in _VERIFY if name in wanted]
 
 
 def _cmd_verify(args) -> int:
-    rows = list(_verify_rows(args))
-    lines = [json.dumps(r, sort_keys=True) for r in rows]
+    families, budget, rows = _verify_families(args.families), _budget(args), []
+    for family in families:
+        for instance, expected, run in _VERIFY[family](args):
+            row = {"family": family, "instance": instance, "expected": expected}
+            try:
+                fields, ok = run(args.timeout, budget)
+                row.update(fields, status="pass" if ok else "fail")
+            except SolveTimeout:
+                row["status"] = "timeout"
+            rows.append(row)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n", args.out)
     width = max(len(r["instance"]) for r in rows) if rows else 10
     print(f"{'instance':<{width}}  {'family':<14}{'status'}")
     for r in rows:
@@ -411,13 +382,7 @@ def _cmd_sweep(args) -> int:
                 "status": "pass" if ok else "fail",
             }
         )
-    lines = [json.dumps(r, sort_keys=True) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n", args.out)
     passed = args.count - failures
     print(f"sweep: {passed}/{args.count} instances passed", file=sys.stderr)
     return 1 if failures else 0
@@ -459,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(run=_cmd_solve)
 
     cons = sub.add_parser("construct", help="closed-form labelings")
-    cons.add_argument("--family", choices=("path", "cycle", "complete", "theorem"), required=True)
+    cons.add_argument("--family", choices=(*_CONSTRUCTIONS, "theorem"), required=True)
     cons.add_argument("--n", type=int)
     cons.add_argument("--t", type=int, required=True)
     cons.add_argument("--base", help="base edge list for the theorem construction")
@@ -471,27 +436,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cons.set_defaults(run=_cmd_construct)
 
     form = sub.add_parser("formula", help="closed-form values as JSON")
-    form.add_argument(
-        "--name",
-        required=True,
-        choices=(
-            "path-cycle",
-            "path",
-            "cycle",
-            "complete-gamma",
-            "complete-roman-upper",
-            "universal",
-            "min-degree-lower",
-            "complete-lower-any",
-        ),
-    )
+    form.add_argument("--name", required=True, choices=tuple(_FORMULAS))
     form.add_argument("--n", type=int, required=True)
     form.add_argument("--t", type=int, default=2)
     form.add_argument("--out")
     form.set_defaults(run=_cmd_formula)
 
     ver = sub.add_parser("verify", help="cross-check formulas, solver and constructions")
-    ver.add_argument("--families", help="comma list: paths,cycles,complete,universal,perfect-codes")
+    ver.add_argument("--families", help="comma list: " + ",".join(_VERIFY))
     ver.add_argument("--max-n", type=int, default=6)
     ver.add_argument("--max-t", type=int, default=3)
     ver.add_argument("--timeout", type=float, help="per-row solve limit in seconds")

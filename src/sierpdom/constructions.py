@@ -361,14 +361,14 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
     labels = suffix_labels(_pair_table(n, pair_twos, pair_ones), n, t)
     out = RomanFunction(labels)
     if n % 3 == 1:
-        seen = 0
-        for vid in range(s.order):
-            if labels[vid] == 2:
-                cm = s.graph.closed_masks[vid]
-                if cm & seen:
-                    raise AssertionError("2-set is not a 2-packing")
-                seen |= cm
-        if seen != (1 << s.order) - 1:
+        # 2s in each closed neighborhood: more than one breaks the packing, none the cover
+        twos_seen = [
+            (labels[v] == 2) + sum(labels[u] == 2 for u in s.graph.neighbors(v))
+            for v in range(s.order)
+        ]
+        if max(twos_seen) > 1:
+            raise AssertionError("2-set is not a 2-packing")
+        if min(twos_seen) == 0:
             raise AssertionError("2-set does not cover the graph")
     predicted = bracket.exact
     if out.weight != predicted:
@@ -420,7 +420,12 @@ def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> froz
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
-    s = build(complete_graph(n), t, max_vertices)
+    return _perfect_code(build(complete_graph(n), t, max_vertices))
+
+
+def _perfect_code(s: SierpinskiGraph) -> frozenset[int]:
+    """perfect_code_knt on an already built S(K_n, t)."""
+    n, t = s.base.order, s.depth
     ext = extreme_vertices(s)
     seeds = ext if t % 2 == 0 else (ext[0],)
     code = _exact_cover_code(s.graph, seeds)
@@ -452,7 +457,7 @@ def complete_graph_construction(n: int, t: int, max_vertices: Optional[int] = No
     s = build(complete_graph(n), t, max_vertices)
     predicted = gamma_r_knt_upper(n, t)
     if t % 2 == 1:
-        code = perfect_code_knt(n, t, max_vertices)
+        code = _perfect_code(s)
         out = RomanFunction.from_sets(s.order, twos=code)
         steps = ("code-doubling",)
     else:

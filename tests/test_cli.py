@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from sierpdom import RomanFunction, parse_edge_list
+from sierpdom import RomanFunction, SolveTimeout, parse_edge_list
 from sierpdom.cli import BUDGET_ENV, main
 
 
@@ -302,21 +302,110 @@ GOLDEN_STDOUT = [
         "construct --family complete --n 11 --t 1 --words",
         "a12e221bd2ff3a2112d73a7f5208973bd662e4a4702865ecdefff0799d2df123",
     ),
+    (
+        "construct --family path --n 5 --t 2",
+        "cb626c15a08b74e53f1daa8e150ef894b6d866691cec8bde0c7bf3007fd26613",
+    ),
+    (
+        "construct --family complete --n 3 --t 3",
+        "1e6c5bbfa049a32be5bfd1ad043dd982ddd10963ccd93bf84a46654616c85229",
+    ),
+    (
+        "formula --name path-cycle --n 5 --t 2",
+        "f5833067bfdf6356d0950ddcb069b222a29e70661b0a290d93f411c91dca0d12",
+    ),
+    (
+        "formula --name path --n 5 --t 2",
+        "52f23df1d6076a92ad18c89e180126e2ddb993288f7906947c5ef2e48eb95efa",
+    ),
+    (
+        "formula --name cycle --n 5 --t 2",
+        "3a9ea3ac9b4df58f9ccb70aefd891f74328766e1506923cb2d65596f8d853ed1",
+    ),
+    (
+        "formula --name complete-gamma --n 5 --t 2",
+        "2c87448c79f1087ef4ee62f15b655aa060f389edf12f4bc20e454633b4de8df8",
+    ),
+    (
+        "formula --name complete-roman-upper --n 5 --t 2",
+        "6f02437f9e0c5b229f31bb00cacdba1a7808ef98ad0bc3f73afa88e98926a544",
+    ),
+    (
+        "formula --name universal --n 5 --t 2",
+        "08f80c120c7927d1f6ef025052ac6b35cd3c4f9ada768bea44de80be11b80eae",
+    ),
+    (
+        "formula --name min-degree-lower --n 5 --t 2",
+        "a5d8235bd4f3b5d5ed0c886c2c6133a74d677ead8712d2069ea34ffd905b0ad3",
+    ),
+    (
+        "formula --name complete-lower-any --n 5 --t 2",
+        "e52b64c3c67457a310a0546a0598a3427a20ea8ccede14f1d9299ec248a8a8dd",
+    ),
+    (
+        "formula --help",
+        "a6726bb4f1e2d157f080cc503ab2c80c770b5b4b603a77eae818563e7c0e1739",
+    ),
+    (
+        "verify --help",
+        "f29a1544053c4905f31db92e5f62bc871941d0212df5c59b10136c13afec54b0",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
-def test_golden_stdout(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv.split())
+def test_golden_stdout(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help text to the terminal width
+    try:
+        code, out, _ = run(capsys, *argv.split())
+    except SystemExit as exc:  # argparse exits after printing --help
+        code, out = exc.code, capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# (verify arguments, rows that pass, sha256 of the --out rows)
+VERIFY_ROWS = [
+    ((), 16, "1437bf872c759c65de6e1659fb8485397e6ac227c860bfe89d7fe8cac3e73b2b"),
+    (
+        ("--families", "paths,cycles,complete", "--max-n", "4", "--max-t", "2"),
+        5,
+        "e24c1221fda72833be76b30fd723f25a463e609a63e6ced3d3ca9aeaba8c55e8",
+    ),
+]
+
+
 def test_verify_rows_are_pinned(capsys, tmp_path):
-    """The default verify run writes byte-identical JSON rows for every family."""
+    """The default and a reduced verify run write byte-identical JSON rows."""
     rows_file = tmp_path / "rows.jsonl"
-    code, out, _ = run(capsys, "verify", "--out", str(rows_file))
-    assert code == 0
-    assert out.count("pass") == 16
-    digest = hashlib.sha256(rows_file.read_bytes()).hexdigest()
-    assert digest == "1437bf872c759c65de6e1659fb8485397e6ac227c860bfe89d7fe8cac3e73b2b"
+    for args, passed, digest in VERIFY_ROWS:
+        code, out, _ = run(capsys, "verify", *args, "--out", str(rows_file))
+        assert code == 0
+        assert out.count("pass") == passed
+        assert hashlib.sha256(rows_file.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("families", ["path", "paths,cycle"])
+def test_verify_rejects_unknown_families(capsys, families):
+    code, out, err = run(capsys, "verify", "--families", families)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_timeout_keeps_expected(capsys, monkeypatch, tmp_path):
+    def give_up(*args, **kwargs):
+        raise SolveTimeout("time limit reached")
+
+    monkeypatch.setattr("sierpdom.cli.gamma_r_exact", give_up)
+    rows_file = tmp_path / "rows.jsonl"
+    code, out, _ = run(
+        capsys, "verify", "--families", "paths,cycles,complete,universal",
+        "--max-n", "4", "--max-t", "2", "--out", str(rows_file),
+    )
+    assert code == 3
+    rows = [json.loads(line) for line in rows_file.read_text().splitlines()]
+    assert len(rows) == 8
+    assert all(r["status"] == "timeout" for r in rows)
+    assert all("expected" in r for r in rows)
+    assert "pass" not in out

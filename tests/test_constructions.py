@@ -1,6 +1,7 @@
 """Explicit labelings: the rewrite construction, pattern families, codes."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,3 +308,32 @@ def test_complete_construction_is_optimal_when_checkable():
     for n, t in ((2, 2), (3, 2), (2, 3)):
         rep = complete_graph_construction(n, t)
         assert rep.actual_weight == gamma_r_exact(build(complete_graph(n), t).graph).value
+
+
+def _peak_bytes(construction, n, t):
+    tracemalloc.start()
+    try:
+        construction(n, t)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cycle_construction_memory_is_linear():
+    """Four times the vertices may cost at most six times the peak memory."""
+    assert _peak_bytes(cycle_construction, 4, 7) <= 6 * _peak_bytes(cycle_construction, 4, 6)
+
+
+def test_complete_construction_builds_once(monkeypatch):
+    from sierpdom import constructions
+
+    real = constructions.build
+    depths = []
+
+    def counting_build(base, t, *args, **kwargs):
+        depths.append(t)
+        return real(base, t, *args, **kwargs)
+
+    monkeypatch.setattr(constructions, "build", counting_build)
+    assert complete_graph_construction(3, 3).valid
+    assert depths == [3]
