@@ -7,10 +7,11 @@ solver and constructions over the named families), and sweep (random
 connected bases, property checks).  Each of construct, formula and
 verify dispatches through one table, which also supplies its argparse
 choices.  verify --families must name families from its table; an
-unknown name is bad input (exit 2) and nothing is verified.
+unknown name, or limits that leave no rows, is bad input (exit 2) and
+nothing is verified.
 
 Exit codes: 0 success, 1 a verified property failed, 2 bad input,
-3 budget or timeout, 4 any other error (for example a RecursionError).
+3 budget or timeout, 4 any other error.
 Machine output is JSON lines without timing fields, so a rerun with the
 same arguments and seed is byte-identical.
 """
@@ -322,18 +323,20 @@ def _verify_families(spec: Optional[str]) -> list[str]:
 
 def _cmd_verify(args) -> int:
     families, budget, rows = _verify_families(args.families), _budget(args), []
-    for family in families:
-        for instance, expected, run in _VERIFY[family](args):
-            row = {"family": family, "instance": instance, "expected": expected}
-            try:
-                fields, ok = run(args.timeout, budget)
-                row.update(fields, status="pass" if ok else "fail")
-            except SolveTimeout:
-                row["status"] = "timeout"
-            rows.append(row)
+    todo = [(family, *row) for family in families for row in _VERIFY[family](args)]
+    if not todo:
+        raise ValueError("--max-n/--max-t leave no rows to verify")
+    for family, instance, expected, run in todo:
+        row = {"family": family, "instance": instance, "expected": expected}
+        try:
+            fields, ok = run(args.timeout, budget)
+            row.update(fields, status="pass" if ok else "fail")
+        except SolveTimeout:
+            row["status"] = "timeout"
+        rows.append(row)
     if args.out:
         _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n", args.out)
-    width = max(len(r["instance"]) for r in rows) if rows else 10
+    width = max(len("instance"), *(len(r["instance"]) for r in rows))
     print(f"{'instance':<{width}}  {'family':<14}{'status'}")
     for r in rows:
         print(f"{r['instance']:<{width}}  {r['family']:<14}{r['status']}")

@@ -33,7 +33,7 @@ from .sierpinski import (
     suffix_labels,
     word_of,
 )
-from .solver import Certificate, gamma_exact, gamma_r_exact
+from .solver import Certificate, _picks, gamma_exact, gamma_r_exact
 
 
 @dataclass(frozen=True)
@@ -386,29 +386,23 @@ def _exact_cover_code(g: Graph, seeds: tuple[int, ...]) -> Optional[frozenset[in
     """Backtracking exact cover of V by closed neighborhoods, seeded."""
     closed = g.closed_masks
     full = (1 << g.order) - 1
-    dominated = 0
+    dominated, chosen = 0, None
     for v in seeds:
         if closed[v] & dominated:
             return None
         dominated |= closed[v]
-    chosen = list(seeds)
-
-    def rec(dominated: int) -> bool:
+        chosen = (chosen, v)
+    stack = [(dominated, chosen)]
+    while stack:
+        dominated, chosen = stack.pop()
         if dominated == full:
-            return True
+            return frozenset(_picks(chosen))
         rest = full & ~dominated
         v = (rest & -rest).bit_length() - 1
-        for u in sorted(g.neighbors(v) + (v,)):
+        for u in sorted(g.neighbors(v) + (v,), reverse=True):
             if not closed[u] & dominated:
-                chosen.append(u)
-                if rec(dominated | closed[u]):
-                    return True
-                chosen.pop()
-        return False
-
-    found = rec(dominated)
-    del rec  # rec reaches itself through its closure; free the search state now
-    return frozenset(chosen) if found else None
+                stack.append((dominated | closed[u], (chosen, u)))
+    return None
 
 
 def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> frozenset[int]:

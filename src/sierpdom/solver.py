@@ -13,7 +13,9 @@ the 1-per-vertex fallback.
 Witnesses are canonicalized in a second phase: among minimum-weight
 labelings, maximize the number of 2s (equivalently minimize the number
 of 1s), then take the lexicographically smallest 2-set.  Searches are
-sequential and deterministic.
+sequential, deterministic explicit-stack loops, so their depth is not
+bounded by the interpreter's recursion limit.  Each popped node is one
+deadline tick, and `Certificate.nodes` is the tick count.
 
 Two further lower bounds prune the searches.  The witness phase keeps
 suffix reach masks (everything some vertex at index >= i can cover) and
@@ -86,6 +88,30 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _picks(link):
+    """The vertices on a linked (rest, u) chain of picks."""
+    while link is not None:
+        link, u = link
+        yield u
+
+
+def _branch(closed, deg, undom: int, excluded: int) -> tuple[int, list[tuple[int, int]]]:
+    """The max-degree undominated v (lowest id on ties) and its candidates in
+    N[v], best gain first, each with the exclusions of the siblings before it."""
+    v, vd = -1, -1
+    for i in _bits(undom):
+        if deg[i] > vd:
+            v, vd = i, deg[i]
+    cands = []
+    for u in sorted(
+        _bits(closed[v] & ~excluded),
+        key=lambda u: (-(closed[u] & undom).bit_count(), u),
+    ):
+        cands.append((u, excluded))
+        excluded |= 1 << u
+    return v, cands
+
+
 def _greedy_cover(closed: tuple[int, ...], full: int, n: int) -> list[int]:
     """Deterministic greedy dominating set, used as the initial incumbent."""
     dominated = 0
@@ -117,11 +143,9 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     deg = [g.degree(v) for v in range(n)]
 
     greedy = _greedy_cover(closed, full, n)
-    best_size = len(greedy)
-    best_mask = 0
+    best_size, best = len(greedy), None
     for u in greedy:
-        best_mask |= 1 << u
-    nodes = 0
+        best = (best, u)
 
     def min_picks(ucount: int, covs: list[int]) -> Optional[int]:
         covs.sort(reverse=True)
@@ -132,15 +156,15 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
                 return k
         return None
 
-    def rec(dominated: int, chosen: int, size: int, excluded: int):
-        nonlocal best_size, best_mask, nodes
-        nodes += 1
+    stack = [(0, None, 0, 0)]  # dominated, chosen, size, excluded
+    while stack:
+        dominated, chosen, size, excluded = stack.pop()
         deadline.tick()
         undom = full & ~dominated
         if not undom:
             if size < best_size:
-                best_size, best_mask = size, chosen
-            return
+                best_size, best = size, chosen
+            continue
         ucount = undom.bit_count()
         covs = [
             (closed[u] & undom).bit_count()
@@ -149,7 +173,7 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
         ]
         need = min_picks(ucount, covs)
         if need is None or size + need >= best_size:
-            return
+            continue
         # greedy 2-packing: undominated vertices with pairwise disjoint
         # candidate sets each need a chosen dominator of their own
         packed, claimed = 0, 0
@@ -159,26 +183,13 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
                 packed += 1
                 claimed |= cand
         if size + packed >= best_size:
-            return
-        v, vd = -1, -1
-        for i in _bits(undom):
-            if deg[i] > vd:
-                v, vd = i, deg[i]
-        cands = sorted(
-            _bits(closed[v] & ~excluded),
-            key=lambda u: (-(closed[u] & undom).bit_count(), u),
-        )
-        ex = excluded
-        for u in cands:
-            rec(dominated | closed[u], chosen | (1 << u), size + 1, ex)
-            ex |= 1 << u
-
-    rec(0, 0, 0, 0)
-    del rec  # rec reaches itself through its closure; free the search state now
-    witness = frozenset(_bits(best_mask))
+            continue
+        for u, ex in reversed(_branch(closed, deg, undom, excluded)[1]):
+            stack.append((dominated | closed[u], (chosen, u), size + 1, ex))
+    witness = frozenset(_picks(best))
     if not is_dominating_set(g, witness) or len(witness) != best_size:
         raise AssertionError("domination witness failed its certificate check")
-    return Certificate("domination", best_size, witness, nodes, time.perf_counter() - start)
+    return Certificate("domination", best_size, witness, deadline.ticks, time.perf_counter() - start)
 
 
 def _roman_value(g: Graph, deadline: _Deadline) -> tuple[int, int]:
@@ -188,7 +199,7 @@ def _roman_value(g: Graph, deadline: _Deadline) -> tuple[int, int]:
     full = (1 << n) - 1
     deg = [g.degree(v) for v in range(n)]
     best = min(2 * len(_greedy_cover(closed, full, n)), n)
-    nodes = 0
+    ticks = deadline.ticks
 
     def lower(undom: int, excluded: int) -> int:
         ucount = undom.bit_count()
@@ -211,35 +222,23 @@ def _roman_value(g: Graph, deadline: _Deadline) -> tuple[int, int]:
                 break
         return bound
 
-    def rec(dominated: int, settled_ones: int, weight: int, excluded: int):
-        nonlocal best, nodes
-        nodes += 1
+    stack = [(0, 0, 0, 0)]  # dominated, settled_ones, weight, excluded
+    while stack:
+        dominated, settled_ones, weight, excluded = stack.pop()
         deadline.tick()
         undom = full & ~(dominated | settled_ones)
         if not undom:
             if weight < best:
                 best = weight
-            return
+            continue
         if weight + lower(undom, excluded) >= best:
-            return
-        v, vd = -1, -1
-        for i in _bits(undom):
-            if deg[i] > vd:
-                v, vd = i, deg[i]
-        cands = sorted(
-            _bits(closed[v] & ~excluded),
-            key=lambda u: (-(closed[u] & undom).bit_count(), u),
-        )
-        ex = excluded
-        for u in cands:
-            rec(dominated | closed[u], settled_ones, weight + 2, ex)
-            ex |= 1 << u
+            continue
+        v, cands = _branch(closed, deg, undom, excluded)
         # settle v with label 1; a cheapest completion never puts a 2 next to it
-        rec(dominated, settled_ones | (1 << v), weight + 1, excluded | closed[v])
-
-    rec(0, 0, 0, 0)
-    del rec  # rec reaches itself through its closure; free the search state now
-    return best, nodes
+        stack.append((dominated, settled_ones | (1 << v), weight + 1, excluded | closed[v]))
+        for u, ex in reversed(cands):
+            stack.append((dominated | closed[u], settled_ones, weight + 2, ex))
+    return best, deadline.ticks - ticks
 
 
 def _lex_min_two_set(
@@ -251,32 +250,28 @@ def _lex_min_two_set(
     reach = [0] * (n + 1)  # reach[i]: all vertices some u >= i can cover
     for u in range(n - 1, -1, -1):
         reach[u] = reach[u + 1] | closed[u]
-    nodes = 0
-
-    def rec(i: int, left: int, covered: int) -> Optional[list[int]]:
-        nonlocal nodes
-        nodes += 1
+    ticks = deadline.ticks
+    stack = [(0, k, 0, None)]  # i, left, covered, picked
+    while stack:
+        i, left, covered, picked = stack.pop()
         deadline.tick()
         if left == 0:
-            return [] if covered.bit_count() >= target_cover else None
+            if covered.bit_count() >= target_cover:
+                return sorted(_picks(picked)), deadline.ticks - ticks
+            continue
         if n - i < left:
-            return None
+            continue
         # vertices no u >= i can reach must take label 1; more than allowed?
         if (covered | reach[i]).bit_count() < target_cover:
-            return None
+            continue
         gains = sorted(
             ((closed[u] & ~covered).bit_count() for u in range(i, n)), reverse=True
         )
         if covered.bit_count() + sum(gains[:left]) < target_cover:
-            return None
-        take = rec(i + 1, left - 1, covered | closed[i])
-        if take is not None:
-            return [i] + take
-        return rec(i + 1, left, covered)
-
-    found = rec(0, k, 0)
-    del rec  # rec reaches itself through its closure; free the search state now
-    return found, nodes
+            continue
+        stack.append((i + 1, left, covered, picked))
+        stack.append((i + 1, left - 1, covered | closed[i], (picked, i)))
+    return None, deadline.ticks - ticks
 
 
 def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
@@ -290,13 +285,12 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     start = time.perf_counter()
     deadline = _Deadline(time_limit)
     n = g.order
-    value, nodes = _roman_value(g, deadline)
+    value = _roman_value(g, deadline)[0]
     twos: Optional[list[int]] = None
     for k in range(value // 2, -1, -1):
         if value - 2 * k > n:
             break
-        twos, extra = _lex_min_two_set(g, k, n - (value - 2 * k), deadline)
-        nodes += extra
+        twos = _lex_min_two_set(g, k, n - (value - 2 * k), deadline)[0]
         if twos is not None:
             break
     if twos is None:
@@ -313,7 +307,7 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     f = RomanFunction(tuple(labels))
     if not is_roman_dominating(f, g) or f.weight != value:
         raise AssertionError("Roman witness failed its certificate check")
-    return Certificate("roman", value, f, nodes, time.perf_counter() - start)
+    return Certificate("roman", value, f, deadline.ticks, time.perf_counter() - start)
 
 
 def brute_force_gamma_r(g: Graph) -> Certificate:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from sierpdom import RomanFunction, SolveTimeout, parse_edge_list
+from sierpdom import RomanFunction, SolveTimeout, is_roman_dominating, parse_edge_list, path_graph
 from sierpdom.cli import BUDGET_ENV, main
 
 
@@ -64,6 +64,16 @@ def test_solve_json(capsys):
     doc = json.loads(out)
     assert doc["value"] == 3 and doc["witness"] == [0, 2, 0, 1]
     assert "elapsed_s" not in doc
+
+
+def test_solve_beyond_the_recursion_limit(capsys):
+    # the witness search runs about 1500 levels deep, past Python's default limit
+    code, out, _ = run(capsys, "solve", "--family", "path", "--n", "1500", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == 1000
+    f = RomanFunction(tuple(doc["witness"]))
+    assert f.weight == 1000 and is_roman_dominating(f, path_graph(1500))
 
 
 def test_solve_domination_with_depth(capsys):
@@ -350,6 +360,14 @@ GOLDEN_STDOUT = [
         "verify --help",
         "f29a1544053c4905f31db92e5f62bc871941d0212df5c59b10136c13afec54b0",
     ),
+    (  # phase 2 runs about 900 levels deep
+        "solve --family path --n 900 --json",
+        "fb62affea470d980ed829b14fc37affcd37b1c6e5b86d0fcc63ad9c9921c9b00",
+    ),
+    (  # the exact cover runs 547 levels deep
+        "construct --family complete --n 3 --t 7",
+        "0fddc352e13fd72d1af1a48b1533c1614b688dd5ad699dfbc547b09a5e042f55",
+    ),
 ]
 
 
@@ -391,6 +409,25 @@ def test_verify_rejects_unknown_families(capsys, families):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args", [("--families", "paths", "--max-n", "2"), ("--families", "complete", "--max-t", "0")]
+)
+def test_verify_with_no_rows_is_bad_input(capsys, args):
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_columns_line_up_under_short_names(capsys):
+    code, out, _ = run(capsys, "verify", "--families", "paths", "--max-n", "3")
+    assert code == 0
+    header, row = out.splitlines()
+    assert row.startswith("S(P3,2) ")
+    assert row.index("paths") == header.index("family")
+    assert row.index("pass") == header.index("status")
 
 
 def test_verify_timeout_keeps_expected(capsys, monkeypatch, tmp_path):

@@ -296,6 +296,13 @@ def test_complete_construction_doubled_depth():
     assert rep.function.labels[0] == 1
 
 
+def test_complete_construction_beyond_the_recursion_limit():
+    # the perfect-code search behind depth 9 runs thousands of levels deep
+    rep = complete_graph_construction(3, 9)
+    assert rep.valid
+    assert rep.actual_weight == gamma_r_knt_upper(3, 9) == 9842
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 4))
 def test_complete_construction_meets_the_bound(n, t):

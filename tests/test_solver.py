@@ -202,6 +202,19 @@ for solve in (solver.gamma_r_exact, solver.gamma_exact):
     ]
 
 
+def test_searches_do_not_recurse():
+    # every exact search keeps its own stack, so a tiny recursion limit is no bound
+    script = """
+import sys
+from sierpdom import gamma_exact, gamma_r_exact, path_graph, perfect_code_knt
+sys.setrecursionlimit(60)
+assert gamma_exact(path_graph(300)).value == 100
+assert gamma_r_exact(path_graph(300)).value == 200
+assert len(perfect_code_knt(3, 5)) == 61
+"""
+    subprocess.run([sys.executable, "-c", script], check=True)
+
+
 def test_certificate_json_shape():
     g = path_graph(4)
     doc = json.loads(gamma_r_exact(g).to_json(graph=g))
