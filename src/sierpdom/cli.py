@@ -10,10 +10,10 @@ choices.  verify --families must name families from its table; an
 unknown name, or limits that leave no rows, is bad input (exit 2) and
 nothing is verified.
 
-Exit codes: 0 success, 1 a verified property failed, 2 bad input,
-3 budget or timeout, 4 any other error.
-Machine output is JSON lines without timing fields, so a rerun with the
-same arguments and seed is byte-identical.
+Exit codes: 0 success, 1 a verified property failed (construct: the
+labeling it prints does not validate), 2 bad input, 3 budget or timeout,
+4 any other error.  Machine output is JSON lines without timing fields,
+so a rerun with the same arguments and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _cmd_construct(args) -> int:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(s.graph, graph_name="S", colors=colors, label=s.word_label))
     _emit(report.to_json(sierpinski=s if args.words else None) + "\n", args.out)
-    return 0
+    return 0 if report.valid else 1
 
 
 def _gamma_r_path_cycle(n: int, t: int) -> int:

@@ -52,10 +52,12 @@ def gamma_r_path_cycle(n: int) -> int:
 
 
 def gamma_r_sierpinski_path(n: int, t: int) -> int:
-    """Roman domination number of S(P_n, t) for t >= 2.
+    """Roman domination number of S(P_n, 2), times n**(t-2) at depth t.
 
-    n = 2 collapses to a plain path on 2**t vertices and is handled as
-    that special case.
+    Exact at t = 2, and for n = 2, where S(P_2, t) is a plain path on
+    2**t vertices.  Above depth 2 it is an upper bound only, the weight of
+    an optimal S(P_n, 2) labeling copied into every copy of S(P_n, 2):
+    S(P7, 3) has Roman domination number 222, not 224.
     """
     if t < 2:
         raise ValueError("depth must be at least 2")

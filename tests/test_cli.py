@@ -169,6 +169,15 @@ def test_construct_needs_n(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("family,n", [("path", "5"), ("complete", "3")])
+def test_construct_invalid_labeling_exits_1(capsys, monkeypatch, family, n):
+    # a labeling that fails validation is a failed property: printed, then exit 1
+    monkeypatch.setattr("sierpdom.constructions.is_roman_dominating", lambda f, g: False)
+    code, out, _ = run(capsys, "construct", "--family", family, "--n", n, "--t", "2")
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+
+
 def test_formula_outputs(capsys):
     code, out, _ = run(capsys, "formula", "--name", "path", "--n", "6", "--t", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 """Explicit labelings: the rewrite construction, pattern families, codes."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -127,6 +128,23 @@ def test_rewrite_construction_exercises_adjacent_twos():
     assert "step1" in rep.steps_applied and "step2" in rep.steps_applied
     assert rep.predicted_weight == 20
     assert rep.actual_weight <= 20
+
+
+def test_rewrite_construction_validates_each_step_once(monkeypatch):
+    from sierpdom import constructions
+
+    real = constructions.is_roman_dominating
+    orders = []
+
+    def counting(f, g):
+        orders.append(g.order)
+        return real(f, g)
+
+    monkeypatch.setattr(constructions, "is_roman_dominating", counting)
+    base = path_graph(7)
+    cert = gamma_r_exact(base)
+    assert theorem_upper_bound_construction(cert.witness, base, 3, cert).valid
+    assert orders.count(343) == 4  # one check per rewrite step
 
 
 def test_rewrite_construction_contract_checks():
@@ -344,3 +362,42 @@ def test_complete_construction_builds_once(monkeypatch):
     monkeypatch.setattr(constructions, "build", counting_build)
     assert complete_graph_construction(3, 3).valid
     assert depths == [3]
+
+
+# sha256 of to_json(), recorded before the constructions were rewritten
+CONSTRUCTION_SHA256 = {
+    ("P7", 2): "42f3f106de9107a223450895fd535a02c2824d64f49818b558bfbcb9dd571d0c",
+    ("P7", 3): "7ea07b396dcdbb4d0263f86ef9cdceae2585201457d1f3b51322cfc3d354a2f9",
+    ("P2", 2): "bdb147a0b99a2a43c5b1b9aa8263b8bd269178cd1bc803f245d6127a9ab3f8e4",
+    ("P2", 3): "136350b656a2d1d45b22509932b90a283a17063c600113b409164b8ec61e34fb",
+    ("K33", 2): "41306c6b7369473154e8ab0a0b04f6a2408e7a072655fac81d6c2ca7999be38b",
+    ("K33", 3): "ac2336fe667d5489fd25b3cfc987664c44cf3b27fc0f4f7e4a07c5468c301244",
+    ("P5", 2): "ea70683f44ddc12b5484512ad04cf80f686bdfc42a25b7a8137bf05456e71943",
+    ("P5", 3): "9b5d29d682a8dd24f3546676156a739df28afe8ddceb028626420c4c50c81abe",
+    "cycle(6,2)": "4c2efa937bc2226701e9f3d3a44429ee4f602c1f27ec70a03400be925e6973ef",
+    "complete(3,4)": "e19188d105ec965067c5670d17f22a3a31b32932139ea08c23997b146922abb4",
+}
+
+
+def _sha(rep):
+    return hashlib.sha256(rep.to_json().encode()).hexdigest()
+
+
+def test_construction_reports_are_pinned():
+    # P7 runs steps 1 and 4, P2 with (1, 1) step 3, K33 steps 1 and 2, and
+    # P5 with (1, 0, 2, 0, 1) skips step 4 on a junction with two partners
+    cases = {
+        "P7": (path_graph(7), None),
+        "P2": (path_graph(2), RomanFunction((1, 1))),
+        "K33": (k33(), None),
+        "P5": (path_graph(5), RomanFunction((1, 0, 2, 0, 1))),
+    }
+    got = {}
+    for name, (base, f) in cases.items():
+        cert = gamma_r_exact(base)
+        for t in (2, 3):
+            rep = theorem_upper_bound_construction(f or cert.witness, base, t, cert)
+            got[name, t] = _sha(rep)
+    got["cycle(6,2)"] = _sha(cycle_construction(6, 2))
+    got["complete(3,4)"] = _sha(complete_graph_construction(3, 4))
+    assert got == CONSTRUCTION_SHA256

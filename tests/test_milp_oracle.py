@@ -10,11 +10,26 @@ import pytest
 np = pytest.importorskip("numpy")
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
-from sierpdom import build, complete_graph, cycle_graph, gamma_exact, gamma_r_exact, path_graph, star_graph
+from sierpdom import (
+    RomanFunction,
+    build,
+    complete_graph,
+    cycle_graph,
+    gamma_exact,
+    gamma_r_exact,
+    gamma_r_sierpinski_path,
+    is_roman_dominating,
+    path_graph,
+    star_graph,
+)
 
 
 def milp_value(g, roman):
-    """Minimum weight by the ReVelle-Rosing program.
+    return round(milp_solution(g, roman).fun)
+
+
+def milp_solution(g, roman):
+    """An optimal solution of the ReVelle-Rosing program.
 
     Roman: x_v (label 1) and y_v (label 2) in {0, 1}, minimize
     sum x + 2 sum y subject to x_v + y_v + sum of y over N(v) >= 1.
@@ -40,7 +55,7 @@ def milp_value(g, roman):
         bounds=scipy_optimize.Bounds(0, 1),
     )
     assert res.status == 0, res.message
-    return round(res.fun)
+    return res
 
 
 def test_milp_matches_brute_force_sized_cases():
@@ -60,3 +75,15 @@ def test_solver_matches_milp(base, t):
     assert 27 <= g.order <= 64
     assert gamma_exact(g).value == milp_value(g, roman=False)
     assert gamma_r_exact(g).value == milp_value(g, roman=True)
+
+
+@pytest.mark.parametrize("n,t,value,formula", [(7, 3, 222, 224), (5, 4, 421, 425)])
+def test_path_formula_is_only_an_upper_bound_above_depth_two(n, t, value, formula):
+    # above depth 2, n**(t-2) * gamma_R(S(P_n, 2)) only bounds gamma_R from above
+    g = build(path_graph(n), t).graph
+    x = np.round(milp_solution(g, roman=True).x).astype(int)
+    f = RomanFunction(tuple(2 if two else int(one) for one, two in zip(x[: g.order], x[g.order :])))
+    assert f.weight == value
+    assert is_roman_dominating(f, g)
+    assert gamma_r_sierpinski_path(n, t) == formula
+    assert value < formula
