@@ -38,7 +38,7 @@ from .generators import (
     star_graph,
 )
 from .graphs import Graph, format_edge_list, parse_edge_list, to_dot
-from .roman import RomanFunction, derived_sets
+from .roman import RomanFunction
 from .sierpinski import DEFAULT_VERTEX_BUDGET, SierpinskiGraph, build, extreme_vertices
 from .solver import brute_force_gamma_r, gamma_exact, gamma_r_exact
 
@@ -105,7 +105,7 @@ def _cmd_gen(args) -> int:
     budget = _budget(args)
     s = build(base, args.t, budget)
     if args.format == "dot":
-        text = to_dot(s.graph, graph_name="S", label=s.word_label)
+        text = to_dot(s.graph, graph_name="S", labels=s.word_labels())
     else:
         text = format_edge_list(s.graph)
     _emit(text, args.out)
@@ -200,7 +200,7 @@ def _cmd_construct(args) -> int:
     if args.dot:
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(s.graph, graph_name="S", colors=colors, label=s.word_label))
+            fh.write(to_dot(s.graph, graph_name="S", colors=colors, labels=s.word_labels()))
     _emit(report.to_json(sierpinski=s if args.words else None) + "\n", args.out)
     return 0 if report.valid else 1
 
@@ -357,16 +357,16 @@ def _cmd_sweep(args) -> int:
         n = rng.randint(2, args.max_n)
         g = random_connected_graph(n, rng, args.extra_prob)
         h = random_spanning_subgraph(g, rng)
-        dom = gamma_exact(g)
-        rom = gamma_r_exact(g)
-        rom_h = gamma_r_exact(h)
+        dom = gamma_exact(g, time_limit=args.timeout)
+        rom = gamma_r_exact(g, time_limit=args.timeout)
+        rom_h = gamma_r_exact(h, time_limit=args.timeout)
         checks = {
             "sandwich": dom.value <= rom.value <= 2 * dom.value,
             "spanning-monotone": rom.value <= rom_h.value,
         }
         if args.full and args.t >= 2:
             s = build(g, args.t, budget)
-            s_rom = gamma_r_exact(s.graph)
+            s_rom = gamma_r_exact(s.graph, time_limit=args.timeout)
             bound = constructions.bound_value(rom.witness, g, args.t)
             lower = formulas.knt_lower_bound_for_any_graph(n, args.t).value
             checks["product-bound"] = s_rom.value <= bound
@@ -461,6 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--extra-prob", type=float, default=0.2)
     sw.add_argument("--full", action="store_true", help="also check the product bounds on S(G, t)")
+    sw.add_argument("--timeout", type=float, help="per-solve limit in seconds")
     sw.add_argument("--out")
     add_budget(sw)
     sw.set_defaults(run=_cmd_sweep)

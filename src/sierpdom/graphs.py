@@ -6,13 +6,25 @@ those are built from the tuples on first use and then cached, so a graph
 that is only built, serialized or validated never holds them.
 Edges are deduplicated and canonicalized to (min, max) pairs, so two
 graphs compare equal exactly when they have the same order and edge set.
+
+Construction is a few linear passes over the edge list: canonicalize,
+check range and self-loops in bulk, sort once, drop adjacent duplicates,
+and append neighbors.  The one sort is list.sort, which finds ascending
+runs and merges them, so m edges in k sorted runs (sierpinski build emits
+one run per level) cost about m·log k comparisons, and any other order
+costs a plain sort.  Appending neighbors from the sorted edge list fills
+every neighbor list in ascending order, so no per-vertex sort is needed.
+A ValueError names the first invalid edge in input order; when edges is
+a one-shot iterator it can only be named as its (min, max) pair.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Callable, Iterable, Optional
+from itertools import groupby, islice, starmap
+from operator import eq, itemgetter
+from typing import Iterable, Optional
 
 
 class Graph:
@@ -23,20 +35,26 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if n < 1:
             raise ValueError("graph order must be at least 1")
-        canon = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} not allowed")
-            canon.add((u, v) if u < v else (v, u))
+        canon = [(u, v) if u < v else (v, u) for u, v in edges]
+        if canon and (
+            min(map(itemgetter(0), canon)) < 0
+            or max(map(itemgetter(1), canon)) >= n
+            or any(starmap(eq, canon))
+        ):
+            # a one-shot iterator is spent: find the culprit among the (min, max) pairs
+            _raise_first_bad_edge(n, canon if iter(edges) is edges else edges)
+        canon.sort()
+        if any(map(eq, canon, islice(canon, 1, None))):  # the sort put duplicates side by side
+            canon = [e for e, _ in groupby(canon)]
         self._n = n
-        self._edges = tuple(sorted(canon))
+        self._edges = tuple(canon)
         adj = [[] for _ in range(n)]
+        # the edges ascend, so adj[v] receives its smaller neighbors u, from the edges
+        # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
         for u, v in self._edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(nb)) for nb in adj)
+        self._adj = tuple(map(tuple, adj))
         self._closed_mask: Optional[tuple[int, ...]] = None
         self.name = name
 
@@ -117,6 +135,16 @@ class Graph:
         return f"<Graph{tag} n={self._n} m={self.size}>"
 
 
+def _raise_first_bad_edge(n: int, edges: Iterable[tuple[int, int]]):
+    """Raise the ValueError for the first invalid edge in input order."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} not allowed")
+    raise AssertionError("bulk edge check failed but no edge is invalid")
+
+
 def is_connected(g: Graph) -> bool:
     seen = 1 << 0
     stack = [0]
@@ -181,17 +209,21 @@ def to_dot(
     g: Graph,
     graph_name: str = "G",
     colors: Optional[dict[int, str]] = None,
-    label: Callable[[int], str] = str,
+    labels: Optional[Iterable[str]] = None,
 ) -> str:
-    """Render as Graphviz DOT, one node per vertex, labeled by label(v)."""
+    """Render as Graphviz DOT, one node per vertex.
+
+    labels gives each vertex's label in vertex order (default: the id);
+    it is consumed once and must cover exactly the vertices.
+    """
+    if labels is None:
+        labels = map(str, g.vertices)
     out = [f"graph {graph_name} {{"]
-    for v in g.vertices:
-        attrs = [f'label="{label(v)}"']
+    for v, text in zip(g.vertices, labels, strict=True):
+        attrs = f'label="{text}"'
         if colors and v in colors:
-            attrs.append("style=filled")
-            attrs.append(f'fillcolor="{colors[v]}"')
-        out.append(f"  {v} [{', '.join(attrs)}];")
-    for u, v in g.edges:
-        out.append(f"  {u} -- {v};")
+            attrs += f', style=filled, fillcolor="{colors[v]}"'
+        out.append(f"  {v} [{attrs}];")
+    out.extend(f"  {u} -- {v};" for u, v in g.edges)
     out.append("}")
     return "\n".join(out) + "\n"

@@ -63,9 +63,7 @@ class RomanFunction:
         doc: dict = {"weight": self.weight}
         if sierpinski is not None:
             graph = sierpinski.graph
-            doc["labels_by_word"] = {
-                sierpinski.word_label(v): x for v, x in enumerate(self.labels)
-            }
+            doc["labels_by_word"] = dict(zip(sierpinski.word_labels(), self.labels, strict=True))
         else:
             doc["labels"] = list(self.labels)
         if graph is not None:
@@ -94,11 +92,12 @@ def is_roman_dominating(f: RomanFunction, g: Graph) -> bool:
     if f.order != g.order:
         raise ValueError(f"labeling covers {f.order} vertices, graph has {g.order}")
     labels = f.labels
-    return all(
-        any(labels[u] == 2 for u in g.neighbors(v))
-        for v, x in enumerate(labels)
-        if x == 0
-    )
+    seen_by_two = bytearray(f.order)
+    for v, x in enumerate(labels):
+        if x == 2:
+            for u in g.neighbors(v):
+                seen_by_two[u] = 1
+    return all(seen_by_two[v] for v, x in enumerate(labels) if x == 0)
 
 
 @dataclass(frozen=True)

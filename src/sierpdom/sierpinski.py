@@ -7,6 +7,14 @@ the shapes w a b b..b and w b a a..a for some base edge {a, b}: the edge
 sits at level r when the differing suffix has length r.  S(G, 1) is G
 itself.
 
+In ids, the level-r edge of base edge {a, b} under prefix w is the pair
+(a·rep + b·run, b·rep + a·run) shifted by w·nʳ, where rep = nʳ⁻¹ and run
+is the value of the word 11..1 of length r-1.  So each level is one
+strided progression per base edge, stride nʳ, and build emits the edges
+level by level, each level in ascending order (u < v within every edge,
+because base edges are canonical): depth sorted runs, which the one sort
+in Graph merges.
+
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word and parse_word between words
 and display labels (letters joined with '-' when n > 10), and suffix_ids
@@ -16,6 +24,7 @@ and suffix_labels address words by their trailing letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
@@ -52,6 +61,16 @@ class SierpinskiGraph:
 
     def word_label(self, vid: int) -> str:
         return format_word(self.word_of(vid), self.base.order)
+
+    def word_labels(self) -> Iterator[str]:
+        """Every vertex's word_label, lazily and in id order.
+
+        Ids run in lexicographic word order, which is the order in which
+        product enumerates the words.
+        """
+        n = self.base.order
+        letters = [str(d) for d in range(n)]
+        return map("".join if n <= 10 else "-".join, product(letters, repeat=self.depth))
 
     def id_of_label(self, label: str) -> int:
         """Inverse of word_label."""
@@ -123,16 +142,19 @@ def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> Sierpi
         raise BudgetError(
             f"S({base.name or 'G'},{depth}) has {total} vertices, over the budget of {budget}"
         )
-    edges = []
+    levels = []
     for r in range(1, depth + 1):
         rep = n ** (r - 1)
-        # a digit d repeated r-1 times has numeric value d * run
+        # a letter d repeated r-1 times has numeric value d * run
         run = (rep - 1) // (n - 1)
-        for w in range(n ** (depth - r)):
-            head = w * n
-            for a, b in base.edges:
-                edges.append(((head + a) * rep + b * run, (head + b) * rep + a * run))
-    g = Graph(total, edges, name=f"S({base.name or 'G'},{depth})")
+        stride = rep * n
+        progressions = [
+            zip(range(a * rep + b * run, total, stride), range(b * rep + a * run, total, stride))
+            for a, b in base.edges
+        ]
+        # prefix-major over the base edges in sorted order: ascending within the level
+        levels.append(chain.from_iterable(zip(*progressions)))
+    g = Graph(total, chain.from_iterable(levels), name=f"S({base.name or 'G'},{depth})")
     expect = base.size * (total - 1) // (n - 1)
     if g.size != expect:
         raise AssertionError(f"edge generation produced {g.size} edges, expected {expect}")

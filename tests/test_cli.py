@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -134,6 +135,10 @@ def test_construct_complete_with_dot(capsys, tmp_path):
     assert json.loads(out)["actual_weight"] == 5
     text = dot.read_text()
     assert 'fillcolor="black"' in text and 'fillcolor="white"' in text
+    assert (
+        hashlib.sha256(dot.read_bytes()).hexdigest()
+        == "c34ab4ffb3c92ba9fbce86a7315bdb2dbde439f633ee8e8cea243c3fca14c554"
+    )
 
 
 def test_construct_theorem_needs_matching_weight(capsys, tmp_path):
@@ -244,6 +249,18 @@ def test_sweep_full_checks_product_bounds(capsys):
     for r in rows:
         assert r["checks"]["product-bound"] is True
         assert r["checks"]["complete-base-lower"] is True
+
+
+def test_sweep_timeout_exits_3(capsys):
+    """Row 1 of this depth-3 run does not finish in minutes without a limit."""
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "sweep", "--count", "2", "--max-n", "5", "--seed", "1", "--full", "--t", "3",
+        "--timeout", "0.5",
+    )
+    assert code == 3
+    assert out == "" and "time limit" in err
+    assert time.monotonic() - start < 10
 
 
 def test_budget_flag_and_env(capsys, monkeypatch):

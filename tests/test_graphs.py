@@ -48,6 +48,45 @@ def test_construction_rejects_bad_input():
         Graph(3, [(1, 1)])
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0, 1), (5, 0), (1, 1)], "edge (5, 0) out of range for order 3"),
+        ([(0, 1), (1, 1), (5, 0)], "self-loop at vertex 1 not allowed"),
+        ([(1, 2), (2, -1), (0, 1)], "edge (2, -1) out of range for order 3"),
+        ([(0, 2), (3, 3)], "edge (3, 3) out of range for order 3"),
+        ([(2, 0), (0, 2), (2, 2), (0, 3)], "self-loop at vertex 2 not allowed"),
+    ],
+)
+def test_construction_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(3, edges)
+    assert str(exc.value) == message
+
+
+@st.composite
+def raw_edge_lists(draw, max_n=9):
+    """Edge lists with repeats, both orientations and any order."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * len(pairs))) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+
+
+@given(raw_edge_lists())
+def test_construction_contract(case):
+    n, raw = case
+    g = Graph(n, raw)
+    canon = {(min(u, v), max(u, v)) for u, v in raw}
+    assert g.edges == tuple(sorted(canon))
+    for v in range(n):
+        assert g.neighbors(v) == tuple(sorted({u for e in canon if v in e for u in e if u != v}))
+    same = Graph(n, sorted(canon))
+    assert g == same and hash(g) == hash(same) == hash((n, g.edges))
+    assert Graph(n, iter(raw)) == g
+
+
 def test_neighborhoods():
     p3 = path_graph(3)
     assert p3.neighborhood(1) == frozenset({0, 2})
@@ -168,10 +207,12 @@ def test_edge_list_parse_errors():
 
 def test_dot_output():
     g = Graph(3, [(0, 1), (1, 2)])
-    dot = to_dot(g, graph_name="T", colors={1: "black"}, label=lambda v: "abc"[v])
+    dot = to_dot(g, graph_name="T", colors={1: "black"}, labels="abc")
     assert "graph T {" in dot
     assert '1 [label="b", style=filled, fillcolor="black"];' in dot
     assert "  0 -- 1;" in dot
+    with pytest.raises(ValueError):
+        to_dot(g, labels="ab")  # labels must cover every vertex
 
 
 def test_equality_is_on_order_and_edges():

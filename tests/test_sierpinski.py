@@ -20,7 +20,14 @@ from sierpdom import (
     random_connected_graph,
     star_graph,
 )
-from sierpdom.sierpinski import format_word, id_of, parse_word, suffix_ids, suffix_labels
+from sierpdom.sierpinski import (
+    format_word,
+    id_of,
+    parse_word,
+    suffix_ids,
+    suffix_labels,
+    word_of,
+)
 
 
 def test_depth_one_is_the_base():
@@ -71,24 +78,24 @@ def test_edge_count_identity():
 
 def test_adjacency_matches_word_rule():
     """Edges are exactly the pairs w a b..b / w b a..a over base edges."""
-    base = cycle_graph(4)
-    s = build(base, 3)
-    n = base.order
-    expected = set()
-    for r in range(1, 4):
-        prefix_len = 3 - r
-        for pid in range(n**prefix_len):
-            prefix = []
-            q = pid
-            for _ in range(prefix_len):
-                q, d = divmod(q, n)
-                prefix.append(d)
-            prefix = tuple(reversed(prefix))
-            for a, b in base.edges:
-                u = prefix + (a,) + (b,) * (r - 1)
-                v = prefix + (b,) + (a,) * (r - 1)
-                expected.add(tuple(sorted((s.id_of(u), s.id_of(v)))))
-    assert set(s.graph.edges) == expected
+    for base, t in ((cycle_graph(4), 3), (path_graph(2), 6), (complete_graph(5), 3), (star_graph(4), 4)):
+        s = build(base, t)
+        n = base.order
+        expected = set()
+        for r in range(1, t + 1):
+            prefix_len = t - r
+            for pid in range(n**prefix_len):
+                prefix = []
+                q = pid
+                for _ in range(prefix_len):
+                    q, d = divmod(q, n)
+                    prefix.append(d)
+                prefix = tuple(reversed(prefix))
+                for a, b in base.edges:
+                    u = prefix + (a,) + (b,) * (r - 1)
+                    v = prefix + (b,) + (a,) * (r - 1)
+                    expected.add(tuple(sorted((s.id_of(u), s.id_of(v)))))
+        assert set(s.graph.edges) == expected
 
 
 def test_budget_enforced():
@@ -212,6 +219,15 @@ def test_word_labels_parse_back(n, depth):
     assert parse_word(format_word((10,), 11), 11) == (10,)
     with pytest.raises(ValueError):
         parse_word("1-2", 10)
+
+
+@pytest.mark.parametrize("base,depth", [(path_graph(3), 4), (complete_graph(11), 2)])
+def test_word_labels_iterate_lazily_in_id_order(base, depth):
+    s = build(base, depth)
+    labels = s.word_labels()
+    assert not isinstance(labels, list) and iter(labels) is labels
+    n = base.order
+    assert list(labels) == [format_word(word_of(v, n, depth), n) for v in range(s.order)]
 
 
 def test_suffix_helpers_are_modular():
