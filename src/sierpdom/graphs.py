@@ -21,6 +21,7 @@ a one-shot iterator it can only be named as its (min, max) pair.
 from __future__ import annotations
 
 import hashlib
+import io
 from collections import deque
 from itertools import groupby, islice, starmap
 from operator import eq, itemgetter
@@ -214,16 +215,20 @@ def to_dot(
     """Render as Graphviz DOT, one node per vertex.
 
     labels gives each vertex's label in vertex order (default: the id);
-    it is consumed once and must cover exactly the vertices.
+    it is consumed once and must cover exactly the vertices.  Lines are
+    written to one buffer as they are made, so no line outlives its write.
     """
     if labels is None:
         labels = map(str, g.vertices)
-    out = [f"graph {graph_name} {{"]
+    out = io.StringIO()
+    write = out.write
+    write(f"graph {graph_name} {{\n")
     for v, text in zip(g.vertices, labels, strict=True):
         attrs = f'label="{text}"'
         if colors and v in colors:
             attrs += f', style=filled, fillcolor="{colors[v]}"'
-        out.append(f"  {v} [{attrs}];")
-    out.extend(f"  {u} -- {v};" for u, v in g.edges)
-    out.append("}")
-    return "\n".join(out) + "\n"
+        write(f"  {v} [{attrs}];\n")
+    for u, v in g.edges:
+        write(f"  {u} -- {v};\n")
+    write("}\n")
+    return out.getvalue()
