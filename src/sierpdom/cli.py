@@ -128,7 +128,7 @@ def _solve_target(args) -> tuple[Graph, Optional[SierpinskiGraph]]:
     if args.sierpinski:
         with open(args.sierpinski) as fh:
             base = parse_edge_list(fh.read(), name=os.path.basename(args.sierpinski))
-        s = build(base, args.depth or 1, budget)
+        s = build(base, 1 if args.depth is None else args.depth, budget)
         return s.graph, s
     if args.input:
         if args.depth is not None:
@@ -138,8 +138,8 @@ def _solve_target(args) -> tuple[Graph, Optional[SierpinskiGraph]]:
         with open(args.input) as fh:
             return parse_edge_list(fh.read(), name=os.path.basename(args.input)), None
     base = _load_base(args)
-    if args.depth and args.depth > 1:
-        s = build(base, args.depth, budget)
+    if args.depth is not None and args.depth != 1:
+        s = build(base, args.depth, budget)  # rejects a depth below 1
         return s.graph, s
     return base, None
 

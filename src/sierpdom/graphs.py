@@ -201,9 +201,16 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.order} {g.size}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    """The "n m" header, then one "u v" line per edge.
+
+    Lines are written to one buffer as they are made, so no list of m
+    line strings is held next to the text."""
+    out = io.StringIO()
+    write = out.write
+    write(f"{g.order} {g.size}\n")
+    for u, v in g.edges:
+        write(f"{u} {v}\n")
+    return out.getvalue()
 
 
 def to_dot(

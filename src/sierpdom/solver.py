@@ -27,6 +27,17 @@ only cut subtrees that hold no better solution (no k-set at all in the
 witness phase), and neither changes the branching order, so the first
 optimum found by `gamma_exact` and the lexicographically smallest 2-set
 are the same as without them; only `Certificate.nodes` shrinks.
+
+Bounds are evaluated as decisions.  Each prune asks whether a bound
+reaches the gap to the incumbent (or the cover still missing) and stops
+as soon as the answer is known: phase 1 returns once the remaining
+prefix sums can no longer go below the gap, and the witness phase tries
+"left times the largest closed neighborhood from i on" before it scans
+the actual gains.  Cover counts are computed by C-level maps over the
+closed masks, so a node still scans all n masks, only not in Python.  A
+change to how a bound is evaluated may make a node cheaper but must
+never alter a prune: node counts, witnesses and CLI output are pinned to
+the search trees.
 """
 
 from __future__ import annotations
@@ -34,6 +45,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice, repeat
+from operator import and_, sub
 from typing import Optional, Union
 
 from .errors import BudgetError, SolveTimeout
@@ -42,6 +55,10 @@ from .roman import RomanFunction, is_roman_dominating
 from .sierpinski import DEFAULT_VERTEX_BUDGET
 
 _CLOCK_STRIDE = 1024
+_bit_count = int.bit_count
+# byte i of a reversed binary string is vertex i's bit; this makes it 1 for
+# a vertex outside the mask and 0 for one inside
+_OUTSIDE = bytes.maketrans(b"01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -95,13 +112,23 @@ def _picks(link):
         yield u
 
 
-def _branch(closed, deg, undom: int, excluded: int) -> tuple[int, list[tuple[int, int]]]:
+def _degree_levels(g: Graph) -> list[int]:
+    """One mask per vertex degree, highest degree first."""
+    levels: dict[int, int] = {}
+    for v in g.vertices:
+        d = g.degree(v)
+        levels[d] = levels.get(d, 0) | 1 << v
+    return [levels[d] for d in sorted(levels, reverse=True)]
+
+
+def _branch(closed, levels, undom: int, excluded: int) -> tuple[int, list[tuple[int, int]]]:
     """The max-degree undominated v (lowest id on ties) and its candidates in
     N[v], best gain first, each with the exclusions of the siblings before it."""
-    v, vd = -1, -1
-    for i in _bits(undom):
-        if deg[i] > vd:
-            v, vd = i, deg[i]
+    for level in levels:
+        hit = level & undom
+        if hit:
+            v = (hit & -hit).bit_length() - 1
+            break
     cands = []
     for u in sorted(
         _bits(closed[v] & ~excluded),
@@ -110,6 +137,55 @@ def _branch(closed, deg, undom: int, excluded: int) -> tuple[int, list[tuple[int
         cands.append((u, excluded))
         excluded |= 1 << u
     return v, cands
+
+
+def _covers(closed, width: str, undom: int, excluded: int) -> list[int]:
+    """|N[u] & undom| for every u outside excluded, largest first.
+
+    width is f"0{n}b".  Zeros are kept: they never change a bound."""
+    allowed = format(excluded, width)[::-1].encode().translate(_OUTSIDE)
+    return sorted(
+        map(_bit_count, map(and_, compress(closed, allowed), repeat(undom))), reverse=True
+    )
+
+
+def _dominators_short(closed, width: str, undom: int, excluded: int, gap: int) -> bool:
+    """Whether fewer than gap vertices outside excluded cannot dominate undom."""
+    if gap <= 1:
+        return True
+    return sum(_covers(closed, width, undom, excluded)[: gap - 1]) < undom.bit_count()
+
+
+def _roman_bound_reaches(closed, width: str, undom: int, excluded: int, gap: int) -> bool:
+    """Whether phase 1's lower bound on the weight still to add is at least gap.
+
+    The bound is the least of |undom| (label 1 everywhere) and, for each k,
+    2k plus what the k best covers outside excluded leave of undom.  Only a
+    k with 2k < gap can go below gap, and it does when the cover of the k
+    best, less 2k, exceeds |undom| - gap.
+    """
+    slack = undom.bit_count() - gap
+    if slack < 0:
+        return False
+    picks = (gap - 1) // 2
+    if picks <= 0:
+        return True
+    best = _covers(closed, width, undom, excluded)[:picks]
+    return max(map(sub, accumulate(best), range(2, 2 * picks + 1, 2)), default=0) <= slack
+
+
+def _gains_short(closed, most, i: int, left: int, covered: int, target_cover: int) -> bool:
+    """Whether left more picks from i on cannot cover target_cover vertices.
+
+    most[i] is the largest closed neighborhood from i on; when left of those
+    fall short, the scan of the actual gains is skipped."""
+    have = covered.bit_count()
+    if have + left * most[i] < target_cover:
+        return True
+    gains = sorted(
+        map(_bit_count, map(and_, islice(closed, i, None), repeat(~covered))), reverse=True
+    )
+    return have + sum(gains[:left]) < target_cover
 
 
 def _greedy_cover(closed: tuple[int, ...], full: int, n: int) -> list[int]:
@@ -140,21 +216,13 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     closed = g.closed_masks
     full = (1 << n) - 1
     deadline = _Deadline(time_limit)
-    deg = [g.degree(v) for v in range(n)]
+    levels = _degree_levels(g)
+    width = f"0{n}b"
 
     greedy = _greedy_cover(closed, full, n)
     best_size, best = len(greedy), None
     for u in greedy:
         best = (best, u)
-
-    def min_picks(ucount: int, covs: list[int]) -> Optional[int]:
-        covs.sort(reverse=True)
-        acc = 0
-        for k, c in enumerate(covs, start=1):
-            acc += c
-            if acc >= ucount:
-                return k
-        return None
 
     stack = [(0, None, 0, 0)]  # dominated, chosen, size, excluded
     while stack:
@@ -165,14 +233,7 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
             if size < best_size:
                 best_size, best = size, chosen
             continue
-        ucount = undom.bit_count()
-        covs = [
-            (closed[u] & undom).bit_count()
-            for u in range(n)
-            if not excluded >> u & 1 and closed[u] & undom
-        ]
-        need = min_picks(ucount, covs)
-        if need is None or size + need >= best_size:
+        if _dominators_short(closed, width, undom, excluded, best_size - size):
             continue
         # greedy 2-packing: undominated vertices with pairwise disjoint
         # candidate sets each need a chosen dominator of their own
@@ -184,7 +245,7 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
                 claimed |= cand
         if size + packed >= best_size:
             continue
-        for u, ex in reversed(_branch(closed, deg, undom, excluded)[1]):
+        for u, ex in reversed(_branch(closed, levels, undom, excluded)[1]):
             stack.append((dominated | closed[u], (chosen, u), size + 1, ex))
     witness = frozenset(_picks(best))
     if not is_dominating_set(g, witness) or len(witness) != best_size:
@@ -197,30 +258,10 @@ def _roman_value(g: Graph, deadline: _Deadline) -> tuple[int, int]:
     n = g.order
     closed = g.closed_masks
     full = (1 << n) - 1
-    deg = [g.degree(v) for v in range(n)]
+    levels = _degree_levels(g)
+    width = f"0{n}b"
     best = min(2 * len(_greedy_cover(closed, full, n)), n)
     ticks = deadline.ticks
-
-    def lower(undom: int, excluded: int) -> int:
-        ucount = undom.bit_count()
-        covs = sorted(
-            (
-                (closed[u] & undom).bit_count()
-                for u in range(n)
-                if not excluded >> u & 1 and closed[u] & undom
-            ),
-            reverse=True,
-        )
-        bound = ucount  # take label 1 everywhere
-        acc = 0
-        for k, c in enumerate(covs, start=1):
-            acc += c
-            val = 2 * k + (ucount - acc if acc < ucount else 0)
-            if val < bound:
-                bound = val
-            if acc >= ucount or 2 * k >= bound:
-                break
-        return bound
 
     stack = [(0, 0, 0, 0)]  # dominated, settled_ones, weight, excluded
     while stack:
@@ -231,9 +272,9 @@ def _roman_value(g: Graph, deadline: _Deadline) -> tuple[int, int]:
             if weight < best:
                 best = weight
             continue
-        if weight + lower(undom, excluded) >= best:
+        if _roman_bound_reaches(closed, width, undom, excluded, best - weight):
             continue
-        v, cands = _branch(closed, deg, undom, excluded)
+        v, cands = _branch(closed, levels, undom, excluded)
         # settle v with label 1; a cheapest completion never puts a 2 next to it
         stack.append((dominated, settled_ones | (1 << v), weight + 1, excluded | closed[v]))
         for u, ex in reversed(cands):
@@ -248,8 +289,10 @@ def _lex_min_two_set(
     n = g.order
     closed = g.closed_masks
     reach = [0] * (n + 1)  # reach[i]: all vertices some u >= i can cover
+    most = [0] * (n + 1)  # most[i]: the largest |N[u]| over u >= i
     for u in range(n - 1, -1, -1):
         reach[u] = reach[u + 1] | closed[u]
+        most[u] = max(most[u + 1], closed[u].bit_count())
     ticks = deadline.ticks
     stack = [(0, k, 0, None)]  # i, left, covered, picked
     while stack:
@@ -264,10 +307,7 @@ def _lex_min_two_set(
         # vertices no u >= i can reach must take label 1; more than allowed?
         if (covered | reach[i]).bit_count() < target_cover:
             continue
-        gains = sorted(
-            ((closed[u] & ~covered).bit_count() for u in range(i, n)), reverse=True
-        )
-        if covered.bit_count() + sum(gains[:left]) < target_cover:
+        if _gains_short(closed, most, i, left, covered, target_cover):
             continue
         stack.append((i + 1, left, covered, picked))
         stack.append((i + 1, left - 1, covered | closed[i], (picked, i)))

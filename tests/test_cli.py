@@ -299,6 +299,16 @@ def test_input_with_depth_is_rejected(capsys, tmp_path):
     assert err.startswith("error:") and "--sierpinski" in err
 
 
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_solve_depth_below_one_is_rejected(capsys, tmp_path, depth):
+    # a depth below 1 used to solve the base (or S(base, 1)) and exit 0
+    base = tmp_path / "P3.txt"
+    base.write_text("3 2\n0 1\n1 2\n")
+    for target in (["--family", "path", "--n", "3"], ["--sierpinski", str(base)]):
+        code, out, err = run(capsys, "solve", *target, "--depth", depth, "--json")
+        assert (code, out, err) == (2, "", "error: depth must be at least 1\n")
+
+
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
     def deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

@@ -30,6 +30,14 @@ from sierpdom import (
     random_connected_graph,
     star_graph,
 )
+from sierpdom.solver import (
+    _Deadline,
+    _dominators_short,
+    _gains_short,
+    _lex_min_two_set,
+    _roman_bound_reaches,
+    _roman_value,
+)
 from oracles import (
     domination_min_subsets,
     min_completion_weight,
@@ -236,7 +244,7 @@ def test_disconnected_graphs_are_fine():
 
 def _sierpinski(fam, n, t):
     base = {"P": path_graph, "C": cycle_graph, "K": complete_graph, "star": star_graph}[fam](n)
-    return build(base, t).graph
+    return base if t == 1 else build(base, t).graph
 
 
 # Search-node counts are deterministic, so they catch a search regression
@@ -245,7 +253,13 @@ NODE_COUNTS = [
     (gamma_r_exact, "C", 6, 2, 22_289),
     (gamma_r_exact, "C", 7, 2, 2_367),
     (gamma_r_exact, "star", 4, 3, 1_394),
+    (gamma_r_exact, "P", 5, 2, 3_227),
+    (gamma_r_exact, "P", 6, 2, 1_936),
+    (gamma_r_exact, "C", 5, 2, 2_599),
+    (gamma_r_exact, "K", 3, 4, 590),
+    (gamma_r_exact, "P", 1500, 1, 2_500),  # S(P1500, 1) is the path itself
     (gamma_exact, "P", 7, 2, 81),
+    (gamma_exact, "star", 4, 3, 6),
 ]
 
 
@@ -256,6 +270,111 @@ NODE_COUNTS = [
 )
 def test_search_node_counts(solve, fam, n, t, nodes):
     assert solve(_sierpinski(fam, n, t)).nodes == nodes
+
+
+def test_phase_split_is_pinned():
+    # γ_R S(C6,2) = 22: phase 1 proves the value, then phase 2 finds no
+    # eleven 2s covering all 36 vertices and the witness among ten 2s
+    g = _sierpinski("C", 6, 2)
+    deadline = _Deadline(None)
+    assert _roman_value(g, deadline) == (22, 6_143)
+    twos, ticks = _lex_min_two_set(g, 11, 36, deadline)
+    assert (twos, ticks) == (None, 8_299)
+    twos, ticks = _lex_min_two_set(g, 10, 34, deadline)
+    assert twos is not None and ticks == 7_847
+    assert deadline.ticks == 22_289
+
+
+def _old_roman_lower(closed, n, undom, excluded):
+    """Phase 1's lower bound as a value, the formula the prune decision replaced."""
+    ucount = undom.bit_count()
+    covs = sorted(
+        (
+            (closed[u] & undom).bit_count()
+            for u in range(n)
+            if not excluded >> u & 1 and closed[u] & undom
+        ),
+        reverse=True,
+    )
+    bound = ucount
+    acc = 0
+    for k, c in enumerate(covs, start=1):
+        acc += c
+        val = 2 * k + (ucount - acc if acc < ucount else 0)
+        if val < bound:
+            bound = val
+        if acc >= ucount or 2 * k >= bound:
+            break
+    return bound
+
+
+def _old_min_picks(closed, n, undom, excluded):
+    """The fewest unexcluded vertices whose covers could sum to |undom|, or None."""
+    ucount = undom.bit_count()
+    covs = sorted(
+        (
+            (closed[u] & undom).bit_count()
+            for u in range(n)
+            if not excluded >> u & 1 and closed[u] & undom
+        ),
+        reverse=True,
+    )
+    acc = 0
+    for k, c in enumerate(covs, start=1):
+        acc += c
+        if acc >= ucount:
+            return k
+    return None
+
+
+def _old_gains_short(closed, n, i, left, covered, target_cover):
+    gains = sorted(((closed[u] & ~covered).bit_count() for u in range(i, n)), reverse=True)
+    return covered.bit_count() + sum(gains[:left]) < target_cover
+
+
+_node_states = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, 10**6),
+        st.sampled_from((0.0, 0.2, 0.5)),
+        st.integers(1, (1 << n) - 1),
+        st.integers(0, (1 << n) - 1),
+        st.integers(-2, n + 3),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_states)
+def test_roman_prune_decision_matches_lower_bound(state):
+    n, seed, extra, undom, excluded, gap = state
+    closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
+    want = _old_roman_lower(closed, n, undom, excluded) >= gap
+    assert _roman_bound_reaches(closed, f"0{n}b", undom, excluded, gap) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_states)
+def test_domination_prune_decision_matches_min_picks(state):
+    n, seed, extra, undom, excluded, gap = state
+    closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
+    need = _old_min_picks(closed, n, undom, excluded)
+    assert _dominators_short(closed, f"0{n}b", undom, excluded, gap) == (
+        need is None or need >= gap
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_states, st.data())
+def test_witness_prune_decision_matches_gains_test(state, data):
+    n, seed, extra, _, covered, _ = state
+    closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
+    i = data.draw(st.integers(0, n - 1))
+    left = data.draw(st.integers(1, n - i))
+    target = data.draw(st.integers(0, n + 1))
+    most = [max((closed[u].bit_count() for u in range(j, n)), default=0) for j in range(n + 1)]
+    want = _old_gains_short(closed, n, i, left, covered, target)
+    assert _gains_short(closed, most, i, left, covered, target) == want
 
 
 # sha256 of json.dumps(sorted γ witness) and json.dumps(γ_R labels), recorded
