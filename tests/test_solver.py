@@ -285,8 +285,8 @@ def test_phase_split_is_pinned():
     assert deadline.ticks == 22_289
 
 
-def _old_roman_lower(closed, n, undom, excluded):
-    """Phase 1's lower bound as a value, the formula the prune decision replaced."""
+def _reference_roman_lower(closed, n, undom, excluded):
+    """Phase 1's lower bound computed as a value, the reference for its prune decision."""
     ucount = undom.bit_count()
     covs = sorted(
         (
@@ -308,7 +308,7 @@ def _old_roman_lower(closed, n, undom, excluded):
     return bound
 
 
-def _old_min_picks(closed, n, undom, excluded):
+def _reference_min_picks(closed, n, undom, excluded):
     """The fewest unexcluded vertices whose covers could sum to |undom|, or None."""
     ucount = undom.bit_count()
     covs = sorted(
@@ -327,7 +327,7 @@ def _old_min_picks(closed, n, undom, excluded):
     return None
 
 
-def _old_gains_short(closed, n, i, left, covered, target_cover):
+def _reference_gains_short(closed, n, i, left, covered, target_cover):
     gains = sorted(((closed[u] & ~covered).bit_count() for u in range(i, n)), reverse=True)
     return covered.bit_count() + sum(gains[:left]) < target_cover
 
@@ -349,7 +349,7 @@ _node_states = st.integers(1, 12).flatmap(
 def test_roman_prune_decision_matches_lower_bound(state):
     n, seed, extra, undom, excluded, gap = state
     closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
-    want = _old_roman_lower(closed, n, undom, excluded) >= gap
+    want = _reference_roman_lower(closed, n, undom, excluded) >= gap
     assert _roman_bound_reaches(closed, f"0{n}b", undom, excluded, gap) == want
 
 
@@ -358,7 +358,7 @@ def test_roman_prune_decision_matches_lower_bound(state):
 def test_domination_prune_decision_matches_min_picks(state):
     n, seed, extra, undom, excluded, gap = state
     closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
-    need = _old_min_picks(closed, n, undom, excluded)
+    need = _reference_min_picks(closed, n, undom, excluded)
     assert _dominators_short(closed, f"0{n}b", undom, excluded, gap) == (
         need is None or need >= gap
     )
@@ -373,7 +373,7 @@ def test_witness_prune_decision_matches_gains_test(state, data):
     left = data.draw(st.integers(1, n - i))
     target = data.draw(st.integers(0, n + 1))
     most = [max((closed[u].bit_count() for u in range(j, n)), default=0) for j in range(n + 1)]
-    want = _old_gains_short(closed, n, i, left, covered, target)
+    want = _reference_gains_short(closed, n, i, left, covered, target)
     assert _gains_short(closed, most, i, left, covered, target) == want
 
 
