@@ -27,7 +27,6 @@ from .formulas import (
 from .generators import (
     complete_graph,
     cycle_graph,
-    empty_graph,
     path_graph,
     random_connected_graph,
     random_spanning_subgraph,
@@ -41,7 +40,6 @@ from .graphs import (
     is_spanning_subgraph,
     parse_edge_list,
     to_dot,
-    universal_vertices,
 )
 from .roman import (
     CopyProfile,
@@ -56,8 +54,6 @@ from .sierpinski import (
     SierpinskiGraph,
     build,
     check_boundary_adjacency,
-    copy_extreme_vertex,
-    copy_vertices,
     extreme_vertices,
     prefix_vertices,
 )
@@ -66,7 +62,6 @@ from .solver import (
     brute_force_gamma_r,
     gamma_exact,
     gamma_r_exact,
-    is_roman_graph,
 )
 
 __version__ = "0.1.0"

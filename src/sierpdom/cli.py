@@ -417,9 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--n", type=int)
     solve.add_argument("--base")
     mode = solve.add_mutually_exclusive_group()
-    mode.add_argument("--roman", action="store_true", default=True)
     mode.add_argument("--domination", action="store_true")
-    solve.add_argument("--oracle", action="store_true", help="exhaustive reference solver")
+    mode.add_argument("--oracle", action="store_true", help="exhaustive reference solver")
     solve.add_argument("--timeout", type=float)
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--out")

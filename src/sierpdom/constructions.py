@@ -21,7 +21,6 @@ from .formulas import (
     gamma_knt,
     gamma_r_knt_upper,
     gamma_r_sierpinski_cycle,
-    gamma_r_sierpinski_path,
 )
 from .generators import complete_graph, cycle_graph, path_graph
 from .graphs import Graph
@@ -44,12 +43,15 @@ class ConstructionReport:
 
     function: RomanFunction
     predicted_weight: int
-    actual_weight: int
     valid: bool
     steps_applied: tuple[str, ...] = ()
     step_weights: tuple[tuple[str, int], ...] = ()
     lower_bound: Optional[int] = None
     notes: tuple[str, ...] = ()
+
+    @property
+    def actual_weight(self) -> int:
+        return self.function.weight
 
     def to_json(self, sierpinski: Optional[SierpinskiGraph] = None) -> str:
         doc: dict = {
@@ -62,11 +64,7 @@ class ConstructionReport:
         }
         if self.lower_bound is not None:
             doc["lower_bound"] = self.lower_bound
-        doc["function"] = json.loads(
-            self.function.to_json(sierpinski=sierpinski)
-            if sierpinski is not None
-            else self.function.to_json()
-        )
+        doc["function"] = json.loads(self.function.to_json(sierpinski))
         return json.dumps(doc, sort_keys=True)
 
 
@@ -164,7 +162,7 @@ def theorem_upper_bound_construction(
         lone = f.ones - ds.linked_ones
         plan = []  # per junction: three pairs zeroed, one set to 1, one set to 2
         for w2 in sorted(ds.junction_twos):
-            partners = [u for u in sorted(lone) if base.distance(w2, u) == 2]
+            partners = [u for u in sorted(lone) if base.at_distance_two(w2, u)]
             if len(partners) != 1:
                 notes.append(f"step4-skipped: junction {w2} has {len(partners)} partners")
                 break
@@ -198,7 +196,6 @@ def theorem_upper_bound_construction(
     return ConstructionReport(
         function=out,
         predicted_weight=predicted,
-        actual_weight=out.weight,
         valid=True,  # the step-4 commit has just validated these labels on s.graph
         steps_applied=tuple(steps),
         step_weights=tuple(weights),
@@ -229,7 +226,6 @@ def _certified(s: SierpinskiGraph, labels, predicted: int, steps) -> Constructio
     return ConstructionReport(
         function=out,
         predicted_weight=predicted,
-        actual_weight=out.weight,
         valid=is_roman_dominating(out, s.graph),
         steps_applied=tuple(steps),
     )
@@ -250,8 +246,8 @@ def path_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Con
 
     Within every pair of trailing letters (first letter chosen per
     prefix), 2s go on three pattern families and 1s on three thinner
-    ones; per prefix the weight is 6k^2 + 8k + 3, the closed form's
-    value: optimal at t = 2, an upper bound above.
+    ones; per prefix the weight is 6k^2 + 8k + 3, so the labeling weighs
+    n**(t-2) * (6k^2 + 8k + 3): optimal at t = 2, an upper bound above.
     """
     if t < 2:
         raise ValueError("construction needs depth at least 2")
@@ -279,7 +275,7 @@ def path_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Con
         raise AssertionError(f"per-prefix weight {per_prefix}, expected {6 * k * k + 8 * k + 3}")
     s = build(path_graph(n), t, max_vertices)
     labels = suffix_labels(_pair_table(n, twos, ones), n, t)
-    return _certified(s, labels, gamma_r_sierpinski_path(n, t), ("pattern-blocks",))
+    return _certified(s, labels, n ** (t - 2) * per_prefix, ("pattern-blocks",))
 
 
 def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> ConstructionReport:

@@ -52,12 +52,12 @@ def gamma_r_path_cycle(n: int) -> int:
 
 
 def gamma_r_sierpinski_path(n: int, t: int) -> int:
-    """Roman domination number of S(P_n, 2), times n**(t-2) at depth t.
+    """Roman domination number of S(P_n, 2), and of S(P_2, t) at any depth t.
 
-    Exact at t = 2, and for n = 2, where S(P_2, t) is a plain path on
-    2**t vertices.  Above depth 2 it is an upper bound only, the weight of
-    an optimal S(P_n, 2) labeling copied into every copy of S(P_n, 2):
-    S(P7, 3) has Roman domination number 222, not 224.
+    S(P_2, t) is a plain path on 2**t vertices.  For n >= 3 above depth 2
+    no closed form is proven: n**(t-2) times the depth-2 value is only an
+    upper bound (S(P7, 3) has Roman domination number 222, not 224), so
+    those depths raise ValueError.
     """
     if t < 2:
         raise ValueError("depth must be at least 2")
@@ -65,10 +65,15 @@ def gamma_r_sierpinski_path(n: int, t: int) -> int:
         raise ValueError("path order must be at least 2")
     if n == 2:
         return gamma_r_path_cycle(2**t)
+    if t > 2:
+        raise ValueError(
+            f"S(P{n},{t}): no exact closed form above depth 2;"
+            " for an upper bound use construct --family path (n = 3k + 2)"
+        )
     base = gamma_r_path_cycle(n)
     if n % 3 == 2:
-        return n ** (t - 2) * (n * base - 2 * _ceil_div(n, 3) + 1)
-    return n ** (t - 2) * (n * base - _ceil_div(n, 3))
+        return n * base - 2 * _ceil_div(n, 3) + 1
+    return n * base - _ceil_div(n, 3)
 
 
 def gamma_r_sierpinski_cycle(n: int, t: int) -> ValueOrBounds:
@@ -132,15 +137,19 @@ class KntLowerBound:
         return {"value": self.value, "method": self.method}
 
 
-def knt_lower_bound_for_any_graph(n: int, t: int, solve_limit: int = 40) -> KntLowerBound:
-    """gamma_R(S(K_n, t)) when small enough to certify, else gamma(S(K_n, t)).
+# the largest S(K_n, t) order the complete-base lower bound solves exactly
+_KNT_SOLVE_LIMIT = 40
+
+
+def knt_lower_bound_for_any_graph(n: int, t: int) -> KntLowerBound:
+    """gamma_R(S(K_n, t)) when n**t <= 40, else gamma(S(K_n, t)).
 
     Any n-vertex base graph is a spanning subgraph of K_n, so either
     quantity bounds gamma_R(S(G, t)) from below.
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
-    if n**t <= solve_limit:
+    if n**t <= _KNT_SOLVE_LIMIT:
         return KntLowerBound(_gamma_r_knt_solved(n, t), "exact-solve")
     return KntLowerBound(gamma_knt(n, t), "domination-formula")
 

@@ -30,10 +30,6 @@ def star_graph(n: int) -> Graph:
     return Graph(n, [(0, i) for i in range(1, n)], name=f"star{n}")
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [], name=f"empty{n}")
-
-
 def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     # Decoding a uniform random Prufer sequence gives a uniform labeled tree.
     if n == 1:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-from collections import deque
 from itertools import groupby, islice, starmap
 from operator import eq, itemgetter
 from typing import Iterable, Optional
@@ -92,32 +91,15 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def neighborhood(self, v: int, closed: bool = False) -> frozenset[int]:
-        if closed:
-            return frozenset(self._adj[v] + (v,))
-        return frozenset(self._adj[v])
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        """BFS distance between u and v, or None when unreachable."""
-        if u == v:
-            return 0
-        seen = 1 << u
-        frontier = deque(((u, 0),))
-        while frontier:
-            x, d = frontier.popleft()
-            for y in self._adj[x]:
-                if y == v:
-                    return d + 1
-                if not seen >> y & 1:
-                    seen |= 1 << y
-                    frontier.append((y, d + 1))
-        return None
+    def at_distance_two(self, u: int, v: int) -> bool:
+        """Whether u and v are distinct, not adjacent, and share a neighbor."""
+        return u != v and v not in self._adj[u] and not set(self._adj[u]).isdisjoint(self._adj[v])
 
     def digest(self) -> str:
         """Short content hash of the canonical edge list."""
@@ -173,11 +155,6 @@ def is_spanning_subgraph(h: Graph, g: Graph) -> bool:
     if h.order != g.order:
         return False
     return set(h.edges) <= set(g.edges)
-
-
-def universal_vertices(g: Graph) -> frozenset[int]:
-    """Vertices adjacent to every other vertex."""
-    return frozenset(v for v in g.vertices if g.degree(v) == g.order - 1)
 
 
 def parse_edge_list(text: str, name: str = "") -> Graph:

@@ -59,15 +59,14 @@ class RomanFunction:
     def weight(self) -> int:
         return sum(self.labels)
 
-    def to_json(self, graph: Optional[Graph] = None, sierpinski: Optional[SierpinskiGraph] = None) -> str:
+    def to_json(self, sierpinski: Optional[SierpinskiGraph] = None) -> str:
         doc: dict = {"weight": self.weight}
         if sierpinski is not None:
             graph = sierpinski.graph
             doc["labels_by_word"] = dict(zip(sierpinski.word_labels(), self.labels, strict=True))
+            doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
         else:
             doc["labels"] = list(self.labels)
-        if graph is not None:
-            doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
@@ -135,7 +134,7 @@ def derived_sets(f: RomanFunction, g: Graph) -> DerivedSets:
     remote = set()
     for v in candidates:
         for u in lone_ones:
-            if g.distance(v, u) == 2:
+            if g.at_distance_two(v, u):
                 junction.add(v)
                 remote.add(u)
     return DerivedSets(

@@ -55,10 +55,6 @@ class SierpinskiGraph:
             raise ValueError(f"word {word} does not have length {self.depth}")
         return id_of(word, self.base.order)
 
-    def words(self) -> Iterator[Word]:
-        for vid in range(self.order):
-            yield self.word_of(vid)
-
     def word_label(self, vid: int) -> str:
         return format_word(self.word_of(vid), self.base.order)
 
@@ -168,32 +164,6 @@ def extreme_vertices(s: SierpinskiGraph) -> tuple[int, ...]:
     return tuple(x * run for x in range(n))
 
 
-def copy_vertices(s: SierpinskiGraph, prefix: Word) -> tuple[int, ...]:
-    """Vertices of the base-graph copy under a prefix of length depth-1.
-
-    The ids form a contiguous block, and the induced subgraph is checked
-    to match the base graph edge for edge under x -> prefix + (x,).
-    """
-    if s.depth < 2:
-        raise ValueError("copies need depth at least 2")
-    if len(prefix) != s.depth - 1:
-        raise ValueError(f"prefix must have length {s.depth - 1}")
-    n = s.base.order
-    block = prefix_vertices(s, prefix)
-    inner = sum(
-        1
-        for i in range(n)
-        for j in range(i + 1, n)
-        if s.graph.adjacent(block[i], block[j])
-    )
-    ok = inner == s.base.size and all(
-        s.graph.adjacent(block[a], block[b]) for a, b in s.base.edges
-    )
-    if not ok:
-        raise AssertionError(f"copy at prefix {prefix} is not a faithful base copy")
-    return block
-
-
 def prefix_vertices(s: SierpinskiGraph, prefix: Word) -> tuple[int, ...]:
     """All vertices whose word starts with the given (possibly short) prefix."""
     if not 0 < len(prefix) <= s.depth:
@@ -202,16 +172,6 @@ def prefix_vertices(s: SierpinskiGraph, prefix: Word) -> tuple[int, ...]:
     pid = id_of(prefix, n)
     span = n ** (s.depth - len(prefix))
     return tuple(range(pid * span, (pid + 1) * span))
-
-
-def copy_extreme_vertex(s: SierpinskiGraph, prefix: Word) -> int:
-    """The one vertex of the copy whose word ends in a constant run.
-
-    Appending the prefix's last letter is the unique way to extend the
-    run, so the copy's own extreme vertex is prefix + (prefix[-1],).
-    """
-    block = copy_vertices(s, prefix)
-    return block[prefix[-1]]
 
 
 def check_boundary_adjacency(s: SierpinskiGraph) -> bool:

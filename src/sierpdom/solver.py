@@ -15,7 +15,9 @@ labelings, maximize the number of 2s (equivalently minimize the number
 of 1s), then take the lexicographically smallest 2-set.  Searches are
 sequential, deterministic explicit-stack loops, so their depth is not
 bounded by the interpreter's recursion limit.  Each popped node is one
-deadline tick, and `Certificate.nodes` is the tick count.
+deadline tick, and `Certificate.nodes` is the tick count.  The clock is
+read on every tick, and once per pick of the greedy that builds the
+first incumbent, so a time limit bounds the whole solve.
 
 Two further lower bounds prune the searches.  The witness phase keeps
 suffix reach masks (everything some vertex at index >= i can cover) and
@@ -54,7 +56,6 @@ from .graphs import Graph, is_dominating_set
 from .roman import RomanFunction, is_roman_dominating
 from .sierpinski import DEFAULT_VERTEX_BUDGET
 
-_CLOCK_STRIDE = 1024
 _bit_count = int.bit_count
 # byte i of a reversed binary string is vertex i's bit; this makes it 1 for
 # a vertex outside the mask and 0 for one inside
@@ -71,7 +72,7 @@ class Certificate:
     nodes: int
     elapsed: float
 
-    def to_json(self, graph: Optional[Graph] = None, include_timing: bool = False) -> str:
+    def to_json(self, graph: Optional[Graph] = None) -> str:
         doc: dict = {"kind": self.kind, "value": self.value, "nodes": self.nodes}
         if self.kind == "domination":
             doc["witness"] = sorted(self.witness)
@@ -79,8 +80,6 @@ class Certificate:
             doc["witness"] = list(self.witness.labels)
         if graph is not None:
             doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
-        if include_timing:
-            doc["elapsed_s"] = round(self.elapsed, 3)
         return json.dumps(doc, sort_keys=True)
 
 
@@ -91,11 +90,11 @@ class _Deadline:
         self.at = None if time_limit is None else time.perf_counter() + time_limit
         self.ticks = 0
 
-    def tick(self):
-        self.ticks += 1
-        if self.at is not None and self.ticks % _CLOCK_STRIDE == 0:
-            if time.perf_counter() > self.at:
-                raise SolveTimeout("exact solve exceeded its time limit")
+    def tick(self, nodes: int = 1):
+        """Count search nodes (0 for work outside the search) and read the clock."""
+        self.ticks += nodes
+        if self.at is not None and time.perf_counter() > self.at:
+            raise SolveTimeout("exact solve exceeded its time limit")
 
 
 def _bits(mask: int):
@@ -188,18 +187,27 @@ def _gains_short(closed, most, i: int, left: int, covered: int, target_cover: in
     return have + sum(gains[:left]) < target_cover
 
 
-def _greedy_cover(closed: tuple[int, ...], full: int, n: int) -> list[int]:
-    """Deterministic greedy dominating set, used as the initial incumbent."""
+def _greedy_cover(g: Graph, deadline: _Deadline) -> list[int]:
+    """Deterministic greedy dominating set, used as the initial incumbent.
+
+    Each pick takes the vertex that dominates the most undominated vertices,
+    lowest id on ties.  gains[u] holds that count for u and loses one for
+    each newly dominated vertex in N[u]."""
+    closed = g.closed_masks
+    neighbors = g.neighbors
+    full = (1 << g.order) - 1
+    gains = list(map(_bit_count, closed))
     dominated = 0
     chosen = []
     while dominated != full:
-        best_u, best_c = -1, -1
-        for u in range(n):
-            c = (closed[u] & ~dominated).bit_count()
-            if c > best_c:
-                best_u, best_c = u, c
-        chosen.append(best_u)
-        dominated |= closed[best_u]
+        deadline.tick(0)
+        u = gains.index(max(gains))
+        chosen.append(u)
+        for w in _bits(closed[u] & ~dominated):
+            gains[w] -= 1
+            for x in neighbors(w):
+                gains[x] -= 1
+        dominated |= closed[u]
     return chosen
 
 
@@ -219,7 +227,7 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     levels = _degree_levels(g)
     width = f"0{n}b"
 
-    greedy = _greedy_cover(closed, full, n)
+    greedy = _greedy_cover(g, deadline)
     best_size, best = len(greedy), None
     for u in greedy:
         best = (best, u)
@@ -260,7 +268,7 @@ def _roman_value(g: Graph, deadline: _Deadline) -> tuple[int, int]:
     full = (1 << n) - 1
     levels = _degree_levels(g)
     width = f"0{n}b"
-    best = min(2 * len(_greedy_cover(closed, full, n)), n)
+    best = min(2 * len(_greedy_cover(g, deadline)), n)
     ticks = deadline.ticks
 
     stack = [(0, 0, 0, 0)]  # dominated, settled_ones, weight, excluded
@@ -385,15 +393,3 @@ def brute_force_gamma_r(g: Graph) -> Certificate:
     f = RomanFunction(tuple(labels))
     return Certificate("roman", best_key[0], f, size, time.perf_counter() - start)
 
-
-def is_roman_graph(g: Graph, time_limit: Optional[float] = None) -> tuple[bool, Optional[RomanFunction]]:
-    """Whether the Roman domination number is twice the domination number.
-
-    When it is, returns a witness putting 2 on a minimum dominating set
-    and 1 nowhere.
-    """
-    dom = gamma_exact(g, time_limit)
-    rom = gamma_r_exact(g, time_limit)
-    if rom.value != 2 * dom.value:
-        return False, None
-    return True, RomanFunction.from_sets(g.order, twos=dom.witness)

@@ -201,6 +201,26 @@ def test_formula_rejects_bad_arguments(capsys):
     assert "error:" in err
 
 
+def test_formula_path_above_depth_two_is_rejected(capsys):
+    # the lifted depth-2 value, 224 for S(P7, 3), is only an upper bound
+    code, out, err = run(capsys, "formula", "--name", "path", "--n", "7", "--t", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "construct --family path" in err
+
+
+def test_solve_modes_are_exclusive(capsys, monkeypatch):
+    # --oracle with --domination used to solve for gamma and exit 0
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--family", "path", "--n", "4", "--oracle", "--domination"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+    # the only mode flags; any other is an unknown argument
+    assert "[--domination | --oracle]" in err
+
+
 def test_verify_perfect_codes(capsys, tmp_path):
     rows_file = tmp_path / "rows.jsonl"
     code, out, _ = run(

@@ -49,9 +49,11 @@ def test_sierpinski_path_values():
     assert gamma_r_sierpinski_path(4, 2) == 10
     assert gamma_r_sierpinski_path(5, 2) == 17
     assert gamma_r_sierpinski_path(6, 2) == 22
-    assert gamma_r_sierpinski_path(5, 3) == 85
     assert gamma_r_sierpinski_path(8, 2) == 43
-    assert gamma_r_sierpinski_path(3, 3) == 15
+    # above depth 2 the lifted depth-2 value is an upper bound, not a closed form
+    for n, t in ((5, 3), (3, 3), (7, 3)):
+        with pytest.raises(ValueError, match="construct --family path"):
+            gamma_r_sierpinski_path(n, t)
 
 
 def test_sierpinski_path_degenerate_base():
@@ -155,9 +157,9 @@ def test_knt_lower_bound_large_falls_back():
     assert lb.value == gamma_knt(5, 4)
 
 
-def test_knt_lower_bound_threshold_is_configurable():
-    assert knt_lower_bound_for_any_graph(3, 2, solve_limit=8).method == "domination-formula"
-    assert knt_lower_bound_for_any_graph(3, 2, solve_limit=9).method == "exact-solve"
+def test_knt_lower_bound_threshold_is_forty():
+    assert knt_lower_bound_for_any_graph(2, 5) == KntLowerBound(22, "exact-solve")  # 32 vertices
+    assert knt_lower_bound_for_any_graph(2, 6).method == "domination-formula"  # 64 vertices
 
 
 def test_knt_lower_bound_solves_each_instance_once(monkeypatch):

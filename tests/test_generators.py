@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sierpdom import (
+    Graph,
     complete_graph,
     cycle_graph,
-    empty_graph,
     is_connected,
     is_spanning_subgraph,
     path_graph,
@@ -24,7 +24,7 @@ def test_family_shapes():
     assert cycle_graph(5).size == 5
     assert complete_graph(5).size == 10
     assert star_graph(5).size == 4
-    assert empty_graph(4).size == 0
+    assert Graph(4).size == 0
 
 
 def test_family_degrees():
@@ -84,5 +84,5 @@ def test_spanning_subgraph_drops_one_edge(n, seed):
 
 
 def test_spanning_subgraph_of_edgeless_is_itself():
-    g = empty_graph(3)
+    g = Graph(3)
     assert random_spanning_subgraph(g, random.Random(0)) is g

@@ -67,7 +67,7 @@ def test_checker_matches_definition(n, seed, data):
 
 def test_json_round_trip_plain():
     f = RomanFunction((0, 2, 0, 1))
-    text = f.to_json(graph=path_graph(4))
+    text = f.to_json()
     again = RomanFunction.from_json(text)
     assert again == f
     assert '"weight": 3' in text

@@ -11,8 +11,6 @@ from sierpdom import (
     build,
     check_boundary_adjacency,
     complete_graph,
-    copy_extreme_vertex,
-    copy_vertices,
     cycle_graph,
     extreme_vertices,
     path_graph,
@@ -63,7 +61,7 @@ def test_word_coding_round_trip():
 
 def test_words_enumerate_lexicographically():
     s = build(path_graph(3), 2)
-    ws = list(s.words())
+    ws = [s.word_of(v) for v in range(s.order)]
     assert ws == sorted(ws)
     assert len(ws) == 9
 
@@ -76,26 +74,40 @@ def test_edge_count_identity():
             assert s.graph.size == base.size * (n**t - 1) // (n - 1)
 
 
+def _word_rule_edges(s):
+    """The pairs w a b..b / w b a..a over base edges, as id pairs."""
+    base, t = s.base, s.depth
+    n = base.order
+    expected = set()
+    for r in range(1, t + 1):
+        prefix_len = t - r
+        for pid in range(n**prefix_len):
+            prefix = []
+            q = pid
+            for _ in range(prefix_len):
+                q, d = divmod(q, n)
+                prefix.append(d)
+            prefix = tuple(reversed(prefix))
+            for a, b in base.edges:
+                u = prefix + (a,) + (b,) * (r - 1)
+                v = prefix + (b,) + (a,) * (r - 1)
+                expected.add(tuple(sorted((s.id_of(u), s.id_of(v)))))
+    return expected
+
+
 def test_adjacency_matches_word_rule():
     """Edges are exactly the pairs w a b..b / w b a..a over base edges."""
     for base, t in ((cycle_graph(4), 3), (path_graph(2), 6), (complete_graph(5), 3), (star_graph(4), 4)):
         s = build(base, t)
-        n = base.order
-        expected = set()
-        for r in range(1, t + 1):
-            prefix_len = t - r
-            for pid in range(n**prefix_len):
-                prefix = []
-                q = pid
-                for _ in range(prefix_len):
-                    q, d = divmod(q, n)
-                    prefix.append(d)
-                prefix = tuple(reversed(prefix))
-                for a, b in base.edges:
-                    u = prefix + (a,) + (b,) * (r - 1)
-                    v = prefix + (b,) + (a,) * (r - 1)
-                    expected.add(tuple(sorted((s.id_of(u), s.id_of(v)))))
-        assert set(s.graph.edges) == expected
+        assert set(s.graph.edges) == _word_rule_edges(s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6))
+def test_adjacency_matches_word_rule_random_bases(n, t, seed):
+    base = random_connected_graph(n, random.Random(seed), 0.4)
+    s = build(base, t)
+    assert set(s.graph.edges) == _word_rule_edges(s)
 
 
 def test_budget_enforced():
@@ -123,16 +135,19 @@ def test_extreme_vertices_are_constant_words_with_base_degree():
 
 
 def test_copy_blocks():
+    # a copy's own extreme vertex repeats the prefix's last letter
     s = build(path_graph(3), 2)
-    assert copy_vertices(s, (1,)) == (3, 4, 5)
-    assert copy_extreme_vertex(s, (1,)) == 4  # word 11
+    p = (1,)
+    assert prefix_vertices(s, p) == (3, 4, 5)
+    assert prefix_vertices(s, p)[p[-1]] == 4  # word 11
     s3 = build(path_graph(3), 3)
-    assert copy_vertices(s3, (2, 0)) == (18, 19, 20)
-    assert copy_extreme_vertex(s3, (2, 0)) == 18  # word 200
+    p = (2, 0)
+    assert prefix_vertices(s3, p) == (18, 19, 20)
+    assert prefix_vertices(s3, p)[p[-1]] == 18  # word 200
     with pytest.raises(ValueError):
-        copy_vertices(s, (0, 1))
+        prefix_vertices(s, (0, 1, 2))
     with pytest.raises(ValueError):
-        copy_vertices(build(path_graph(3), 1), ())
+        prefix_vertices(build(path_graph(3), 1), ())
 
 
 def test_prefix_vertices_any_length():
@@ -142,23 +157,6 @@ def test_prefix_vertices_any_length():
     assert prefix_vertices(s, (1, 2, 0)) == (15,)
     with pytest.raises(ValueError):
         prefix_vertices(s, ())
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6))
-def test_copy_isomorphism_never_trips(n, t, seed):
-    """copy_vertices rechecks every copy against the base; none may fail."""
-    base = random_connected_graph(n, random.Random(seed), 0.4)
-    s = build(base, t)
-    if t >= 2:
-        for pid in range(n ** (t - 1)):
-            prefix = []
-            q = pid
-            for _ in range(t - 1):
-                q, d = divmod(q, n)
-                prefix.append(d)
-            block = copy_vertices(s, tuple(reversed(prefix)))
-            assert block == tuple(range(pid * n, pid * n + n))
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,12 +6,14 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sierpdom import (
     BudgetError,
+    ContractError,
     Graph,
     SolveTimeout,
     brute_force_gamma_r,
@@ -19,15 +21,14 @@ from sierpdom import (
     complete_graph,
     cycle_graph,
     derived_sets,
-    empty_graph,
     gamma_exact,
     gamma_r_exact,
     is_dominating_set,
     is_roman_dominating,
-    is_roman_graph,
     path_graph,
     perfect_code_knt,
     random_connected_graph,
+    roman_graph_bound,
     star_graph,
 )
 from sierpdom.solver import (
@@ -53,7 +54,7 @@ def test_domination_known_values():
     assert gamma_exact(cycle_graph(6)).value == 2
     assert gamma_exact(complete_graph(5)).value == 1
     assert gamma_exact(star_graph(7)).value == 1
-    assert gamma_exact(empty_graph(4)).value == 4
+    assert gamma_exact(Graph(4)).value == 4
 
 
 def test_roman_known_values():
@@ -64,7 +65,7 @@ def test_roman_known_values():
     assert gamma_r_exact(cycle_graph(5)).value == 4
     assert gamma_r_exact(complete_graph(4)).value == 2
     assert gamma_r_exact(star_graph(9)).value == 2
-    assert gamma_r_exact(empty_graph(3)).value == 3
+    assert gamma_r_exact(Graph(3)).value == 3
 
 
 def test_certificates_carry_valid_witnesses():
@@ -159,11 +160,11 @@ def test_brute_force_agrees_with_solver(n, seed):
 
 def test_brute_force_order_cap():
     with pytest.raises(BudgetError):
-        brute_force_gamma_r(empty_graph(23))
+        brute_force_gamma_r(Graph(23))
 
 
 def test_solver_budget():
-    big = empty_graph(200_001)
+    big = Graph(200_001)
     with pytest.raises(BudgetError):
         gamma_exact(big)
     with pytest.raises(BudgetError):
@@ -176,16 +177,27 @@ def test_timeout_raises():
         gamma_r_exact(g, time_limit=0.0)
 
 
+@pytest.mark.parametrize("solve", [gamma_exact, gamma_r_exact])
+def test_timeout_bounds_the_first_incumbent(solve):
+    # the greedy incumbent of a 6000-vertex path used to take seconds before
+    # the first deadline check
+    start = time.perf_counter()
+    try:
+        solve(path_graph(6000), time_limit=0.5)
+    except SolveTimeout:
+        pass
+    assert time.perf_counter() - start < 3
+
+
 def test_roman_graph_detection():
-    ok, f = is_roman_graph(cycle_graph(5))  # 4 = 2 * 2
-    assert ok
-    assert f.ones == frozenset() and len(f.twos) == 2
-    assert is_roman_dominating(f, cycle_graph(5))
-    ok, f = is_roman_graph(path_graph(7))  # 5 < 2 * 3
-    assert not ok and f is None
-    assert is_roman_graph(path_graph(2))[0]
-    assert is_roman_graph(path_graph(3))[0]
-    assert not is_roman_graph(cycle_graph(4))[0]  # 3 < 2 * 2
+    # gamma_R = 2 gamma: C5 (4 = 2 * 2), P2 and P3 (2 = 2 * 1)
+    for base in (cycle_graph(5), path_graph(2), path_graph(3)):
+        rep = roman_graph_bound(base, 2)
+        assert rep.valid
+        assert rep.step_weights[0] == ("lift", base.order * gamma_r_exact(base).value)
+    for base in (path_graph(7), cycle_graph(4)):  # 5 < 2 * 3 and 3 < 2 * 2
+        with pytest.raises(ContractError):
+            roman_graph_bound(base, 2)
 
 
 def test_certificate_checks_survive_optimization():
@@ -231,9 +243,9 @@ def test_certificate_json_shape():
     assert doc["witness"] == [0, 2, 0, 1]
     assert doc["graph"]["name"] == "P4"
     assert "elapsed_s" not in doc
-    doc2 = json.loads(gamma_exact(g).to_json(include_timing=True))
+    doc2 = json.loads(gamma_exact(g).to_json())
     assert doc2["witness"] == sorted(doc2["witness"])
-    assert "elapsed_s" in doc2
+    assert "elapsed_s" not in doc2
 
 
 def test_disconnected_graphs_are_fine():
