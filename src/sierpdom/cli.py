@@ -8,7 +8,11 @@ connected bases, property checks).  Each of construct, formula and
 verify dispatches through one table, which also supplies its argparse
 choices.  verify --families must name families from its table; an
 unknown name, or limits that leave no rows, is bad input (exit 2) and
-nothing is verified.
+nothing is verified; so is a sweep --count below 1, or --full below --t 2.
+Each input has one way in: the base graph is --family with --n or --base
+FILE, never both (solve --depth D solves S(base, D)); the theorem
+construction's labeling is --function FILE, as RomanFunction.to_json
+writes it; and the vertex budget is --budget.
 
 Exit codes: 0 success, 1 a verified property failed (construct: the
 labeling it prints does not validate), 2 bad input, 3 budget or timeout,
@@ -39,10 +43,8 @@ from .generators import (
 )
 from .graphs import Graph, format_edge_list, parse_edge_list, to_dot
 from .roman import RomanFunction
-from .sierpinski import DEFAULT_VERTEX_BUDGET, SierpinskiGraph, build, extreme_vertices
+from .sierpinski import DEFAULT_VERTEX_BUDGET, build, extreme_vertices
 from .solver import brute_force_gamma_r, gamma_exact, gamma_r_exact
-
-BUDGET_ENV = "SIERPDOM_VERTEX_BUDGET"
 
 _FAMILIES = {
     "path": path_graph,
@@ -69,27 +71,22 @@ class RunConfig:
         return d
 
 
-def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_VERTEX_BUDGET
+def _read_graph(path: str) -> Graph:
+    with open(path) as fh:
+        return parse_edge_list(fh.read(), name=os.path.basename(path))
 
 
 def _load_base(args) -> Graph:
-    if getattr(args, "base", None):
-        with open(args.base) as fh:
-            return parse_edge_list(fh.read(), name=os.path.basename(args.base))
-    if getattr(args, "family", None):
-        if args.n is None:
-            raise ValueError("--family needs --n")
-        return _FAMILIES[args.family](args.n)
-    raise ValueError("give either --family with --n or --base FILE")
+    """The gen and solve base: --base FILE, or --family with --n."""
+    if args.base:
+        if args.n is not None:
+            raise ValueError("--n goes with --family, not with --base")
+        return _read_graph(args.base)
+    if args.family is None:
+        raise ValueError("give either --family with --n or --base FILE")
+    if args.n is None:
+        raise ValueError("--family needs --n")
+    return _FAMILIES[args.family](args.n)
 
 
 def _emit(text: str, out: Optional[str]):
@@ -102,8 +99,7 @@ def _emit(text: str, out: Optional[str]):
 
 def _cmd_gen(args) -> int:
     base = _load_base(args)
-    budget = _budget(args)
-    s = build(base, args.t, budget)
+    s = build(base, args.t, args.budget)
     if args.format == "dot":
         text = to_dot(s.graph, graph_name="S", labels=s.word_labels())
     else:
@@ -111,7 +107,7 @@ def _cmd_gen(args) -> int:
     _emit(text, args.out)
     if args.meta:
         meta = {
-            "config": RunConfig("gen", budget=budget).to_dict(),
+            "config": RunConfig("gen", budget=args.budget).to_dict(),
             "base_order": base.order,
             "base_size": base.size,
             "depth": s.depth,
@@ -123,29 +119,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solve_target(args) -> tuple[Graph, Optional[SierpinskiGraph]]:
-    budget = _budget(args)
-    if args.sierpinski:
-        with open(args.sierpinski) as fh:
-            base = parse_edge_list(fh.read(), name=os.path.basename(args.sierpinski))
-        s = build(base, 1 if args.depth is None else args.depth, budget)
-        return s.graph, s
-    if args.input:
-        if args.depth is not None:
-            raise ValueError(
-                "--depth does not apply to --input; use --sierpinski FILE --depth D"
-            )
-        with open(args.input) as fh:
-            return parse_edge_list(fh.read(), name=os.path.basename(args.input)), None
-    base = _load_base(args)
-    if args.depth is not None and args.depth != 1:
-        s = build(base, args.depth, budget)  # rejects a depth below 1
-        return s.graph, s
-    return base, None
-
-
 def _cmd_solve(args) -> int:
-    g, s = _solve_target(args)
+    g, s = _load_base(args), None
+    if args.depth is not None and args.depth != 1:
+        s = build(g, args.depth, args.budget)  # rejects a depth below 1
+        g = s.graph
     if args.domination:
         cert = gamma_exact(g, time_limit=args.timeout)
     elif args.oracle:
@@ -179,24 +157,23 @@ _CONSTRUCTIONS = {
 
 
 def _cmd_construct(args) -> int:
-    budget = _budget(args)
     if args.family == "theorem":
-        base = _load_base(args)
-        if not args.function:
-            raise ValueError("theorem construction needs --function FILE with a base labeling")
+        if not (args.base and args.function):
+            raise ValueError("--family theorem needs --base FILE and --function FILE")
+        base = _read_graph(args.base)
         with open(args.function) as fh:
             f = RomanFunction.from_json(fh.read())
-        cert = gamma_r_exact(base)
-        if cert.value != f.weight:
-            raise ContractError(f"supplied labeling has weight {f.weight}, optimal is {cert.value}")
-        report = constructions.theorem_upper_bound_construction(f, base, args.t, cert, budget)
+        # raises ContractError unless f has the optimal weight
+        report = constructions.theorem_upper_bound_construction(
+            f, base, args.t, gamma_r_exact(base), args.budget
+        )
     elif args.n is None:
         raise ValueError(f"--family {args.family} needs --n")
     else:
         base = _FAMILIES[args.family](args.n)
-        report = _CONSTRUCTIONS[args.family](args.n, args.t, budget)
+        report = _CONSTRUCTIONS[args.family](args.n, args.t, args.budget)
     # the construction built S(G, t) already; only the word labels and DOT need it here
-    s = build(base, args.t, budget) if args.dot or args.words else None
+    s = build(base, args.t, args.budget) if args.dot or args.words else None
     if args.dot:
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:
@@ -322,14 +299,14 @@ def _verify_families(spec: Optional[str]) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    families, budget, rows = _verify_families(args.families), _budget(args), []
+    families, rows = _verify_families(args.families), []
     todo = [(family, *row) for family in families for row in _VERIFY[family](args)]
     if not todo:
         raise ValueError("--max-n/--max-t leave no rows to verify")
     for family, instance, expected, run in todo:
         row = {"family": family, "instance": instance, "expected": expected}
         try:
-            fields, ok = run(args.timeout, budget)
+            fields, ok = run(args.timeout, args.budget)
             row.update(fields, status="pass" if ok else "fail")
         except SolveTimeout:
             row["status"] = "timeout"
@@ -349,7 +326,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    budget = _budget(args)
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
+    if args.full and args.t < 2:
+        raise ValueError("--full checks the product bounds, which need --t of at least 2")
     rng = random.Random(args.seed)
     rows = []
     failures = 0
@@ -364,8 +344,8 @@ def _cmd_sweep(args) -> int:
             "sandwich": dom.value <= rom.value <= 2 * dom.value,
             "spanning-monotone": rom.value <= rom_h.value,
         }
-        if args.full and args.t >= 2:
-            s = build(g, args.t, budget)
+        if args.full:
+            s = build(g, args.t, args.budget)
             s_rom = gamma_r_exact(s.graph, time_limit=args.timeout)
             bound = constructions.bound_value(rom.witness, g, args.t)
             lower = formulas.knt_lower_bound_for_any_graph(n, args.t).value
@@ -375,7 +355,7 @@ def _cmd_sweep(args) -> int:
         failures += 0 if ok else 1
         rows.append(
             {
-                "config": RunConfig("sweep", seed=args.seed, budget=budget).to_dict(),
+                "config": RunConfig("sweep", seed=args.seed, budget=args.budget).to_dict(),
                 "index": i,
                 "order": n,
                 "edges": g.size,
@@ -396,12 +376,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_budget(sp):
-        sp.add_argument("--budget", type=int, help="vertex budget override")
+        sp.add_argument(
+            "--budget", type=int, default=DEFAULT_VERTEX_BUDGET, help="vertex budget override"
+        )
+
+    def add_base(sp):
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--family", choices=sorted(_FAMILIES))
+        source.add_argument("--base", help="edge list file for the base graph")
+        sp.add_argument("--n", type=int)
 
     gen = sub.add_parser("gen", help="emit S(G, t)")
-    gen.add_argument("--family", choices=sorted(_FAMILIES))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--base", help="edge list file for the base graph")
+    add_base(gen)
     gen.add_argument("--t", type=int, default=1)
     gen.add_argument("--format", choices=("edgelist", "dot"), default="edgelist")
     gen.add_argument("--out")
@@ -410,12 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(run=_cmd_gen)
 
     solve = sub.add_parser("solve", help="exact solve")
-    solve.add_argument("--input", help="edge list file to solve directly")
-    solve.add_argument("--sierpinski", help="base edge list; solve S(base, --depth)")
-    solve.add_argument("--depth", type=int)
-    solve.add_argument("--family", choices=sorted(_FAMILIES))
-    solve.add_argument("--n", type=int)
-    solve.add_argument("--base")
+    add_base(solve)
+    solve.add_argument("--depth", type=int, help="solve S(base, DEPTH) instead of the base")
     mode = solve.add_mutually_exclusive_group()
     mode.add_argument("--domination", action="store_true")
     mode.add_argument("--oracle", action="store_true", help="exhaustive reference solver")
@@ -427,9 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cons = sub.add_parser("construct", help="closed-form labelings")
     cons.add_argument("--family", choices=(*_CONSTRUCTIONS, "theorem"), required=True)
-    cons.add_argument("--n", type=int)
+    order = cons.add_mutually_exclusive_group()
+    order.add_argument("--n", type=int)
+    order.add_argument("--base", help="base edge list for the theorem construction")
     cons.add_argument("--t", type=int, required=True)
-    cons.add_argument("--base", help="base edge list for the theorem construction")
     cons.add_argument("--function", help="base labeling JSON for the theorem construction")
     cons.add_argument("--dot", help="write a colored DOT rendering to FILE")
     cons.add_argument("--words", action="store_true", help="key the labeling by words")

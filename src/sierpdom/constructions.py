@@ -117,7 +117,8 @@ def theorem_upper_bound_construction(
     if t < 2:
         raise ValueError("construction needs depth at least 2")
     if certificate.kind != "roman" or certificate.value != f.weight:
-        raise ContractError("certificate does not certify this labeling's weight as optimal")
+        best = f"optimal {certificate.kind} value is {certificate.value}"
+        raise ContractError(f"labeling has weight {f.weight}, but the certified {best}")
     n = base.order
     s = build(base, t, max_vertices)  # checks the vertex budget before the lift allocates
     labels = list(lift_base_function(f, base, t).labels)

@@ -8,7 +8,6 @@ ends.  Divisibility is asserted before every integer division.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 
@@ -137,28 +136,22 @@ class KntLowerBound:
         return {"value": self.value, "method": self.method}
 
 
-# the largest S(K_n, t) order the complete-base lower bound solves exactly
-_KNT_SOLVE_LIMIT = 40
+# the largest S(K_n, t) order at which the bound is gamma_R(S(K_n, t)) itself
+_KNT_EXACT_LIMIT = 40
 
 
 def knt_lower_bound_for_any_graph(n: int, t: int) -> KntLowerBound:
     """gamma_R(S(K_n, t)) when n**t <= 40, else gamma(S(K_n, t)).
 
     Any n-vertex base graph is a spanning subgraph of K_n, so either
-    quantity bounds gamma_R(S(G, t)) from below.
+    quantity bounds gamma_R(S(G, t)) from below.  The exact branch is the
+    closed form gamma_r_knt_upper(n, t): it equals gamma_R(S(K_n, t)) at
+    each of the 48 points with n**t <= 40, which
+    tests/test_formulas.py::test_knt_lower_bound_is_the_solved_value
+    checks against an exact solve.
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
-    if n**t <= _KNT_SOLVE_LIMIT:
-        return KntLowerBound(_gamma_r_knt_solved(n, t), "exact-solve")
+    if n**t <= _KNT_EXACT_LIMIT:
+        return KntLowerBound(gamma_r_knt_upper(n, t), "exact-solve")
     return KntLowerBound(gamma_knt(n, t), "domination-formula")
-
-
-@lru_cache(maxsize=None)
-def _gamma_r_knt_solved(n: int, t: int) -> int:
-    """gamma_R(S(K_n, t)) by exact solve, once per (n, t); callers keep n**t small."""
-    from .generators import complete_graph
-    from .sierpinski import build
-    from .solver import gamma_r_exact
-
-    return gamma_r_exact(build(complete_graph(n), t).graph).value

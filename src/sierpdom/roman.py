@@ -70,17 +70,18 @@ class RomanFunction:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, sierpinski: Optional[SierpinskiGraph] = None) -> "RomanFunction":
+    def from_json(cls, text: str) -> "RomanFunction":
+        """Read the {"labels": [...]} document to_json() writes; "weight" is optional.
+
+        Any other document, the word-keyed one included, raises ValueError.
+        """
         doc = json.loads(text)
-        if "labels_by_word" in doc:
-            if sierpinski is None:
-                raise ValueError("word-keyed labeling needs the Sierpinski graph to decode")
-            labels = [0] * sierpinski.order
-            for key, x in doc["labels_by_word"].items():
-                labels[sierpinski.id_of_label(key)] = x
-            f = cls(tuple(labels))
-        else:
-            f = cls(tuple(doc["labels"]))
+        if not (isinstance(doc, dict) and set(doc) in ({"labels"}, {"labels", "weight"})):
+            raise ValueError('a labeling is {"labels": [...]} with an optional "weight"')
+        labels = doc["labels"]
+        if not isinstance(labels, list) or any(type(x) is not int for x in labels):
+            raise ValueError('"labels" must be a list of the integers 0, 1 and 2')
+        f = cls(tuple(labels))
         if doc.get("weight") not in (None, f.weight):
             raise ValueError("stored weight does not match the labels")
         return f

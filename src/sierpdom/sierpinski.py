@@ -16,9 +16,9 @@ because base edges are canonical): depth sorted runs, which the one sort
 in Graph merges.
 
 This module is the one place that knows the coding: word_of and id_of
-convert between ids and words, format_word and parse_word between words
-and display labels (letters joined with '-' when n > 10), and suffix_ids
-and suffix_labels address words by their trailing letters.
+convert between ids and words, format_word turns a word into its display
+label (letters joined with '-' when n > 10), and suffix_ids and
+suffix_labels address words by their trailing letters.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ class SierpinskiGraph:
     def word_of(self, vid: int) -> Word:
         return word_of(vid, self.base.order, self.depth)
 
-    def id_of(self, word: Word) -> int:
-        if len(word) != self.depth:
-            raise ValueError(f"word {word} does not have length {self.depth}")
-        return id_of(word, self.base.order)
-
     def word_label(self, vid: int) -> str:
         return format_word(self.word_of(vid), self.base.order)
 
@@ -67,10 +62,6 @@ class SierpinskiGraph:
         n = self.base.order
         letters = [str(d) for d in range(n)]
         return map("".join if n <= 10 else "-".join, product(letters, repeat=self.depth))
-
-    def id_of_label(self, label: str) -> int:
-        """Inverse of word_label."""
-        return self.id_of(parse_word(label, self.base.order))
 
 
 def word_of(vid: int, n: int, length: int) -> Word:
@@ -97,11 +88,6 @@ def format_word(word: Word, n: int) -> str:
     if n <= 10:
         return "".join(str(d) for d in word)
     return "-".join(str(d) for d in word)
-
-
-def parse_word(label: str, n: int) -> Word:
-    """Exact inverse of format_word for the same n."""
-    return tuple(int(c) for c in (label if n <= 10 else label.split("-")))
 
 
 def suffix_ids(n: int, length: int, suffix: Word) -> range:

@@ -7,7 +7,7 @@ are the per-instance wall-clock boxes.
 
 import random
 import time
-from functools import lru_cache
+from functools import cache
 
 from sierpdom import (
     Graph,
@@ -40,7 +40,7 @@ def _report(num: int, desc: str, ok: bool) -> None:
     assert ok, f"criterion {num} failed: {desc}"
 
 
-@lru_cache(maxsize=None)
+@cache
 def _path_cert(n: int):
     return gamma_r_exact(build(path_graph(n), 2).graph)
 

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from sierpdom import RomanFunction, SolveTimeout, is_roman_dominating, parse_edge_list, path_graph
-from sierpdom.cli import BUDGET_ENV, main
+from sierpdom.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -100,10 +103,10 @@ def test_solve_oracle_agrees(capsys):
 def test_solve_from_files(capsys, tmp_path):
     base = tmp_path / "base.txt"
     base.write_text("3 2\n0 1\n1 2\n")
-    code, out, _ = run(capsys, "solve", "--sierpinski", str(base), "--depth", "2", "--json")
+    code, out, _ = run(capsys, "solve", "--base", str(base), "--depth", "2", "--json")
     assert code == 0
     assert json.loads(out)["value"] == 5
-    code, out, _ = run(capsys, "solve", "--input", str(base), "--json")
+    code, out, _ = run(capsys, "solve", "--base", str(base), "--json")
     assert code == 0
     assert json.loads(out)["value"] == 2
 
@@ -283,40 +286,141 @@ def test_sweep_timeout_exits_3(capsys):
     assert time.monotonic() - start < 10
 
 
-def test_budget_flag_and_env(capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "10")
-    code, _, err = run(capsys, "gen", "--family", "path", "--n", "3", "--t", "3")
-    assert code == 3
-    assert "budget" in err
+def test_budget_flag(capsys):
     code, out, _ = run(
         capsys, "gen", "--family", "path", "--n", "3", "--t", "3", "--budget", "27"
     )
     assert code == 0
     assert out.splitlines()[0] == "27 26"
     code, _, err = run(
+        capsys, "gen", "--family", "path", "--n", "3", "--t", "3", "--budget", "26"
+    )
+    assert code == 3
+    assert "budget" in err
+    code, _, err = run(
         capsys, "gen", "--family", "path", "--n", "3", "--t", "3", "--budget", "0"
     )
     assert code == 3
     assert "budget" in err
-    monkeypatch.setenv(BUDGET_ENV, "plenty")
-    code, _, err = run(capsys, "gen", "--family", "path", "--n", "3", "--t", "3")
-    assert code == 2
 
 
 def test_missing_file_is_an_input_error(capsys):
-    code, _, err = run(capsys, "solve", "--input", "/nonexistent/edges.txt")
+    code, _, err = run(capsys, "solve", "--base", "/nonexistent/edges.txt")
     assert code == 2
     assert "error:" in err
 
 
-def test_input_with_depth_is_rejected(capsys, tmp_path):
-    # --input solves the file as given, so a depth would be silently ignored
+def argparse_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_base_graph_named_twice_is_rejected(capsys, tmp_path, command):
+    # gen used to build from the file and ignore --family
     base = tmp_path / "P3.txt"
     base.write_text("3 2\n0 1\n1 2\n")
-    code, out, err = run(capsys, "solve", "--input", str(base), "--depth", "2", "--json")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "--sierpinski" in err
+    code, out, err = argparse_exit(capsys, command, "--family", "cycle", "--base", str(base))
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+    # --n goes with --family only; it used to be ignored next to --base
+    code, out, err = run(capsys, command, "--base", str(base), "--n", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_construct_order_named_twice_is_rejected(capsys, tmp_path):
+    base = tmp_path / "P3.txt"
+    base.write_text("3 2\n0 1\n1 2\n")
+    fn = tmp_path / "f.json"
+    fn.write_text(RomanFunction((0, 2, 0)).to_json())
+    code, out, err = argparse_exit(
+        capsys, "construct", "--family", "theorem", "--n", "3", "--base", str(base),
+        "--function", str(fn), "--t", "2",
+    )
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
+def test_solve_takes_its_graph_one_way(capsys):
+    # --base FILE and --depth D replace the two file flags solve used to have
+    code, out, _ = argparse_exit(capsys, "solve", "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z]+", out)) - {"--help"} == {
+        "--family", "--base", "--n", "--depth", "--domination", "--oracle",
+        "--timeout", "--json", "--out", "--budget",
+    }
+    code, out, err = argparse_exit(capsys, "solve", "--family", "path", "--n", "3", "--file", "x")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "extra", [("--n", "4", "--function", "f.json"), ("--function", "f.json"), ("--base", "b.txt")]
+)
+def test_construct_theorem_needs_base_and_function(capsys, tmp_path, monkeypatch, extra):
+    # with --n instead of --base this used to exit 4 with KeyError: 'theorem'
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.txt").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "f.json").write_text(RomanFunction((0, 2, 0)).to_json())
+    code, out, err = run(capsys, "construct", "--family", "theorem", "--t", "2", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--base FILE and --function FILE" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"weight": 2}',
+        "[0, 2, 0]",
+        '{"labels": 5}',
+        '{"labels": [0, 2.0, 0]}',
+        '{"labels_by_word": {"0": 0, "1": 2, "2": 0}}',
+        "not json",
+    ],
+)
+def test_malformed_labeling_file_is_bad_input(capsys, tmp_path, doc):
+    # the first three used to exit 4 with KeyError or TypeError, and the
+    # fourth to print a labeling with float weights
+    base = tmp_path / "P3.txt"
+    base.write_text("3 2\n0 1\n1 2\n")
+    fn = tmp_path / "f.json"
+    fn.write_text(doc)
+    code, out, err = run(
+        capsys, "construct", "--family", "theorem", "--base", str(base),
+        "--function", str(fn), "--t", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args", [("--count", "0"), ("--count", "-3"), ("--full", "--t", "1"), ("--full", "--t", "0")]
+)
+def test_sweep_that_checks_nothing_is_bad_input(capsys, monkeypatch, args):
+    # each used to exit 0: "0/0 instances passed", or rows without the product checks
+    def no_solve(*a, **k):
+        raise AssertionError("solved before rejecting the arguments")
+
+    monkeypatch.setattr("sierpdom.cli.gamma_exact", no_solve)
+    code, out, err = run(capsys, "sweep", *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_readme_commands_parse():
+    """Every documented command line parses; a removed flag left in README fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]  # the text inside each fenced block
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [line for line in lines if line.startswith("sierpdom ")]
+    assert len(commands) >= 12
+    parser = _build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.mark.parametrize("depth", ["0", "-2"])
@@ -324,7 +428,7 @@ def test_solve_depth_below_one_is_rejected(capsys, tmp_path, depth):
     # a depth below 1 used to solve the base (or S(base, 1)) and exit 0
     base = tmp_path / "P3.txt"
     base.write_text("3 2\n0 1\n1 2\n")
-    for target in (["--family", "path", "--n", "3"], ["--sierpinski", str(base)]):
+    for target in (["--family", "path", "--n", "3"], ["--base", str(base)]):
         code, out, err = run(capsys, "solve", *target, "--depth", depth, "--json")
         assert (code, out, err) == (2, "", "error: depth must be at least 1\n")
 

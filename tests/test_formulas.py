@@ -162,20 +162,10 @@ def test_knt_lower_bound_threshold_is_forty():
     assert knt_lower_bound_for_any_graph(2, 6).method == "domination-formula"  # 64 vertices
 
 
-def test_knt_lower_bound_solves_each_instance_once(monkeypatch):
-    from sierpdom import formulas, solver
-
-    formulas._gamma_r_knt_solved.cache_clear()
-    real = solver.gamma_r_exact
-    solved = []
-
-    def solve_once(g, *args, **kwargs):
-        if solved:
-            raise AssertionError("S(K_n, t) solved a second time")
-        solved.append(g.order)
-        return real(g, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "gamma_r_exact", solve_once)
-    first = knt_lower_bound_for_any_graph(3, 3)
-    assert knt_lower_bound_for_any_graph(3, 3) == first == KntLowerBound(14, "exact-solve")
-    assert solved == [27]
+def test_knt_lower_bound_is_the_solved_value():
+    """The exact branch is gamma_r_knt_upper; at every n**t <= 40 it equals the solve."""
+    points = [(n, t) for t in range(1, 6) for n in range(2, 41) if n**t <= 40]
+    assert len(points) == 48
+    for n, t in points:
+        solved = gamma_r_exact(build(complete_graph(n), t).graph).value
+        assert knt_lower_bound_for_any_graph(n, t) == KntLowerBound(solved, "exact-solve")

@@ -73,24 +73,6 @@ def test_json_round_trip_plain():
     assert '"weight": 3' in text
 
 
-def test_json_round_trip_word_keyed():
-    s = build(path_graph(3), 2)
-    f = RomanFunction.from_sets(9, twos=[1, 7], ones=[4])
-    text = f.to_json(sierpinski=s)
-    assert '"01"' in text
-    assert RomanFunction.from_json(text, sierpinski=s) == f
-
-
-@pytest.mark.parametrize("t,last", [(1, '"10": 2'), (2, '"10-10": 2')])
-def test_json_round_trip_word_keyed_dashed_labels(t, last):
-    # n > 10 joins letters with dashes, so the depth-1 label "10" is one letter
-    s = build(complete_graph(11), t)
-    f = RomanFunction.from_sets(s.order, twos=[s.order - 1], ones=[1])
-    text = f.to_json(sierpinski=s)
-    assert last in text
-    assert RomanFunction.from_json(text, sierpinski=s) == f
-
-
 def test_json_weight_mismatch_rejected():
     with pytest.raises(ValueError):
         RomanFunction.from_json('{"labels": [2, 0], "weight": 5}')

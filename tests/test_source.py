@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+the package reads no environment variable (its settings are CLI flags)."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,23 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _environment_reads(source: str) -> list[str]:
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted(
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+    )
+
+
+def test_checker_finds_an_environment_read():
+    source = "import os\nos.getenv('Y')\nos.environ.get('X')\n"
+    assert _environment_reads(source) == ["environ", "getenv"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert _environment_reads(path.read_text()) == []
