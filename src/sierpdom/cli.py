@@ -8,11 +8,12 @@ connected bases, property checks).  Each of construct, formula and
 verify dispatches through one table, which also supplies its argparse
 choices.  verify --families must name families from its table; an
 unknown name, or limits that leave no rows, is bad input (exit 2) and
-nothing is verified; so is a sweep --count below 1, or --full below --t 2.
+nothing is verified; so is a sweep --count below 1, --max-n below 2, or
+--full below --t 2.
 Each input has one way in: the base graph is --family with --n or --base
 FILE, never both (solve --depth D solves S(base, D)); the theorem
 construction's labeling is --function FILE, as RomanFunction.to_json
-writes it; and the vertex budget is --budget.
+writes it, and no other family takes one; and the vertex budget is --budget.
 
 Exit codes: 0 success, 1 a verified property failed (construct: the
 labeling it prints does not validate), 2 bad input, 3 budget or timeout,
@@ -169,6 +170,8 @@ def _cmd_construct(args) -> int:
         )
     elif args.n is None:
         raise ValueError(f"--family {args.family} needs --n")
+    elif args.function:
+        raise ValueError(f"--family {args.family} takes no --function")
     else:
         base = _FAMILIES[args.family](args.n)
         report = _CONSTRUCTIONS[args.family](args.n, args.t, args.budget)
@@ -328,6 +331,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be at least 1")
+    if args.max_n < 2:
+        raise ValueError("--max-n must be at least 2")
     if args.full and args.t < 2:
         raise ValueError("--full checks the product bounds, which need --t of at least 2")
     rng = random.Random(args.seed)

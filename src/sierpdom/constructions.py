@@ -1,13 +1,14 @@
 """Explicit Roman dominating functions on S(G, t) and the product bound.
 
-Everything here builds a concrete labeling, validates it on the built
-graph, and reports its weight next to the weight it was predicted to
-have.  A weight off the prediction is a program fault and raises
-AssertionError; a labeling that does not dominate is reported with
-valid false.  The general-base construction starts
-from a lift of an optimal base labeling and applies four weight-shedding
-rewrite steps; the path, cycle and complete-base constructions place
-labels by letter patterns directly.
+Every construction fills a table of labels by trailing letters and
+leaves through _certified, which repeats the table under every prefix,
+validates the result on the built S(G, t) and reports its weight next to
+the predicted one.  A weight off the prediction is a program fault and
+raises AssertionError; a labeling that does not dominate is reported with
+valid false.  The general-base construction lifts an optimal base
+labeling onto the two-letter words and sheds weight there in four
+rewrite steps; the path and cycle constructions place labels by
+two-letter patterns, the complete-base one labels whole words.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .formulas import (
     gamma_knt,
     gamma_r_knt_upper,
     gamma_r_sierpinski_cycle,
+    gamma_r_sierpinski_path,
 )
 from .generators import complete_graph, cycle_graph, path_graph
 from .graphs import Graph
@@ -30,7 +32,6 @@ from .sierpinski import (
     build,
     extreme_vertices,
     id_of,
-    suffix_ids,
     suffix_labels,
     word_of,
 )
@@ -112,7 +113,10 @@ def theorem_upper_bound_construction(
     adjacent 1s; step 4 retires lifted 1s that sit two steps from a
     junction 2, provided the pattern families line up exactly (checked;
     skipped with a note otherwise, weakening the bound by the remote-1
-    count).  Every intermediate labeling is validated and weighed.
+    count).  The steps rewrite words by their last two letters, so they
+    work on the n**2 labels of S(G, 2): each intermediate labeling is
+    validated there and weighed times n**(t-2); the final one is
+    validated on S(G, t) and must weigh exactly the product bound.
     """
     if t < 2:
         raise ValueError("construction needs depth at least 2")
@@ -120,21 +124,24 @@ def theorem_upper_bound_construction(
         best = f"optimal {certificate.kind} value is {certificate.value}"
         raise ContractError(f"labeling has weight {f.weight}, but the certified {best}")
     n = base.order
-    s = build(base, t, max_vertices)  # checks the vertex budget before the lift allocates
-    labels = list(lift_base_function(f, base, t).labels)
+    s = build(base, t, max_vertices)  # checks the vertex budget first
+    # under each prefix the level-1 and level-2 edges of S(G, t) are those of S(G, 2), and
+    # extra edges keep a labeling Roman dominating: valid on S(G, 2) is valid under each prefix
+    block = s.graph if t == 2 else build(base, 2).graph
+    table = list(lift_base_function(f, base, 2).labels)
+    scale = n ** (t - 2)
     ds = derived_sets(f, base)
     notes: list[str] = []
     steps: list[str] = []
-    weights: list[tuple[str, int]] = [("lift", sum(labels))]
+    weights: list[tuple[str, int]] = [("lift", scale * sum(table))]
 
     def put(pairs, x: int):
         for pair in pairs:
-            r = suffix_ids(n, t, pair)
-            labels[r.start :: r.step] = [x] * len(r)
+            table[id_of(pair, n)] = x
 
     def commit(name: str, changed: bool):
-        w = sum(labels)
-        if not is_roman_dominating(RomanFunction(tuple(labels)), s.graph):
+        w = scale * sum(table)
+        if not is_roman_dominating(RomanFunction(tuple(table)), block):
             raise AssertionError(f"intermediate labeling after {name} lost validity")
         if w > weights[-1][1]:
             raise AssertionError(f"step {name} increased the weight")
@@ -191,17 +198,7 @@ def theorem_upper_bound_construction(
     commit("step4", applied)
 
     predicted = _product_bound(f, ds, n, t, ds.remote_one_count if applied else 0)
-    out = RomanFunction(tuple(labels))
-    if out.weight > predicted:
-        raise AssertionError("construction exceeded its own predicted bound")
-    return ConstructionReport(
-        function=out,
-        predicted_weight=predicted,
-        valid=True,  # the step-4 commit has just validated these labels on s.graph
-        steps_applied=tuple(steps),
-        step_weights=tuple(weights),
-        notes=tuple(notes),
-    )
+    return _certified(s, table, predicted, steps, step_weights=tuple(weights), notes=tuple(notes))
 
 
 def roman_graph_bound(g: Graph, t: int, max_vertices: Optional[int] = None) -> ConstructionReport:
@@ -219,16 +216,20 @@ def roman_graph_bound(g: Graph, t: int, max_vertices: Optional[int] = None) -> C
     return theorem_upper_bound_construction(f, g, t, cert, max_vertices)
 
 
-def _certified(s: SierpinskiGraph, labels, predicted: int, steps) -> ConstructionReport:
-    """The report on a labeling of s that must weigh exactly predicted."""
-    out = RomanFunction(tuple(labels))
+def _certified(s: SierpinskiGraph, table, predicted: int, steps, **fields) -> ConstructionReport:
+    """The report on table (labels by trailing letters) repeated under every prefix of s.
+
+    The labeling must weigh exactly predicted; it is validated once, on s.
+    """
+    out = RomanFunction(suffix_labels(table, s.base.order, s.depth))
     if out.weight != predicted:
-        raise AssertionError(f"construction weight {out.weight}, closed form {predicted}")
+        raise AssertionError(f"construction weight {out.weight}, predicted {predicted}")
     return ConstructionReport(
         function=out,
         predicted_weight=predicted,
         valid=is_roman_dominating(out, s.graph),
         steps_applied=tuple(steps),
+        **fields,
     )
 
 
@@ -247,8 +248,9 @@ def path_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Con
 
     Within every pair of trailing letters (first letter chosen per
     prefix), 2s go on three pattern families and 1s on three thinner
-    ones; per prefix the weight is 6k^2 + 8k + 3, so the labeling weighs
-    n**(t-2) * (6k^2 + 8k + 3): optimal at t = 2, an upper bound above.
+    ones; per prefix the weight is gamma_R(S(P_n, 2)) = 6k^2 + 8k + 3
+    (checked), so the labeling weighs n**(t-2) times that: optimal at
+    t = 2, an upper bound above.
     """
     if t < 2:
         raise ValueError("construction needs depth at least 2")
@@ -272,11 +274,11 @@ def path_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Con
     if twos & ones:
         raise AssertionError("pattern families for 2s and 1s overlap")
     per_prefix = 2 * len(twos) + len(ones)
-    if per_prefix != 6 * k * k + 8 * k + 3:
-        raise AssertionError(f"per-prefix weight {per_prefix}, expected {6 * k * k + 8 * k + 3}")
+    expect = gamma_r_sierpinski_path(n, 2)
+    if per_prefix != expect:
+        raise AssertionError(f"per-prefix weight {per_prefix}, expected {expect}")
     s = build(path_graph(n), t, max_vertices)
-    labels = suffix_labels(_pair_table(n, twos, ones), n, t)
-    return _certified(s, labels, n ** (t - 2) * per_prefix, ("pattern-blocks",))
+    return _certified(s, _pair_table(n, twos, ones), n ** (t - 2) * per_prefix, ("pattern-blocks",))
 
 
 def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> ConstructionReport:
@@ -315,8 +317,9 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
         if pair_ones & pair_twos:
             raise AssertionError("1-pattern collides with the 2-pattern")
         steps = ("packing-blocks", "shift-ones")
-    labels = suffix_labels(_pair_table(n, pair_twos, pair_ones), n, t)
+    rep = _certified(s, _pair_table(n, pair_twos, pair_ones), bracket.exact, steps)
     if n % 3 == 1:
+        labels = rep.function.labels
         # 2s in each closed neighborhood: more than one breaks the packing, none the cover
         twos_seen = [
             (labels[v] == 2) + sum(labels[u] == 2 for u in s.graph.neighbors(v))
@@ -326,7 +329,7 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
             raise AssertionError("2-set is not a 2-packing")
         if min(twos_seen) == 0:
             raise AssertionError("2-set does not cover the graph")
-    return _certified(s, labels, bracket.exact, steps)
+    return rep
 
 
 def _exact_cover_code(g: Graph, seeds: tuple[int, ...]) -> Optional[frozenset[int]]:

@@ -17,8 +17,8 @@ in Graph merges.
 
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word turns a word into its display
-label (letters joined with '-' when n > 10), and suffix_ids and
-suffix_labels address words by their trailing letters.
+label (letters joined with '-' when n > 10), and suffix_labels gives
+each word the value a table holds for its trailing letters.
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ def format_word(word: Word, n: int) -> str:
     if n <= 10:
         return "".join(str(d) for d in word)
     return "-".join(str(d) for d in word)
-
-
-def suffix_ids(n: int, length: int, suffix: Word) -> range:
-    """Ids of all words of the given length that end in suffix, one per prefix."""
-    return range(id_of(suffix, n), n**length, n ** len(suffix))
 
 
 def suffix_labels(table: Sequence[int], n: int, length: int) -> tuple[int, ...]:

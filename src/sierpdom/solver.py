@@ -346,13 +346,7 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     covered = 0
     for u in twos:
         covered |= g.closed_masks[u]
-    labels = [0] * n
-    for v in range(n):
-        if not covered >> v & 1:
-            labels[v] = 1
-    for u in twos:
-        labels[u] = 2
-    f = RomanFunction(tuple(labels))
+    f = RomanFunction.from_sets(n, ones=_bits(((1 << n) - 1) & ~covered), twos=twos)
     if not is_roman_dominating(f, g) or f.weight != value:
         raise AssertionError("Roman witness failed its certificate check")
     return Certificate("roman", value, f, deadline.ticks, time.perf_counter() - start)
@@ -384,12 +378,6 @@ def brute_force_gamma_r(g: Graph) -> Certificate:
             best_key, best_mask = key, mask
         elif key == best_key and sorted(_bits(mask)) < sorted(_bits(best_mask)):
             best_mask = mask
-    labels = [0] * n
-    for v in range(n):
-        if not cover[best_mask] >> v & 1:
-            labels[v] = 1
-    for u in _bits(best_mask):
-        labels[u] = 2
-    f = RomanFunction(tuple(labels))
+    f = RomanFunction.from_sets(n, ones=_bits(full & ~cover[best_mask]), twos=_bits(best_mask))
     return Certificate("roman", best_key[0], f, size, time.perf_counter() - start)
 

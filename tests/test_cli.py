@@ -411,6 +411,32 @@ def test_sweep_that_checks_nothing_is_bad_input(capsys, monkeypatch, args):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family, n", [("path", "5"), ("cycle", "4"), ("complete", "3")])
+def test_construct_function_with_another_family_is_bad_input(
+    capsys, tmp_path, monkeypatch, family, n
+):
+    # used to print the family's report and exit 0 without opening the file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "construct", "--family", family, "--n", n, "--t", "2", "--function", "nonexist.json"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--function" in err
+
+
+@pytest.mark.parametrize("max_n", ["1", "0", "-4"])
+def test_sweep_max_n_below_two_names_the_flag(capsys, monkeypatch, max_n):
+    # used to exit 2 with "error: empty range for randrange() (2, 2, 0)"
+    def no_solve(*a, **k):
+        raise AssertionError("solved before rejecting the arguments")
+
+    monkeypatch.setattr("sierpdom.cli.gamma_exact", no_solve)
+    code, out, err = run(capsys, "sweep", "--max-n", max_n, "--count", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n must be at least 2\n"
+
+
 def test_readme_commands_parse():
     """Every documented command line parses; a removed flag left in README fails here."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -144,7 +144,8 @@ def test_rewrite_construction_validates_each_step_once(monkeypatch):
     base = path_graph(7)
     cert = gamma_r_exact(base)
     assert theorem_upper_bound_construction(cert.witness, base, 3, cert).valid
-    assert orders.count(343) == 4  # one check per rewrite step
+    # the base labeling, one check of S(G, 2) per rewrite step, and the lift once
+    assert orders == [7, 49, 49, 49, 49, 343]
 
 
 def test_rewrite_construction_contract_checks():
@@ -374,6 +375,10 @@ CONSTRUCTION_SHA256 = {
     ("K33", 3): "ac2336fe667d5489fd25b3cfc987664c44cf3b27fc0f4f7e4a07c5468c301244",
     ("P5", 2): "ea70683f44ddc12b5484512ad04cf80f686bdfc42a25b7a8137bf05456e71943",
     ("P5", 3): "9b5d29d682a8dd24f3546676156a739df28afe8ddceb028626420c4c50c81abe",
+    ("P7", 4): "e2a2d8e950f87fd3eff6873c2e5365b865c5341f1f5250a894fec4b37f46a67a",
+    ("P2", 4): "e9cdc1aa7ed42896467b8787e04644ddef7f1142b46dfe887f09e9e779bfe028",
+    ("K33", 4): "b4edb1b9b39b41f1028e9aaf7713a9e5549d97fef1d6638e69718f297e9fb663",
+    ("P5", 4): "7291e4663782ba1f9f71f639a6959eca174c573f97e6abb944a4471070ddcd66",
     "cycle(6,2)": "4c2efa937bc2226701e9f3d3a44429ee4f602c1f27ec70a03400be925e6973ef",
     "complete(3,4)": "e19188d105ec965067c5670d17f22a3a31b32932139ea08c23997b146922abb4",
 }
@@ -395,7 +400,7 @@ def test_construction_reports_are_pinned():
     got = {}
     for name, (base, f) in cases.items():
         cert = gamma_r_exact(base)
-        for t in (2, 3):
+        for t in (2, 3, 4):
             rep = theorem_upper_bound_construction(f or cert.witness, base, t, cert)
             got[name, t] = _sha(rep)
     got["cycle(6,2)"] = _sha(cycle_construction(6, 2))

@@ -21,7 +21,6 @@ from sierpdom import (
 from sierpdom.sierpinski import (
     format_word,
     id_of,
-    suffix_ids,
     suffix_labels,
     word_of,
 )
@@ -227,13 +226,27 @@ def test_word_labels_iterate_lazily_in_id_order(base, depth):
 
 def test_suffix_helpers_are_modular():
     n, t = 4, 3
-    assert list(suffix_ids(n, t, (2, 1))) == [
-        vid for vid in range(n**t) if vid % (n * n) == id_of((2, 1), n)
-    ]
     table = list(range(n * n))
     assert suffix_labels(table, n, t) == tuple(vid % (n * n) for vid in range(n**t))
     assert suffix_labels((5, 6, 7, 8), n, 1) == (5, 6, 7, 8)
     with pytest.raises(ValueError):
         suffix_labels((1, 2), n, t)
-    with pytest.raises(ValueError):
-        suffix_ids(n, t, (4,))
+
+
+@pytest.mark.parametrize("t", (3, 4))
+@pytest.mark.parametrize("seed", range(4))
+def test_every_two_letter_block_holds_s_g_2(seed, t):
+    """Each edge {xy, uv} of S(G, 2) is the edge {wxy, wuv} of S(G, t) for every prefix w.
+
+    A labeling valid on S(G, 2) therefore stays valid repeated under every
+    prefix, which is what lets the product-bound construction check its
+    rewrite steps on S(G, 2) alone.
+    """
+    rng = random.Random(seed)
+    base = random_connected_graph(rng.randint(2, 5), rng, 0.4)
+    n = base.order
+    edges = set(build(base, t).graph.edges)
+    block = build(base, 2).graph.edges
+    for prefix in range(n ** (t - 2)):
+        off = prefix * n * n
+        assert all((off + a, off + b) in edges for a, b in block)
