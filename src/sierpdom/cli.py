@@ -6,9 +6,10 @@ formula (closed-form values as JSON), verify (cross-check formulas,
 solver and constructions over the named families), and sweep (random
 connected bases, property checks).  Each of construct, formula and
 verify dispatches through one table, which also supplies its argparse
-choices.  verify --families must name families from its table; an
-unknown name, or limits that leave no rows, is bad input (exit 2) and
-nothing is verified; so is a sweep --count below 1, --max-n below 2, or
+choices.  verify --families must name families from its table, and
+--max-n/--max-t bound the base order and depth of every row; an unknown
+name, or limits that leave no rows, is bad input (exit 2) and nothing
+is verified; so is a sweep --count below 1, --max-n below 2, or
 --full below --t 2.
 Each input has one way in: the base graph is --family with --n or --base
 FILE, never both (solve --depth D solves S(base, D)); the theorem
@@ -173,15 +174,13 @@ def _cmd_construct(args) -> int:
     elif args.function:
         raise ValueError(f"--family {args.family} takes no --function")
     else:
-        base = _FAMILIES[args.family](args.n)
         report = _CONSTRUCTIONS[args.family](args.n, args.t, args.budget)
-    # the construction built S(G, t) already; only the word labels and DOT need it here
-    s = build(base, args.t, args.budget) if args.dot or args.words else None
     if args.dot:
+        s = report.sierpinski  # the S(G, t) the labeling was validated on
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:
             fh.write(to_dot(s.graph, graph_name="S", colors=colors, labels=s.word_labels()))
-    _emit(report.to_json(sierpinski=s if args.words else None) + "\n", args.out)
+    _emit(report.to_json(words=args.words) + "\n", args.out)
     return 0 if report.valid else 1
 
 
@@ -240,46 +239,47 @@ def _check_code_size(n, t, expected, timeout, budget):
     return {"size": size}, size == expected
 
 
-# Each family yields (instance, expected, run) rows; run(timeout, budget) solves
-# before it constructs and returns the row's result fields and whether they pass.
-def _verify_paths(args):
-    for n in range(3, min(args.max_n, 6) + 1):
+# Each family yields (n, t, instance, expected, run) rows, one per S(G, t) over a
+# base G of order n; run(timeout, budget) solves before it constructs and returns
+# the row's result fields and whether they pass.
+def _verify_paths():
+    for n in range(3, 7):
         expect = formulas.gamma_r_sierpinski_path(n, 2)
         base = path_graph(n)
         if n % 3 == 2:
             construct = partial(constructions.path_construction, n, 2)
         else:
             construct = partial(_lifted_construction, base)
-        yield f"S(P{n},2)", expect, partial(_check_depth_two, base, expect, expect, construct)
+        yield n, 2, f"S(P{n},2)", expect, partial(_check_depth_two, base, expect, expect, construct)
 
 
-def _verify_cycles(args):
-    for n in range(4, min(args.max_n, 6) + 1):
+def _verify_cycles():
+    for n in range(4, 7):
         vb = formulas.gamma_r_sierpinski_cycle(n, 2)
         construct = partial(constructions.cycle_construction, n, 2)
         run = partial(_check_depth_two, cycle_graph(n), vb.lower, vb.upper, construct)
-        yield f"S(C{n},2)", vb.to_dict(), run
+        yield n, 2, f"S(C{n},2)", vb.to_dict(), run
 
 
-def _verify_complete(args):
-    for t in range(1, min(args.max_t, 3) + 1):
+def _verify_complete():
+    for t in range(1, 4):
         expected = {"gamma": formulas.gamma_knt(3, t)}
         expected["roman_upper"] = formulas.gamma_r_knt_upper(3, t)
-        yield f"S(K3,{t})", expected, partial(_check_complete, 3, t, expected)
+        yield 3, t, f"S(K3,{t})", expected, partial(_check_complete, 3, t, expected)
 
 
-def _verify_universal(args):
+def _verify_universal():
     plus = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)], name="star4+e")
     for g in (star_graph(4), plus, star_graph(5)):
         expect = formulas.universal_vertex_value(g.order, 2)
         run = partial(_check_depth_two, g, expect, expect, partial(_lifted_construction, g))
-        yield f"S({g.name},2)", expect, run
+        yield g.order, 2, f"S({g.name},2)", expect, run
 
 
-def _verify_perfect_codes(args):
+def _verify_perfect_codes():
     for n, t in ((3, 2), (3, 3), (2, 2)):
         expect = formulas.gamma_knt(n, t)
-        yield f"S(K{n},{t})", expect, partial(_check_code_size, n, t, expect)
+        yield n, t, f"S(K{n},{t})", expect, partial(_check_code_size, n, t, expect)
 
 
 _VERIFY = {
@@ -303,7 +303,12 @@ def _verify_families(spec: Optional[str]) -> list[str]:
 
 def _cmd_verify(args) -> int:
     families, rows = _verify_families(args.families), []
-    todo = [(family, *row) for family in families for row in _VERIFY[family](args)]
+    todo = [
+        (family, *row)
+        for family in families
+        for n, t, *row in _VERIFY[family]()
+        if n <= args.max_n and t <= args.max_t
+    ]
     if not todo:
         raise ValueError("--max-n/--max-t leave no rows to verify")
     for family, instance, expected, run in todo:

@@ -3,7 +3,8 @@
 Every construction fills a table of labels by trailing letters and
 leaves through _certified, which repeats the table under every prefix,
 validates the result on the built S(G, t) and reports its weight next to
-the predicted one.  A weight off the prediction is a program fault and
+the predicted one; the report keeps that S(G, t), so nothing downstream
+builds it again.  A weight off the prediction is a program fault and
 raises AssertionError; a labeling that does not dominate is reported with
 valid false.  The general-base construction lifts an optimal base
 labeling onto the two-letter words and sheds weight there in four
@@ -14,7 +15,7 @@ two-letter patterns, the complete-base one labels whole words.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import ContractError
@@ -40,11 +41,13 @@ from .solver import Certificate, _picks, gamma_exact, gamma_r_exact
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    """Outcome of one construction: the labeling and what it certifies."""
+    """Outcome of one construction: the labeling, the S(G, t) it was
+    validated on, and what it certifies."""
 
     function: RomanFunction
     predicted_weight: int
     valid: bool
+    sierpinski: SierpinskiGraph = field(compare=False, repr=False)
     steps_applied: tuple[str, ...] = ()
     step_weights: tuple[tuple[str, int], ...] = ()
     lower_bound: Optional[int] = None
@@ -54,7 +57,8 @@ class ConstructionReport:
     def actual_weight(self) -> int:
         return self.function.weight
 
-    def to_json(self, sierpinski: Optional[SierpinskiGraph] = None) -> str:
+    def to_json(self, words: bool = False) -> str:
+        """The report as JSON; words keys the labels by the words of S(G, t)."""
         doc: dict = {
             "predicted_weight": self.predicted_weight,
             "actual_weight": self.actual_weight,
@@ -65,7 +69,7 @@ class ConstructionReport:
         }
         if self.lower_bound is not None:
             doc["lower_bound"] = self.lower_bound
-        doc["function"] = json.loads(self.function.to_json(sierpinski))
+        doc["function"] = json.loads(self.function.to_json(self.sierpinski if words else None))
         return json.dumps(doc, sort_keys=True)
 
 
@@ -228,6 +232,7 @@ def _certified(s: SierpinskiGraph, table, predicted: int, steps, **fields) -> Co
         function=out,
         predicted_weight=predicted,
         valid=is_roman_dominating(out, s.graph),
+        sierpinski=s,
         steps_applied=tuple(steps),
         **fields,
     )
@@ -321,10 +326,10 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
     if n % 3 == 1:
         labels = rep.function.labels
         # 2s in each closed neighborhood: more than one breaks the packing, none the cover
-        twos_seen = [
-            (labels[v] == 2) + sum(labels[u] == 2 for u in s.graph.neighbors(v))
-            for v in range(s.order)
-        ]
+        twos_seen = [x == 2 for x in labels]
+        for u, v in s.graph.edges:
+            twos_seen[u] += labels[v] == 2
+            twos_seen[v] += labels[u] == 2
         if max(twos_seen) > 1:
             raise AssertionError("2-set is not a 2-packing")
         if min(twos_seen) == 0:

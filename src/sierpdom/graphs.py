@@ -1,19 +1,21 @@
 """Immutable simple graphs on vertices 0..n-1.
 
-Adjacency is stored once, as sorted neighbor tuples.  The exact searches
-and the domination predicates read closed neighborhoods as int bitmasks;
-those are built from the tuples on first use and then cached, so a graph
-that is only built, serialized or validated never holds them.
-Edges are deduplicated and canonicalized to (min, max) pairs, so two
-graphs compare equal exactly when they have the same order and edge set.
+A graph stores only its canonical edge list: (min, max) pairs, sorted and
+deduplicated, so two graphs compare equal exactly when they have the same
+order and edge set.  Everything else is derived from it on first use and
+then cached: the sorted neighbor tuples that neighbors, degree and
+adjacent read, and the closed-neighborhood bitmasks that the exact
+searches read.  Each is one pass over the edges, and neither is built
+for the other, so a graph that is only built, serialized or validated
+(validation reads the edge list) holds neither.
 
 Construction is a few linear passes over the edge list: canonicalize,
-check range and self-loops in bulk, sort once, drop adjacent duplicates,
-and append neighbors.  The one sort is list.sort, which finds ascending
-runs and merges them, so m edges in k sorted runs (sierpinski build emits
-one run per level) cost about m·log k comparisons, and any other order
-costs a plain sort.  Appending neighbors from the sorted edge list fills
-every neighbor list in ascending order, so no per-vertex sort is needed.
+check range and self-loops in bulk, sort once, and drop adjacent
+duplicates.  The one sort is list.sort, which finds ascending runs and
+merges them, so m edges in k sorted runs (sierpinski build emits one run
+per level) cost about m·log k comparisons, and any other order costs a
+plain sort.  Appending neighbors from the sorted edge list fills every
+neighbor tuple in ascending order, so no per-vertex sort is needed.
 A ValueError names the first invalid edge in input order; when edges is
 a one-shot iterator it can only be named as its (min, max) pair.
 """
@@ -48,13 +50,7 @@ class Graph:
             canon = [e for e, _ in groupby(canon)]
         self._n = n
         self._edges = tuple(canon)
-        adj = [[] for _ in range(n)]
-        # the edges ascend, so adj[v] receives its smaller neighbors u, from the edges
-        # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(map(tuple, adj))
+        self._adj: Optional[tuple[tuple[int, ...], ...]] = None
         self._closed_mask: Optional[tuple[int, ...]] = None
         self.name = name
 
@@ -79,27 +75,39 @@ class Graph:
     def closed_masks(self) -> tuple[int, ...]:
         """Closed neighborhoods (vertex included) as bitmasks, built on first use."""
         if self._closed_mask is None:
-            masks = []
-            for v, nb in enumerate(self._adj):
-                m = 1 << v
-                for u in nb:
-                    m |= 1 << u
-                masks.append(m)
+            masks = [1 << v for v in range(self._n)]
+            for u, v in self._edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
             self._closed_mask = tuple(masks)
         return self._closed_mask
 
+    @property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuples, built on first use."""
+        if self._adj is None:
+            adj = [[] for _ in range(self._n)]
+            # the edges ascend, so adj[v] receives its smaller neighbors u, from the edges
+            # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
+            for u, v in self._edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            self._adj = tuple(map(tuple, adj))
+        return self._adj
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return self._neighbors[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._neighbors[v])
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return v in self._neighbors[u]
 
     def at_distance_two(self, u: int, v: int) -> bool:
         """Whether u and v are distinct, not adjacent, and share a neighbor."""
-        return u != v and v not in self._adj[u] and not set(self._adj[u]).isdisjoint(self._adj[v])
+        adj = self._neighbors
+        return u != v and v not in adj[u] and not set(adj[u]).isdisjoint(adj[v])
 
     def digest(self) -> str:
         """Short content hash of the canonical edge list."""

@@ -92,12 +92,14 @@ def is_roman_dominating(f: RomanFunction, g: Graph) -> bool:
     if f.order != g.order:
         raise ValueError(f"labeling covers {f.order} vertices, graph has {g.order}")
     labels = f.labels
-    seen_by_two = bytearray(f.order)
-    for v, x in enumerate(labels):
-        if x == 2:
-            for u in g.neighbors(v):
-                seen_by_two[u] = 1
-    return all(seen_by_two[v] for v, x in enumerate(labels) if x == 0)
+    # nonzero once the vertex needs nothing more: labeled 1 or 2, or next to a 2
+    settled = bytearray(labels)
+    for u, v in g.edges:
+        if labels[u] == 2:
+            settled[v] = 1
+        elif labels[v] == 2:  # when both are 2, both are settled already
+            settled[u] = 1
+    return 0 not in settled
 
 
 @dataclass(frozen=True)

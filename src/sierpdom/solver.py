@@ -40,6 +40,10 @@ closed masks, so a node still scans all n masks, only not in Python.  A
 change to how a bound is evaluated may make a node cheaper but must
 never alter a prune: node counts, witnesses and CLI output are pinned to
 the search trees.
+
+The searches read the graph through its closed masks alone: the degree
+levels and the greedy's gain counts are mask bit counts, so a solve
+never builds the graph's neighbor tuples.
 """
 
 from __future__ import annotations
@@ -114,8 +118,8 @@ def _picks(link):
 def _degree_levels(g: Graph) -> list[int]:
     """One mask per vertex degree, highest degree first."""
     levels: dict[int, int] = {}
-    for v in g.vertices:
-        d = g.degree(v)
+    for v, m in enumerate(g.closed_masks):
+        d = m.bit_count()  # the degree plus one, which keeps the order of degrees
         levels[d] = levels.get(d, 0) | 1 << v
     return [levels[d] for d in sorted(levels, reverse=True)]
 
@@ -194,7 +198,6 @@ def _greedy_cover(g: Graph, deadline: _Deadline) -> list[int]:
     lowest id on ties.  gains[u] holds that count for u and loses one for
     each newly dominated vertex in N[u]."""
     closed = g.closed_masks
-    neighbors = g.neighbors
     full = (1 << g.order) - 1
     gains = list(map(_bit_count, closed))
     dominated = 0
@@ -204,8 +207,7 @@ def _greedy_cover(g: Graph, deadline: _Deadline) -> list[int]:
         u = gains.index(max(gains))
         chosen.append(u)
         for w in _bits(closed[u] & ~dominated):
-            gains[w] -= 1
-            for x in neighbors(w):
+            for x in _bits(closed[w]):
                 gains[x] -= 1
         dominated |= closed[u]
     return chosen

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from sierpdom import RomanFunction, SolveTimeout, is_roman_dominating, parse_edge_list, path_graph
+from sierpdom import (
+    RomanFunction,
+    SolveTimeout,
+    build,
+    is_roman_dominating,
+    parse_edge_list,
+    path_graph,
+)
 from sierpdom.cli import _build_parser, main
 
 
@@ -163,6 +170,30 @@ def test_construct_theorem_needs_matching_weight(capsys, tmp_path):
     )
     assert code == 2
     assert "optimal" in err
+
+
+@pytest.mark.parametrize(
+    "family,n,t", [("path", 5, 3), ("cycle", 4, 3), ("cycle", 6, 3), ("complete", 3, 4)]
+)
+def test_construct_builds_its_graph_once(capsys, monkeypatch, tmp_path, family, n, t):
+    """--dot and --words reuse the S(G, t) the construction validated."""
+    depths = []
+
+    def counting_build(base, depth, *rest):
+        depths.append(depth)
+        return build(base, depth, *rest)
+
+    for module in ("sierpdom.cli", "sierpdom.constructions"):
+        monkeypatch.setattr(f"{module}.build", counting_build)
+    dot = tmp_path / "s.dot"
+    code, out, _ = run(
+        capsys, "construct", "--family", family, "--n", str(n), "--t", str(t),
+        "--words", "--dot", str(dot),
+    )
+    assert code == 0
+    assert depths.count(t) == 1
+    assert len(json.loads(out)["function"]["labels_by_word"]) == n**t
+    assert dot.read_text().startswith("graph S {")
 
 
 def test_construct_residue_error(capsys):
@@ -598,13 +629,41 @@ def test_verify_rejects_unknown_families(capsys, families):
 
 
 @pytest.mark.parametrize(
-    "args", [("--families", "paths", "--max-n", "2"), ("--families", "complete", "--max-t", "0")]
+    "args",
+    [
+        ("--families", "paths", "--max-n", "2"),
+        ("--families", "complete", "--max-t", "0"),
+        ("--max-t", "0"),
+        ("--families", "perfect-codes", "--max-t", "1"),
+        ("--families", "universal", "--max-n", "3"),
+        ("--families", "complete", "--max-n", "2"),
+    ],
 )
 def test_verify_with_no_rows_is_bad_input(capsys, args):
     code, out, err = run(capsys, "verify", *args)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args,instances",
+    [
+        (("--families", "perfect-codes", "--max-t", "2"), ["S(K3,2)", "S(K2,2)"]),
+        (("--families", "perfect-codes", "--max-n", "2"), ["S(K2,2)"]),
+        (("--families", "universal", "--max-n", "4"), ["S(star4,2)", "S(star4+e,2)"]),
+        (("--families", "paths,complete", "--max-t", "1"), ["S(K3,1)"]),
+        (
+            ("--families", "cycles,complete", "--max-n", "4"),
+            ["S(C4,2)", "S(K3,1)", "S(K3,2)", "S(K3,3)"],
+        ),
+    ],
+)
+def test_verify_limits_bound_every_family(capsys, args, instances):
+    """--max-n bounds the base order and --max-t the depth of every row."""
+    code, out, _ = run(capsys, "verify", *args)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == instances
 
 
 def test_verify_columns_line_up_under_short_names(capsys):
@@ -628,7 +687,7 @@ def test_verify_timeout_keeps_expected(capsys, monkeypatch, tmp_path):
     )
     assert code == 3
     rows = [json.loads(line) for line in rows_file.read_text().splitlines()]
-    assert len(rows) == 8
+    assert len(rows) == 7  # --max-n 4 leaves out S(star5,2)
     assert all(r["status"] == "timeout" for r in rows)
     assert all("expected" in r for r in rows)
     assert "pass" not in out

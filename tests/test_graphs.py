@@ -9,10 +9,12 @@ from sierpdom import (
     Graph,
     build,
     complete_graph,
+    complete_graph_construction,
     cycle_graph,
     format_edge_list,
     is_connected,
     is_dominating_set,
+    is_roman_dominating,
     is_spanning_subgraph,
     parse_edge_list,
     path_graph,
@@ -83,6 +85,38 @@ def test_construction_contract(case):
     same = Graph(n, sorted(canon))
     assert g == same and hash(g) == hash(same) == hash((n, g.edges))
     assert Graph(n, iter(raw)) == g
+
+
+@given(raw_edge_lists(), st.booleans())
+def test_derived_views_match_the_edge_list(case, masks_first):
+    """Masks and neighbor tuples agree with the edges, whichever is built first."""
+    n, raw = case
+    g = Graph(n, raw)
+    canon = {(min(u, v), max(u, v)) for u, v in raw}
+    want = [sorted({u for e in canon if v in e for u in e if u != v}) for v in range(n)]
+    if masks_first:
+        masks = g.closed_masks
+    views = [(g.neighbors(v), g.degree(v), [g.adjacent(v, u) for u in range(n)]) for v in range(n)]
+    if not masks_first:
+        masks = g.closed_masks
+    for v in range(n):
+        adjacent = [(min(u, v), max(u, v)) in canon for u in range(n)]
+        assert views[v] == (tuple(want[v]), len(want[v]), adjacent)
+        assert masks[v] == sum(1 << u for u in [v, *want[v]])
+
+
+def test_build_serialize_validate_never_builds_neighbor_tuples():
+    """build, format_edge_list, to_dot and is_roman_dominating build neither
+    derived view, and a whole construction builds no neighbor tuples.  The
+    private slots are read because the public views would build them."""
+    s = build(complete_graph(4), 6)
+    g = s.graph
+    format_edge_list(g)
+    to_dot(g, labels=s.word_labels())
+    rep = complete_graph_construction(4, 6)
+    assert is_roman_dominating(rep.function, g)
+    assert g._adj is None and g._closed_mask is None
+    assert rep.sierpinski.graph._adj is None
 
 
 def test_neighborhoods():

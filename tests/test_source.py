@@ -1,5 +1,7 @@
-"""Source hygiene: every name a package module imports is used in it, and
-the package reads no environment variable (its settings are CLI flags)."""
+"""Source hygiene: every name a package module imports is used in it, the
+package reads no environment variable (its settings are CLI flags), and it
+has no assert statement (a certifying check is an explicit raise, which
+python -O keeps)."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,17 @@ def test_checker_finds_an_environment_read():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert _environment_reads(path.read_text()) == []
+
+
+def _assert_statements(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_checker_finds_an_assert_statement():
+    source = "x = 1\nassert x, 'stripped by -O'\nif not x:\n    raise AssertionError('kept')\n"
+    assert _assert_statements(source) == [2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert _assert_statements(path.read_text()) == []
