@@ -34,7 +34,6 @@ from .sierpinski import (
     extreme_vertices,
     id_of,
     suffix_labels,
-    word_of,
 )
 from .solver import Certificate, _picks, gamma_exact, gamma_r_exact
 
@@ -422,10 +421,13 @@ def complete_graph_construction(n: int, t: int, max_vertices: Optional[int] = No
             labels[:block] = prev
             for i in range(1, n):
                 off = id_of((0, i), n) * block
-                letters = {0: i, i: 0}
-                for w in range(block):
-                    swapped = id_of([letters.get(d, d) for d in word_of(w, n, level)], n)
-                    labels[off + swapped] = prev[w]
+                sigma = list(range(n))
+                sigma[0], sigma[i] = i, 0
+                swap = [0]  # swap[w]: the id of word w with letters 0 and i swapped
+                for _ in range(level):
+                    swap = [p * n + d for p in swap for d in sigma]
+                # the swap is an involution, so reading prev through it places prev[w] at swap[w]
+                labels[off : off + block] = map(prev.__getitem__, swap)
                 labels[off + id_of((i,) * level, n)] = 0
             for i in range(1, n):
                 off = id_of((i, 0), n) * block

@@ -9,23 +9,29 @@ searches read.  Each is one pass over the edges, and neither is built
 for the other, so a graph that is only built, serialized or validated
 (validation reads the edge list) holds neither.
 
-Construction is a few linear passes over the edge list: canonicalize,
-check range and self-loops in bulk, sort once, and drop adjacent
-duplicates.  The one sort is list.sort, which finds ascending runs and
-merges them, so m edges in k sorted runs (sierpinski build emits one run
-per level) cost about m·log k comparisons, and any other order costs a
-plain sort.  Appending neighbors from the sorted edge list fills every
-neighbor tuple in ascending order, so no per-vertex sort is needed.
-A ValueError names the first invalid edge in input order; when edges is
-a one-shot iterator it can only be named as its (min, max) pair.
+Construction is a few C-level passes over the edge list.  One pass
+proves every pair ordered (u < v), which also rules out self-loops;
+only when it fails are the pairs canonicalized and scanned for loops.
+Then one sort, a range check (the smallest vertex is the first one after
+the sort, the largest a max over the second ends) and a scan for
+adjacent duplicates.  The one sort is list.sort, which finds ascending
+runs and merges them, so m edges in k sorted runs (sierpinski build
+emits one run per level) cost about m·log k comparisons, and any other
+order costs a plain sort.  Appending neighbors from the sorted edge list
+fills every neighbor tuple in ascending order, so no per-vertex sort is
+needed.  A ValueError names the first invalid edge in input order, as
+given.
+
+The edge-list and DOT writers format a slice of lines per %-operation
+and write the slices to one buffer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-from itertools import groupby, islice, starmap
-from operator import eq, itemgetter
+from itertools import chain, groupby, islice, starmap
+from operator import eq, itemgetter, lt
 from typing import Iterable, Optional
 
 
@@ -37,15 +43,20 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if n < 1:
             raise ValueError("graph order must be at least 1")
-        canon = [(u, v) if u < v else (v, u) for u, v in edges]
-        if canon and (
-            min(map(itemgetter(0), canon)) < 0
-            or max(map(itemgetter(1), canon)) >= n
-            or any(starmap(eq, canon))
-        ):
-            # a one-shot iterator is spent: find the culprit among the (min, max) pairs
-            _raise_first_bad_edge(n, canon if iter(edges) is edges else edges)
+        pairs = list(map(tuple, edges))  # input order, to name a bad edge; never the caller's list
+        try:
+            ordered = all(starmap(lt, pairs))
+        except TypeError:  # a pair of the wrong length: the unpacking below raises its ValueError
+            ordered = False
+        # u < v on every pair rules out self-loops and leaves nothing to canonicalize
+        canon = pairs.copy() if ordered else [(u, v) if u < v else (v, u) for u, v in pairs]
         canon.sort()
+        if canon and (
+            canon[0][0] < 0
+            or max(map(itemgetter(1), canon)) >= n
+            or (not ordered and any(starmap(eq, canon)))
+        ):
+            _raise_first_bad_edge(n, pairs)
         if any(map(eq, canon, islice(canon, 1, None))):  # the sort put duplicates side by side
             canon = [e for e, _ in groupby(canon)]
         self._n = n
@@ -188,13 +199,12 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
 def format_edge_list(g: Graph) -> str:
     """The "n m" header, then one "u v" line per edge.
 
-    Lines are written to one buffer as they are made, so no list of m
-    line strings is held next to the text."""
+    Each slice of _SLICE edges is formatted by one %-operation and
+    written to one buffer, so the text is held once and a slice's lines
+    at most once more."""
     out = io.StringIO()
-    write = out.write
-    write(f"{g.order} {g.size}\n")
-    for u, v in g.edges:
-        write(f"{u} {v}\n")
+    out.write(f"{g.order} {g.size}\n")
+    _write_sliced(out.write, "%s %s\n", g.edges)
     return out.getvalue()
 
 
@@ -207,20 +217,32 @@ def to_dot(
     """Render as Graphviz DOT, one node per vertex.
 
     labels gives each vertex's label in vertex order (default: the id);
-    it is consumed once and must cover exactly the vertices.  Lines are
-    written to one buffer as they are made, so no line outlives its write.
+    it is consumed once and must cover exactly the vertices (ValueError
+    otherwise).  Without colors, node and edge lines are written a slice
+    at a time, as in format_edge_list; with colors, one line at a time.
     """
-    if labels is None:
-        labels = map(str, g.vertices)
+    nodes = zip(g.vertices, g.vertices if labels is None else labels, strict=True)
     out = io.StringIO()
     write = out.write
     write(f"graph {graph_name} {{\n")
-    for v, text in zip(g.vertices, labels, strict=True):
-        attrs = f'label="{text}"'
-        if colors and v in colors:
-            attrs += f', style=filled, fillcolor="{colors[v]}"'
-        write(f"  {v} [{attrs}];\n")
-    for u, v in g.edges:
-        write(f"  {u} -- {v};\n")
+    if colors:
+        for v, text in nodes:
+            attrs = f'label="{text}"'
+            if v in colors:
+                attrs += f', style=filled, fillcolor="{colors[v]}"'
+            write(f"  {v} [{attrs}];\n")
+    else:
+        _write_sliced(write, '  %s [label="%s"];\n', nodes)
+    _write_sliced(write, "  %s -- %s;\n", g.edges)
     write("}\n")
     return out.getvalue()
+
+
+_SLICE = 1024
+
+
+def _write_sliced(write, line: str, pairs: Iterable[tuple]) -> None:
+    """Write line % pair for every pair, _SLICE pairs per write."""
+    pairs = iter(pairs)
+    while part := list(islice(pairs, _SLICE)):
+        write(line * len(part) % tuple(chain.from_iterable(part)))

@@ -15,6 +15,8 @@ from .errors import ContractError
 from .graphs import Graph
 from .sierpinski import SierpinskiGraph, prefix_vertices, word_of
 
+_LABELS = frozenset((0, 1, 2))
+
 
 @dataclass(frozen=True)
 class RomanFunction:
@@ -25,7 +27,11 @@ class RomanFunction:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("labeling must cover at least one vertex")
-        if any(x not in (0, 1, 2) for x in self.labels):
+        try:
+            known = _LABELS.issuperset(self.labels)
+        except TypeError:  # an unhashable label is no label either
+            known = False
+        if not known:
             raise ValueError("labels must be 0, 1 or 2")
 
     @classmethod

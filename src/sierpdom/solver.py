@@ -43,7 +43,9 @@ the search trees.
 
 The searches read the graph through its closed masks alone: the degree
 levels and the greedy's gain counts are mask bit counts, so a solve
-never builds the graph's neighbor tuples.
+never builds the graph's neighbor tuples.  The masks take at least
+n**2/16 bytes, so both searches refuse an order above MAX_SOLVE_ORDER
+before building them.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ from typing import Optional, Union
 from .errors import BudgetError, SolveTimeout
 from .graphs import Graph, is_dominating_set
 from .roman import RomanFunction, is_roman_dominating
-from .sierpinski import DEFAULT_VERTEX_BUDGET
+
+# every closed mask holds its own vertex's bit, so the masks of order n take at least
+# n**2/16 bytes: 256 MiB at this order
+MAX_SOLVE_ORDER = 65_536
 
 _bit_count = int.bit_count
 # byte i of a reversed binary string is vertex i's bit; this makes it 1 for
@@ -214,8 +219,9 @@ def _greedy_cover(g: Graph, deadline: _Deadline) -> list[int]:
 
 
 def _check_order(g: Graph) -> None:
-    if g.order > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(f"graph order {g.order} exceeds the solve budget")
+    """Refuse an order above MAX_SOLVE_ORDER before any mask is built."""
+    if g.order > MAX_SOLVE_ORDER:
+        raise BudgetError(f"graph order {g.order} exceeds the solve budget of {MAX_SOLVE_ORDER}")
 
 
 def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:

@@ -381,6 +381,8 @@ CONSTRUCTION_SHA256 = {
     ("P5", 4): "7291e4663782ba1f9f71f639a6959eca174c573f97e6abb944a4471070ddcd66",
     "cycle(6,2)": "4c2efa937bc2226701e9f3d3a44429ee4f602c1f27ec70a03400be925e6973ef",
     "complete(3,4)": "e19188d105ec965067c5670d17f22a3a31b32932139ea08c23997b146922abb4",
+    "complete(3,6)": "1f1961f58341fcde4d95805b08ec8572b6cc71a27a24f60b2122a7870f58bd88",
+    "complete(4,6)": "57ba047e9288f695c5cf6bde96dfd555461f4747cf94a8a202f70ff5e30118ee",
 }
 
 
@@ -404,5 +406,7 @@ def test_construction_reports_are_pinned():
             rep = theorem_upper_bound_construction(f or cert.witness, base, t, cert)
             got[name, t] = _sha(rep)
     got["cycle(6,2)"] = _sha(cycle_construction(6, 2))
-    got["complete(3,4)"] = _sha(complete_graph_construction(3, 4))
+    # depth 4 runs the letter swap on two-letter words only, depth 6 on four-letter ones too
+    for n, t in ((3, 4), (3, 6), (4, 6)):
+        got[f"complete({n},{t})"] = _sha(complete_graph_construction(n, t))
     assert got == CONSTRUCTION_SHA256

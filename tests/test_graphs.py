@@ -1,5 +1,7 @@
 """Graph core: construction, queries, predicates, serialization."""
 
+import io
+import random
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from sierpdom import (
     is_spanning_subgraph,
     parse_edge_list,
     path_graph,
+    star_graph,
     to_dot,
 )
 from oracles import shortest_path_by_enumeration
@@ -48,19 +51,29 @@ def test_construction_rejects_bad_input():
         Graph(3, [(1, 1)])
 
 
-@pytest.mark.parametrize(
-    "edges,message",
-    [
-        ([(0, 1), (5, 0), (1, 1)], "edge (5, 0) out of range for order 3"),
-        ([(0, 1), (1, 1), (5, 0)], "self-loop at vertex 1 not allowed"),
-        ([(1, 2), (2, -1), (0, 1)], "edge (2, -1) out of range for order 3"),
-        ([(0, 2), (3, 3)], "edge (3, 3) out of range for order 3"),
-        ([(2, 0), (0, 2), (2, 2), (0, 3)], "self-loop at vertex 2 not allowed"),
-    ],
-)
+BAD_EDGE_CASES = [
+    ([(0, 1), (5, 0), (1, 1)], "edge (5, 0) out of range for order 3"),
+    ([(0, 1), (1, 1), (5, 0)], "self-loop at vertex 1 not allowed"),
+    ([(1, 2), (2, -1), (0, 1)], "edge (2, -1) out of range for order 3"),
+    ([(0, 2), (3, 3)], "edge (3, 3) out of range for order 3"),
+    ([(2, 0), (0, 2), (2, 2), (0, 3)], "self-loop at vertex 2 not allowed"),
+    ([(0, 1), (1, 2), (-1, 2), (0, 5)], "edge (-1, 2) out of range for order 3"),
+    ([(1, 2), (0, 3), (-1, 0)], "edge (0, 3) out of range for order 3"),
+]
+
+
+@pytest.mark.parametrize("edges,message", BAD_EDGE_CASES)
 def test_construction_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError) as exc:
         Graph(3, edges)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edges,message", BAD_EDGE_CASES)
+def test_construction_names_the_first_bad_edge_of_an_iterator(edges, message):
+    """A one-shot iterator's bad edge is named as given, not as its (min, max) pair."""
+    with pytest.raises(ValueError) as exc:
+        Graph(3, iter(edges))
     assert str(exc.value) == message
 
 
@@ -85,6 +98,68 @@ def test_construction_contract(case):
     same = Graph(n, sorted(canon))
     assert g == same and hash(g) == hash(same) == hash((n, g.edges))
     assert Graph(n, iter(raw)) == g
+
+
+def _reference_edges(n, edges):
+    """The canonical edge tuple, or the ValueError message for the first bad pair."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for order {n}"
+        if u == v:
+            return f"self-loop at vertex {u} not allowed"
+    return tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
+
+
+SHAPES = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda pairs: (p for p in pairs),
+    "lists of lists": lambda pairs: [list(p) for p in pairs],
+}
+
+
+@st.composite
+def edge_inputs(draw, max_n=8):
+    """Pairs in input order: valid edges, all ordered or some reversed, with
+    repeats, then maybe a self-loop or an out-of-range pair put in anywhere."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=2 * len(pairs))) if pairs else []
+    if draw(st.booleans()):
+        chosen = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.integers(-2, n + 1))
+        v = draw(st.one_of(st.just(u), st.integers(-2, n + 1)))
+        chosen.insert(draw(st.integers(0, len(chosen))), (u, v))
+    return n, chosen
+
+
+@given(edge_inputs(), st.sampled_from(sorted(SHAPES)))
+def test_construction_matches_a_sorted_set_reference(case, shape):
+    """Any container shape, reversed pairs, duplicates, self-loops and
+    out-of-range pairs: the same edges as the reference, stored as tuples,
+    or the reference's error for the first bad pair in input order."""
+    n, pairs = case
+    want = _reference_edges(n, pairs)
+    edges = SHAPES[shape](pairs)
+    given_edges = list(edges) if isinstance(edges, list) else None
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == want
+    else:
+        g = Graph(n, edges)
+        assert g.edges == want
+        assert all(type(e) is tuple for e in g.edges)
+    if given_edges is not None:
+        assert edges == given_edges  # the caller's list is never sorted or rewritten
+
+
+@pytest.mark.parametrize("pair", [(0, 1, 2), (1,), (), (2, 1, 0), [0, 1, 2]])
+@pytest.mark.parametrize("before", [[], [(0, 1)], [(1, 0)]])
+def test_construction_rejects_wrong_arity_pairs(pair, before):
+    with pytest.raises(ValueError, match="values to unpack"):
+        Graph(3, [*before, pair])
 
 
 @given(raw_edge_lists(), st.booleans())
@@ -232,6 +307,78 @@ def test_dot_output():
     assert "  0 -- 1;" in dot
     with pytest.raises(ValueError):
         to_dot(g, labels="ab")  # labels must cover every vertex
+
+
+def _edge_list_line_by_line(g):
+    out = io.StringIO()
+    out.write(f"{g.order} {g.size}\n")
+    for u, v in g.edges:
+        out.write(f"{u} {v}\n")
+    return out.getvalue()
+
+
+def _dot_line_by_line(g, graph_name="G", colors=None, labels=None):
+    if labels is None:
+        labels = map(str, g.vertices)
+    out = io.StringIO()
+    out.write(f"graph {graph_name} {{\n")
+    for v, text in zip(g.vertices, labels, strict=True):
+        attrs = f'label="{text}"'
+        if colors and v in colors:
+            attrs += f', style=filled, fillcolor="{colors[v]}"'
+        out.write(f"  {v} [{attrs}];\n")
+    for u, v in g.edges:
+        out.write(f"  {u} -- {v};\n")
+    out.write("}\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "n,m", [(1, 0), (5, 0), (7, 12), (1500, 0), (1500, 3000), (2100, 2100), (3000, 5000)]
+)
+def test_writers_match_a_line_by_line_reference(n, m):
+    """Byte-identical to one write per line, across slice boundaries."""
+    rng = random.Random(n * 7919 + m)
+    g = Graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
+    assert format_edge_list(g) == _edge_list_line_by_line(g)
+    assert to_dot(g) == _dot_line_by_line(g)
+    names = [f"v{rng.randrange(100)}" for _ in range(n)]
+    assert to_dot(g, "H", labels=iter(names)) == _dot_line_by_line(g, "H", labels=names)
+    colors = {v: rng.choice(["red", "blue"]) for v in rng.sample(range(n), n // 3)}
+    assert to_dot(g, colors=colors, labels=names) == _dot_line_by_line(g, colors=colors, labels=names)
+    assert to_dot(g, colors={}) == _dot_line_by_line(g)
+
+
+@pytest.mark.parametrize("base", [path_graph(11), star_graph(12)])
+def test_dot_word_labels_on_large_bases_match_the_reference(base):
+    """Bases of more than 10 vertices join a word's letters with '-'."""
+    s = build(base, 3)
+    want = _dot_line_by_line(s.graph, labels=s.word_labels())
+    assert "-" in want
+    assert to_dot(s.graph, labels=s.word_labels()) == want
+
+
+@pytest.mark.parametrize("count", [0, 1, 1499, 1501, 2048, 2049])
+@pytest.mark.parametrize("colors", [None, {0: "red"}])
+def test_dot_rejects_a_label_count_that_does_not_match(count, colors):
+    g = Graph(1500, [(0, 1)])
+    with pytest.raises(ValueError):
+        to_dot(g, colors=colors, labels=map(str, range(count)))
+
+
+@pytest.mark.parametrize(
+    "write", [format_edge_list, to_dot, lambda g: to_dot(g, labels=map(str, g.vertices))]
+)
+def test_writer_peak_memory_stays_near_the_text(write):
+    """Each writer's traced peak on S(K6,5) stays below 3x the text it returns."""
+    g = build(complete_graph(6), 5).graph
+    tracemalloc.start()
+    try:
+        text = write(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
 
 
 def test_equality_is_on_order_and_edges():

@@ -45,6 +45,19 @@ def test_label_validation():
         RomanFunction((0, 3))
 
 
+@pytest.mark.parametrize(
+    "labels", [(0, 3), (-1,), (2, None), ("1",), (1, [2]), ([0],), (0, {1: 2}), (1, {2}), (0.5,)]
+)
+def test_label_validation_raises_value_error(labels):
+    """Unhashable labels are rejected like any other non-label."""
+    with pytest.raises(ValueError, match="labels must be 0, 1 or 2"):
+        RomanFunction(labels)
+
+
+def test_label_validation_accepts_equal_numbers():
+    assert RomanFunction((0, 1.0, True, 2)).weight == 4
+
+
 def test_is_roman_dominating_basics():
     p4 = path_graph(4)
     assert is_roman_dominating(RomanFunction((0, 2, 0, 1)), p4)

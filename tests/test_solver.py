@@ -33,6 +33,7 @@ from sierpdom import (
 )
 from sierpdom.solver import (
     _Deadline,
+    _check_order,
     _dominators_short,
     _gains_short,
     _lex_min_two_set,
@@ -169,6 +170,19 @@ def test_solver_budget():
         gamma_exact(big)
     with pytest.raises(BudgetError):
         gamma_r_exact(big)
+
+
+def test_solver_refuses_orders_whose_masks_outgrow_memory():
+    """Closed masks take at least n**2/16 bytes, so the solver refuses an
+    order above 65,536 (256 MiB of masks) before building any."""
+    g = path_graph(65_537)
+    with pytest.raises(BudgetError):
+        _check_order(g)  # raises on its own, so a missing guard fails here, not in a solve
+    _check_order(path_graph(65_536))
+    for solve in (gamma_exact, gamma_r_exact):
+        with pytest.raises(BudgetError):
+            solve(g)
+    assert g._closed_mask is None
 
 
 def test_timeout_raises():

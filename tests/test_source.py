@@ -1,9 +1,11 @@
 """Source hygiene: every name a package module imports is used in it, the
-package reads no environment variable (its settings are CLI flags), and it
-has no assert statement (a certifying check is an explicit raise, which
-python -O keeps)."""
+package imports only the standard library and itself, reads no
+environment variable (its settings are CLI flags), and has no assert
+statement (a certifying check is an explicit raise, which python -O
+keeps)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,33 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported from outside the standard library and the package."""
+    tree = ast.parse(source)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted(
+        name
+        for name in names
+        if name.partition(".")[0] not in sys.stdlib_module_names | {PACKAGE.name}
+    )
+
+
+def test_checker_finds_a_foreign_import():
+    source = "import os.path\nimport numpy as np\nfrom networkx import Graph\nfrom . import graphs\n"
+    source += "from sierpdom.graphs import Graph\nfrom __future__ import annotations\n"
+    assert _foreign_imports(source) == ["networkx", "numpy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_standard_library_only(path):
+    assert _foreign_imports(path.read_text()) == []
 
 
 def _environment_reads(source: str) -> list[str]:
