@@ -10,12 +10,23 @@ valid false.  The general-base construction lifts an optimal base
 labeling onto the two-letter words and sheds weight there in four
 rewrite steps; the path and cycle constructions place labels by
 two-letter patterns, the complete-base one labels whole words.
+
+The complete-base construction rests on the 1-perfect codes of S(K_n, t),
+which a letter rule writes down.  The words under one prefix form a block
+in state E (every extreme vertex in the code), O(x) (extreme x in the
+code), D(x) (extreme x dominated from outside the block) or F (every
+extreme dominated from outside).  Letter a moves E to O(a), O(x) to E if
+a = x else D(x), D(x) to F if a = x else O(x), and F to D(a).  Even depth
+starts in E, odd depth in O(0), and the code is the words ending in E: the
+even-depth code is unique and at odd depth there is one per extreme
+vertex (Klavzar, Milutinovic and Petr, Bull. Austral. Math. Soc. 66, 2002).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 from .errors import ContractError
@@ -35,7 +46,7 @@ from .sierpinski import (
     id_of,
     suffix_labels,
 )
-from .solver import Certificate, _picks, gamma_exact, gamma_r_exact
+from .solver import Certificate, gamma_exact, gamma_r_exact
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,15 @@ def _certified(s: SierpinskiGraph, table, predicted: int, steps, **fields) -> Co
     )
 
 
+def _twos_per_closed_neighborhood(labels, g: Graph) -> list[int]:
+    """How many 2s each vertex's closed neighborhood holds, in one pass over the edges."""
+    seen = [x == 2 for x in labels]
+    for u, v in g.edges:
+        seen[u] += labels[v] == 2
+        seen[v] += labels[u] == 2
+    return seen
+
+
 def _pair_table(n: int, twos, ones) -> list[int]:
     """Labels of the two-letter words: 2 on the pairs in twos, 1 on those in ones."""
     table = [0] * (n * n)
@@ -323,12 +343,8 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
         steps = ("packing-blocks", "shift-ones")
     rep = _certified(s, _pair_table(n, pair_twos, pair_ones), bracket.exact, steps)
     if n % 3 == 1:
-        labels = rep.function.labels
         # 2s in each closed neighborhood: more than one breaks the packing, none the cover
-        twos_seen = [x == 2 for x in labels]
-        for u, v in s.graph.edges:
-            twos_seen[u] += labels[v] == 2
-            twos_seen[v] += labels[u] == 2
+        twos_seen = _twos_per_closed_neighborhood(rep.function.labels, s.graph)
         if max(twos_seen) > 1:
             raise AssertionError("2-set is not a 2-packing")
         if min(twos_seen) == 0:
@@ -336,87 +352,70 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
     return rep
 
 
-def _exact_cover_code(g: Graph, seeds: tuple[int, ...]) -> Optional[frozenset[int]]:
-    """Backtracking exact cover of V by closed neighborhoods, seeded."""
-    closed = g.closed_masks
-    full = (1 << g.order) - 1
-    dominated, chosen = 0, None
-    for v in seeds:
-        if closed[v] & dominated:
-            return None
-        dominated |= closed[v]
-        chosen = (chosen, v)
-    stack = [(dominated, chosen)]
-    while stack:
-        dominated, chosen = stack.pop()
-        if dominated == full:
-            return frozenset(_picks(chosen))
-        rest = full & ~dominated
-        v = (rest & -rest).bit_length() - 1
-        for u in sorted(g.neighbors(v) + (v,), reverse=True):
-            if not closed[u] & dominated:
-                stack.append((dominated | closed[u], (chosen, u)))
-    return None
+def _code_labels(n: int, t: int) -> list[int]:
+    """2 on the words the letter rule puts in the code of S(K_n, t), 0 elsewhere."""
+    # state numbers: 0 is E, 1 is F, 2 + x is O(x), 2 + n + x is D(x)
+    moves = [[2 + a for a in range(n)], [2 + n + a for a in range(n)]]
+    moves += [[0 if a == x else 2 + n + x for a in range(n)] for x in range(n)]
+    moves += [[1 if a == x else 2 + x for a in range(n)] for x in range(n)]
+    states = [2 if t % 2 else 0]
+    for _ in range(t):
+        states = list(chain.from_iterable(map(moves.__getitem__, states)))
+    return [2 if state == 0 else 0 for state in states]
 
 
 def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> frozenset[int]:
-    """A 1-perfect code of S(K_n, t): closed neighborhoods partition V.
-
-    For even depth the code is seeded with all n extreme vertices, for
-    odd depth with the all-zero word only; sizes follow the domination
-    formula and the seeding is checked against the result.
+    """The 1-perfect code of S(K_n, t) through every extreme vertex at even
+    depth, through 0..0 alone at odd depth (unique: Klavzar et al.), read
+    off the letter rule (E -> O(a); O(x) -> E or D(x) and D(x) -> F or
+    O(x), as a = x or not; F -> D(a); E at even depth, O(0) at odd; the
+    code ends in E) and certified on the built S(K_n, t): one code word in
+    every closed neighborhood, the domination formula's size, and those
+    extreme vertices.
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
-    return _perfect_code(build(complete_graph(n), t, max_vertices))
-
-
-def _perfect_code(s: SierpinskiGraph) -> frozenset[int]:
-    """perfect_code_knt on an already built S(K_n, t)."""
-    n, t = s.base.order, s.depth
-    ext = extreme_vertices(s)
-    seeds = ext if t % 2 == 0 else (ext[0],)
-    code = _exact_cover_code(s.graph, seeds)
-    if code is None:
-        raise AssertionError(f"no perfect code found in S(K{n},{t}) with the required seeds")
+    s = build(complete_graph(n), t, max_vertices)
+    labels = _code_labels(n, t)
+    if set(_twos_per_closed_neighborhood(labels, s.graph)) != {1}:
+        raise AssertionError(f"letter-rule code of S(K{n},{t}) is not a perfect code")
+    code = frozenset(v for v, x in enumerate(labels) if x)
     if len(code) != gamma_knt(n, t):
         raise AssertionError("perfect code size disagrees with the domination formula")
-    inside = sum(1 for v in ext if v in code)
-    if t % 2 == 0 and inside != n:
-        raise AssertionError("even-depth code must contain every extreme vertex")
-    if t % 2 == 1 and inside != 1:
-        raise AssertionError("odd-depth code must contain exactly one extreme vertex")
+    ext = extreme_vertices(s)
+    if tuple(v for v in ext if v in code) != (ext if t % 2 == 0 else ext[:1]):
+        raise AssertionError("code must hold every extreme vertex at even depth, only 0..0 at odd")
     return code
 
 
 def complete_graph_construction(n: int, t: int, max_vertices: Optional[int] = None) -> ConstructionReport:
     """Labeling of S(K_n, t) meeting the complete-base upper bound.
 
-    Odd depth: 2s on a perfect code.  Even depth: a doubling scheme;
-    depth 2 puts 1 on the word 00 and 2 on every i0, and each further
-    even depth extends by prefix shape: 00+w keeps the old labels, 0i+w
-    applies them through the letter swap 0<->i (zeroing the word 0ii..i),
-    i0+w puts 2 exactly on the previous even depth's perfect code, and
-    ij+w keeps the old labels with the word ij0..0 zeroed.  The weight
-    identity is asserted at every doubling.
+    Odd depth: 2s on the perfect code through 0..0.  Even depth: a
+    doubling scheme; depth 2 puts 1 on the word 00 and 2 on every i0, and
+    each further even depth extends by prefix shape: 00+w keeps the old
+    labels, 0i+w applies them through the letter swap 0<->i (zeroing the
+    word 0ii..i), i0+w puts 2 exactly on the previous even depth's perfect
+    code, and ij+w keeps the old labels with the word ij0..0 zeroed.  Each
+    code comes off the letter rule (E -> O(a); O(x) -> E or D(x) and D(x)
+    -> F or O(x), as a = x or not; F -> D(a); unique by Klavzar et al.), so
+    S(K_n, t) is built once.  The weight identity is asserted at every
+    doubling.
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
     s = build(complete_graph(n), t, max_vertices)
     if t % 2 == 1:
-        labels = RomanFunction.from_sets(s.order, twos=_perfect_code(s)).labels
+        labels = _code_labels(n, t)
         steps = ["code-doubling"]
     else:
-        labels = [0] * (n * n)
-        labels[0] = 1
-        for i in range(1, n):
-            labels[id_of((i, 0), n)] = 2
+        labels = _pair_table(n, [(i, 0) for i in range(1, n)], [(0, 0)])
         level = 2
         steps = ["depth-2-base"]
         while level < t:
             prev = labels
             block = len(prev)
-            code = perfect_code_knt(n, level, max_vertices)
+            code = _code_labels(n, level)
             labels = [0] * (n * n * block)
             labels[:block] = prev
             for i in range(1, n):
@@ -431,8 +430,7 @@ def complete_graph_construction(n: int, t: int, max_vertices: Optional[int] = No
                 labels[off + id_of((i,) * level, n)] = 0
             for i in range(1, n):
                 off = id_of((i, 0), n) * block
-                for w in code:
-                    labels[off + w] = 2
+                labels[off : off + block] = code
             for i in range(1, n):
                 for j in range(1, n):
                     off = id_of((i, j), n) * block

@@ -104,3 +104,24 @@ def is_rdf_by_definition(g: Graph, labels) -> bool:
         if x == 0 and not any(labels[u] == 2 for u in g.neighbors(v)):
             return False
     return True
+
+
+def perfect_codes_enumerated(g: Graph) -> list[frozenset[int]]:
+    """Every 1-perfect code (closed neighborhoods partitioning V), by an exact
+    cover that always covers the lowest uncovered vertex, so each code is
+    listed once."""
+    full = (1 << g.order) - 1
+    codes = []
+
+    def extend(covered, chosen):
+        if covered == full:
+            codes.append(frozenset(chosen))
+            return
+        rest = full & ~covered
+        v = (rest & -rest).bit_length() - 1
+        for u in range(g.order):
+            if g.closed_masks[v] >> u & 1 and not g.closed_masks[u] & covered:
+                extend(covered | g.closed_masks[u], chosen + [u])
+
+    extend(0, [])
+    return codes

@@ -173,7 +173,8 @@ def test_construct_theorem_needs_matching_weight(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "family,n,t", [("path", 5, 3), ("cycle", 4, 3), ("cycle", 6, 3), ("complete", 3, 4)]
+    "family,n,t",
+    [("path", 5, 3), ("cycle", 4, 3), ("cycle", 6, 3), ("complete", 3, 4), ("complete", 3, 3)],
 )
 def test_construct_builds_its_graph_once(capsys, monkeypatch, tmp_path, family, n, t):
     """--dot and --words reuse the S(G, t) the construction validated."""
@@ -192,6 +193,8 @@ def test_construct_builds_its_graph_once(capsys, monkeypatch, tmp_path, family, 
     )
     assert code == 0
     assert depths.count(t) == 1
+    if family == "complete":  # every perfect code comes off the letter rule, not a smaller graph
+        assert depths == [t]
     assert len(json.loads(out)["function"]["labels_by_word"]) == n**t
     assert dot.read_text().startswith("graph S {")
 

@@ -18,6 +18,7 @@ from sierpdom import (
     complete_graph_construction,
     cycle_construction,
     cycle_graph,
+    extreme_vertices,
     gamma_knt,
     gamma_r_exact,
     gamma_r_knt_upper,
@@ -32,6 +33,7 @@ from sierpdom import (
     star_graph,
     theorem_upper_bound_construction,
 )
+from oracles import perfect_codes_enumerated
 
 
 def k33():
@@ -284,6 +286,25 @@ def test_perfect_code_is_an_exact_cover(n, t):
     assert seen == (1 << s.order) - 1
 
 
+@pytest.mark.parametrize(
+    "n,t", [(n, t) for n in range(2, 7) for t in range(1, 9) if n**t <= 256]
+)
+def test_perfect_code_is_the_one_through_the_extreme_vertices(n, t):
+    """An exact cover lists every perfect code: one at even depth, n at odd
+    depth, and the letter rule's is the one through every extreme vertex
+    (through 0..0 at odd depth)."""
+    s = build(complete_graph(n), t)
+    codes = perfect_codes_enumerated(s.graph)
+    assert len(codes) == (1 if t % 2 == 0 else n)
+    anchors = set(extreme_vertices(s)) if t % 2 == 0 else {0}
+    assert [c for c in codes if anchors <= c] == [perfect_code_knt(n, t)]
+
+
+def test_perfect_code_memory_is_linear():
+    """Nine times the vertices may cost at most fifteen times the peak memory."""
+    assert _peak_bytes(perfect_code_knt, 3, 9) <= 15 * _peak_bytes(perfect_code_knt, 3, 7)
+
+
 def test_perfect_code_guards():
     with pytest.raises(ValueError):
         perfect_code_knt(1, 2)
@@ -316,7 +337,7 @@ def test_complete_construction_doubled_depth():
 
 
 def test_complete_construction_beyond_the_recursion_limit():
-    # the perfect-code search behind depth 9 runs thousands of levels deep
+    # depth 9 is 19,683 vertices, far more than the default recursion limit
     rep = complete_graph_construction(3, 9)
     assert rep.valid
     assert rep.actual_weight == gamma_r_knt_upper(3, 9) == 9842

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, the
-package imports only the standard library and itself, reads no
+package imports only the standard library and itself, takes no private
+(_-prefixed) name from another of its modules, reads no
 environment variable (its settings are CLI flags), and has no assert
 statement (a certifying check is an explicit raise, which python -O
 keeps)."""
@@ -60,6 +61,29 @@ def test_checker_finds_a_foreign_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_are_standard_library_only(path):
     assert _foreign_imports(path.read_text()) == []
+
+
+def _private_imports(source: str) -> list[str]:
+    """_-prefixed names imported from a package module."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == PACKAGE.name)
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_checker_finds_a_private_import():
+    source = "from .solver import Certificate, _picks\nfrom sierpdom.graphs import _mask\n"
+    source += "from os import _exit\nfrom . import roman\nfrom __future__ import annotations\n"
+    assert _private_imports(source) == ["_mask", "_picks"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert _private_imports(path.read_text()) == []
 
 
 def _environment_reads(source: str) -> list[str]:
