@@ -32,20 +32,27 @@ are the same as without them; only `Certificate.nodes` shrinks.
 
 Bounds are evaluated as decisions.  Each prune asks whether a bound
 reaches the gap to the incumbent (or the cover still missing) and stops
-as soon as the answer is known: phase 1 returns once the remaining
-prefix sums can no longer go below the gap, and the witness phase tries
-"left times the largest closed neighborhood from i on" before it scans
-the actual gains.  Cover counts are computed by C-level maps over the
-closed masks, so a node still scans all n masks, only not in Python.  A
-change to how a bound is evaluated may make a node cheaper but must
-never alter a prune: node counts, witnesses and CLI output are pinned to
-the search trees.
+as soon as the answer is known.  A change to how a bound is evaluated
+may make a node cheaper but must never alter a prune: node counts,
+witnesses and CLI output are pinned to the search trees.
 
-The searches read the graph through its closed masks alone: the degree
-levels and the greedy's gain counts are mask bit counts, so a solve
-never builds the graph's neighbor tuples.  The masks take at least
-n**2/16 bytes, so both searches refuse an order above MAX_SOLVE_ORDER
-before building them.
+Every node carries cover counts: |N[u] & undom| for each vertex u it
+may still pick (in the witness phase, the vertices still uncovered
+stand for undom), plus a histogram of those counts.  A child copies its
+parent's two lists at C level and updates only the closed neighborhoods
+of what it changes: the vertices it newly dominates, settles or bars.
+Its cost follows those neighborhoods, not the order of the graph.  A
+count is at most the largest closed neighborhood, so each bound reads
+the histogram from the top in O(Δ) steps; phase 1's best excess over
+2 per pick is the sum of c - 2 over the top covers above 2.  A node
+makes its counts from its parent's only once the tests that need none
+(a leaf, the weight, the witness phase's reach and size tests) have
+kept it.
+
+A solve builds each closed neighborhood once, as a bitmask and as a
+list of ascending ids, and shares them with both phases and every k of
+the witness phase.  The masks take at least n**2/16 bytes, so both
+searches refuse an order above MAX_SOLVE_ORDER before building them.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice, repeat
-from operator import and_, sub
+from itertools import accumulate
+from operator import or_
 from typing import Optional, Union
 
 from .errors import BudgetError, SolveTimeout
@@ -64,11 +71,6 @@ from .roman import RomanFunction, is_roman_dominating
 # every closed mask holds its own vertex's bit, so the masks of order n take at least
 # n**2/16 bytes: 256 MiB at this order
 MAX_SOLVE_ORDER = 65_536
-
-_bit_count = int.bit_count
-# byte i of a reversed binary string is vertex i's bit; this makes it 1 for
-# a vertex outside the mask and 0 for one inside
-_OUTSIDE = bytes.maketrans(b"01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -120,101 +122,145 @@ def _picks(link):
         yield u
 
 
-def _degree_levels(g: Graph) -> list[int]:
-    """One mask per vertex degree, highest degree first."""
-    levels: dict[int, int] = {}
-    for v, m in enumerate(g.closed_masks):
-        d = m.bit_count()  # the degree plus one, which keeps the order of degrees
-        levels[d] = levels.get(d, 0) | 1 << v
-    return [levels[d] for d in sorted(levels, reverse=True)]
+class _Closed:
+    """A graph's closed neighborhoods, built once per solve and read by every search.
+
+    masks and ids hold N[v] as a bitmask and as a list of ascending ids.  counts
+    and hist are the root's cover counts |N[v]| and their histogram (see
+    _descend), top is one more than the largest count, and levels holds one
+    mask per vertex degree, highest degree first."""
+
+    __slots__ = ("masks", "ids", "top", "counts", "hist", "levels")
+
+    def __init__(self, g: Graph):
+        ids = [[v] for v in g.vertices]
+        for u, v in g.edges:
+            ids[u].append(v)
+            ids[v].append(u)
+        for nb in ids:
+            nb.sort()
+        self.masks = g.closed_masks
+        self.ids = ids
+        sizes = list(map(len, ids))
+        self.top = top = max(sizes) + 1
+        # a count stays below 2 * top, barred or not, so a byte holds it while 2 * top <= 256
+        self.counts = bytearray(sizes) if top <= 128 else sizes
+        hist = [0] * (2 * top)
+        levels: dict[int, int] = {}
+        for v, c in enumerate(sizes):
+            hist[c] += 1
+            levels[c] = levels.get(c, 0) | 1 << v
+        self.hist = hist
+        self.levels = [levels[c] for c in sorted(levels, reverse=True)]
 
 
-def _branch(closed, levels, undom: int, excluded: int) -> tuple[int, list[tuple[int, int]]]:
-    """The max-degree undominated v (lowest id on ties) and its candidates in
-    N[v], best gain first, each with the exclusions of the siblings before it."""
+def _descend(nb, top: int, counts, hist: list[int], undom: int, taken, barred):
+    """The counts and histogram of a child node, from its parent's.
+
+    counts[u] is |N[u] & undom| for every u the node may still pick, and
+    hist[c] how many vertices have count c.  A barred vertex keeps its count
+    plus top, so it leaves hist[:top], the only buckets the bounds read, and
+    no later decrement brings it back below top, as a vertex loses at most
+    its count.  The child bars the vertices in barred, then takes the vertex
+    taken (None for none): each vertex of N[taken] & undom, undom being the
+    parent's, leaves the closed neighborhood of every vertex next to it.
+    Both lists are copied, so the parent's stay as they were."""
+    counts = counts[:]
+    hist = hist[:]
+    for x in barred:
+        c = counts[x]
+        if c < top:
+            counts[x] = c + top
+            hist[c] -= 1
+            hist[c + top] += 1
+    if taken is not None:
+        for w in nb[taken]:
+            if undom >> w & 1:
+                for x in nb[w]:
+                    c = counts[x]
+                    counts[x] = c - 1
+                    hist[c] -= 1
+                    hist[c - 1] += 1
+    return counts, hist
+
+
+def _branch(levels, nb, counts, top: int, undom: int) -> tuple[int, list[int]]:
+    """The max-degree undominated v (lowest id on ties) and the unbarred
+    vertices of N[v], best cover first (lowest id on ties)."""
     for level in levels:
         hit = level & undom
         if hit:
             v = (hit & -hit).bit_length() - 1
             break
-    cands = []
-    for u in sorted(
-        _bits(closed[v] & ~excluded),
-        key=lambda u: (-(closed[u] & undom).bit_count(), u),
-    ):
-        cands.append((u, excluded))
-        excluded |= 1 << u
-    return v, cands
+    # N[v] ascends, and a reversed sort keeps equal keys in their order
+    cands = [u for u in nb[v] if counts[u] < top]
+    return v, sorted(cands, key=counts.__getitem__, reverse=True)
 
 
-def _covers(closed, width: str, undom: int, excluded: int) -> list[int]:
-    """|N[u] & undom| for every u outside excluded, largest first.
-
-    width is f"0{n}b".  Zeros are kept: they never change a bound."""
-    allowed = format(excluded, width)[::-1].encode().translate(_OUTSIDE)
-    return sorted(
-        map(_bit_count, map(and_, compress(closed, allowed), repeat(undom))), reverse=True
-    )
-
-
-def _dominators_short(closed, width: str, undom: int, excluded: int, gap: int) -> bool:
-    """Whether fewer than gap vertices outside excluded cannot dominate undom."""
-    if gap <= 1:
-        return True
-    return sum(_covers(closed, width, undom, excluded)[: gap - 1]) < undom.bit_count()
+def _top_sum_below(hist: list[int], top: int, k: int, need: int) -> bool:
+    """Whether the k largest counts in hist[:top] sum below need."""
+    for c in range(top - 1, 0, -1):
+        h = hist[c]
+        if h >= k:
+            return k * c < need
+        need -= h * c
+        if need <= 0:
+            return False
+        k -= h
+    return True
 
 
-def _roman_bound_reaches(closed, width: str, undom: int, excluded: int, gap: int) -> bool:
+def _dominators_short(hist: list[int], top: int, ucount: int, gap: int) -> bool:
+    """Whether fewer than gap unbarred vertices cannot dominate ucount vertices."""
+    return gap <= 1 or _top_sum_below(hist, top, gap - 1, ucount)
+
+
+def _roman_bound_reaches(hist: list[int], top: int, ucount: int, gap: int) -> bool:
     """Whether phase 1's lower bound on the weight still to add is at least gap.
 
-    The bound is the least of |undom| (label 1 everywhere) and, for each k,
-    2k plus what the k best covers outside excluded leave of undom.  Only a
-    k with 2k < gap can go below gap, and it does when the cover of the k
-    best, less 2k, exceeds |undom| - gap.
+    The bound is the least of ucount = |undom| (label 1 everywhere) and, for
+    each k, 2k plus what the k best covers leave of undom.  Only a k with
+    2k < gap can go below gap, and it does when the cover of the k best,
+    less 2k, exceeds ucount - gap.  Over k <= picks that excess is largest
+    at the sum of c - 2 over the top min(picks, #{c > 2}) covers.
     """
-    slack = undom.bit_count() - gap
+    slack = ucount - gap
     if slack < 0:
         return False
     picks = (gap - 1) // 2
     if picks <= 0:
         return True
-    best = _covers(closed, width, undom, excluded)[:picks]
-    return max(map(sub, accumulate(best), range(2, 2 * picks + 1, 2)), default=0) <= slack
+    for c in range(top - 1, 2, -1):
+        h = hist[c]
+        if h >= picks:
+            return picks * (c - 2) <= slack
+        slack -= h * (c - 2)
+        if slack < 0:
+            return False
+        picks -= h
+    return True
 
 
-def _gains_short(closed, most, i: int, left: int, covered: int, target_cover: int) -> bool:
-    """Whether left more picks from i on cannot cover target_cover vertices.
-
-    most[i] is the largest closed neighborhood from i on; when left of those
-    fall short, the scan of the actual gains is skipped."""
-    have = covered.bit_count()
-    if have + left * most[i] < target_cover:
-        return True
-    gains = sorted(
-        map(_bit_count, map(and_, islice(closed, i, None), repeat(~covered))), reverse=True
-    )
-    return have + sum(gains[:left]) < target_cover
-
-
-def _greedy_cover(g: Graph, deadline: _Deadline) -> list[int]:
+def _greedy_cover(nb, deadline: _Deadline) -> list[int]:
     """Deterministic greedy dominating set, used as the initial incumbent.
 
     Each pick takes the vertex that dominates the most undominated vertices,
     lowest id on ties.  gains[u] holds that count for u and loses one for
     each newly dominated vertex in N[u]."""
-    closed = g.closed_masks
-    full = (1 << g.order) - 1
-    gains = list(map(_bit_count, closed))
-    dominated = 0
+    gains = list(map(len, nb))
+    undominated = bytearray(b"\x01") * len(nb)
+    left = len(nb)
     chosen = []
-    while dominated != full:
+    while left:
         deadline.tick(0)
         u = gains.index(max(gains))
         chosen.append(u)
-        for w in _bits(closed[u] & ~dominated):
-            for x in _bits(closed[w]):
-                gains[x] -= 1
-        dominated |= closed[u]
+        for w in nb[u]:
+            if undominated[w]:
+                undominated[w] = 0
+                left -= 1
+                for x in nb[w]:
+                    gains[x] -= 1
     return chosen
 
 
@@ -228,91 +274,115 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     """Exact domination number with a minimum dominating set witness."""
     _check_order(g)
     start = time.perf_counter()
-    n = g.order
-    closed = g.closed_masks
-    full = (1 << n) - 1
+    closed = _Closed(g)
+    masks, nb, top, levels = closed.masks, closed.ids, closed.top, closed.levels
+    full = (1 << g.order) - 1
     deadline = _Deadline(time_limit)
-    levels = _degree_levels(g)
-    width = f"0{n}b"
 
-    greedy = _greedy_cover(g, deadline)
+    greedy = _greedy_cover(nb, deadline)
     best_size, best = len(greedy), None
     for u in greedy:
         best = (best, u)
 
-    stack = [(0, None, 0, 0)]  # dominated, chosen, size, excluded
+    # undom, chosen, size, excluded, then what the node derives its counts from:
+    # the parent's counts, hist and undom, and the vertices it bars; it takes
+    # the last vertex chosen
+    stack = [(full, None, 0, 0, closed.counts, closed.hist, full, ())]
     while stack:
-        dominated, chosen, size, excluded = stack.pop()
+        undom, chosen, size, excluded, counts, hist, before, barred = stack.pop()
         deadline.tick()
-        undom = full & ~dominated
         if not undom:
             if size < best_size:
                 best_size, best = size, chosen
             continue
-        if _dominators_short(closed, width, undom, excluded, best_size - size):
+        gap = best_size - size
+        if gap <= 1:  # _dominators_short without the counts
+            continue
+        taken = None if chosen is None else chosen[1]
+        counts, hist = _descend(nb, top, counts, hist, before, taken, barred)
+        if _dominators_short(hist, top, undom.bit_count(), gap):
             continue
         # greedy 2-packing: undominated vertices with pairwise disjoint
         # candidate sets each need a chosen dominator of their own
         packed, claimed = 0, 0
         for w in _bits(undom):
-            cand = closed[w] & ~excluded
+            cand = masks[w] & ~excluded
             if not cand & claimed:
                 packed += 1
+                if packed >= gap:
+                    break
                 claimed |= cand
-        if size + packed >= best_size:
+        if packed >= gap:
             continue
-        for u, ex in reversed(_branch(closed, levels, undom, excluded)[1]):
-            stack.append((dominated | closed[u], (chosen, u), size + 1, ex))
+        cands = _branch(levels, nb, counts, top, undom)[1]
+        children = []
+        for j, u in enumerate(cands):
+            child = (undom & ~masks[u], (chosen, u), size + 1, excluded)
+            children.append((*child, counts, hist, undom, cands[:j]))
+            excluded |= 1 << u
+        stack.extend(reversed(children))
     witness = frozenset(_picks(best))
     if not is_dominating_set(g, witness) or len(witness) != best_size:
         raise AssertionError("domination witness failed its certificate check")
     return Certificate("domination", best_size, witness, deadline.ticks, time.perf_counter() - start)
 
 
-def _roman_value(g: Graph, deadline: _Deadline) -> tuple[int, int]:
+def _roman_value(
+    g: Graph, deadline: _Deadline, closed: Optional[_Closed] = None
+) -> tuple[int, int]:
     """Phase 1: the optimal weight, by branch and bound over 2-sets."""
+    closed = closed or _Closed(g)
+    masks, nb, top, levels = closed.masks, closed.ids, closed.top, closed.levels
     n = g.order
-    closed = g.closed_masks
-    full = (1 << n) - 1
-    levels = _degree_levels(g)
-    width = f"0{n}b"
-    best = min(2 * len(_greedy_cover(g, deadline)), n)
+    best = min(2 * len(_greedy_cover(nb, deadline)), n)
     ticks = deadline.ticks
 
-    stack = [(0, 0, 0, 0)]  # dominated, settled_ones, weight, excluded
+    full = (1 << n) - 1
+    # undom and weight, then what the node derives its counts from: the parent's
+    # counts, hist and undom, the vertex it takes and the vertices it bars
+    stack = [(full, 0, closed.counts, closed.hist, full, None, ())]
     while stack:
-        dominated, settled_ones, weight, excluded = stack.pop()
+        undom, weight, counts, hist, before, taken, barred = stack.pop()
         deadline.tick()
-        undom = full & ~(dominated | settled_ones)
         if not undom:
             if weight < best:
                 best = weight
             continue
-        if _roman_bound_reaches(closed, width, undom, excluded, best - weight):
+        gap = best - weight
+        ucount = undom.bit_count()
+        if ucount >= gap and gap <= 2:  # _roman_bound_reaches without the counts
             continue
-        v, cands = _branch(closed, levels, undom, excluded)
+        counts, hist = _descend(nb, top, counts, hist, before, taken, barred)
+        if _roman_bound_reaches(hist, top, ucount, gap):
+            continue
+        v, cands = _branch(levels, nb, counts, top, undom)
         # settle v with label 1; a cheapest completion never puts a 2 next to it
-        stack.append((dominated, settled_ones | (1 << v), weight + 1, excluded | closed[v]))
-        for u, ex in reversed(cands):
-            stack.append((dominated | closed[u], settled_ones, weight + 2, ex))
+        stack.append((undom & ~(1 << v), weight + 1, counts, hist, undom, None, nb[v]))
+        for j in range(len(cands) - 1, -1, -1):
+            u = cands[j]
+            stack.append((undom & ~masks[u], weight + 2, counts, hist, undom, u, cands[:j]))
     return best, deadline.ticks - ticks
 
 
 def _lex_min_two_set(
-    g: Graph, k: int, target_cover: int, deadline: _Deadline
+    g: Graph, k: int, target_cover: int, deadline: _Deadline, closed: Optional[_Closed] = None
 ) -> tuple[Optional[list[int]], int]:
-    """Lexicographically smallest k-subset covering at least target_cover."""
+    """Lexicographically smallest k-subset covering at least target_cover.
+
+    A node at index i bars every u < i, and its counts are relative to the
+    vertices still uncovered."""
+    closed = closed or _Closed(g)
+    masks, nb, top = closed.masks, closed.ids, closed.top
     n = g.order
-    closed = g.closed_masks
-    reach = [0] * (n + 1)  # reach[i]: all vertices some u >= i can cover
-    most = [0] * (n + 1)  # most[i]: the largest |N[u]| over u >= i
-    for u in range(n - 1, -1, -1):
-        reach[u] = reach[u + 1] | closed[u]
-        most[u] = max(most[u + 1], closed[u].bit_count())
+    # reach[i]: all vertices some u >= i can cover; most[i]: the largest |N[u]| over u >= i
+    reach = list(accumulate(reversed(masks), or_, initial=0))[::-1]
+    most = list(accumulate(map(len, reversed(nb)), max, initial=0))[::-1]
     ticks = deadline.ticks
-    stack = [(0, k, 0, None)]  # i, left, covered, picked
+    # i, left, covered, picked, then the counts, hist and covered of node i - 1:
+    # most nodes are dropped before they read a count, so each makes its own only then
+    stack = [(0, k, 0, None, closed.counts, closed.hist, 0)]
     while stack:
-        i, left, covered, picked = stack.pop()
+        i, left, covered, picked, counts, hist, before = stack.pop()
         deadline.tick()
         if left == 0:
             if covered.bit_count() >= target_cover:
@@ -323,10 +393,17 @@ def _lex_min_two_set(
         # vertices no u >= i can reach must take label 1; more than allowed?
         if (covered | reach[i]).bit_count() < target_cover:
             continue
-        if _gains_short(closed, most, i, left, covered, target_cover):
+        need = target_cover - covered.bit_count()
+        # left picks of the largest closed neighborhood from i on fall short
+        if left * most[i] < need:
             continue
-        stack.append((i + 1, left, covered, picked))
-        stack.append((i + 1, left - 1, covered | closed[i], (picked, i)))
+        if i:  # bar i - 1, and take it if it covered anything
+            taken = i - 1 if covered != before else None
+            counts, hist = _descend(nb, top, counts, hist, ~before, taken, (i - 1,))
+        if _top_sum_below(hist, top, left, need):
+            continue
+        stack.append((i + 1, left, covered, picked, counts, hist, covered))
+        stack.append((i + 1, left - 1, covered | masks[i], (picked, i), counts, hist, covered))
     return None, deadline.ticks - ticks
 
 
@@ -341,12 +418,13 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     start = time.perf_counter()
     deadline = _Deadline(time_limit)
     n = g.order
-    value = _roman_value(g, deadline)[0]
+    closed = _Closed(g)
+    value = _roman_value(g, deadline, closed)[0]
     twos: Optional[list[int]] = None
     for k in range(value // 2, -1, -1):
         if value - 2 * k > n:
             break
-        twos = _lex_min_two_set(g, k, n - (value - 2 * k), deadline)[0]
+        twos = _lex_min_two_set(g, k, n - (value - 2 * k), deadline, closed)[0]
         if twos is not None:
             break
     if twos is None:

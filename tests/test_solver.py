@@ -31,14 +31,17 @@ from sierpdom import (
     roman_graph_bound,
     star_graph,
 )
+from sierpdom import solver
 from sierpdom.solver import (
+    _Closed,
     _Deadline,
     _check_order,
     _dominators_short,
-    _gains_short,
+    _greedy_cover,
     _lex_min_two_set,
     _roman_bound_reaches,
     _roman_value,
+    _top_sum_below,
 )
 from oracles import (
     domination_min_subsets,
@@ -67,6 +70,18 @@ def test_roman_known_values():
     assert gamma_r_exact(complete_graph(4)).value == 2
     assert gamma_r_exact(star_graph(9)).value == 2
     assert gamma_r_exact(Graph(3)).value == 3
+
+
+def test_counts_past_a_byte():
+    # a hub of degree 129 makes counts that a byte cannot hold, so the
+    # searches carry them in a list; a 7-cycle beside it keeps them searching
+    cycle = [(130 + i, 130 + (i + 1) % 7) for i in range(7)]
+    g = Graph(137, [(0, v) for v in range(1, 130)] + cycle)
+    assert not isinstance(_Closed(g).counts, bytearray)
+    labels = gamma_r_exact(g).witness.labels
+    assert labels[:130] == (2,) + (0,) * 129
+    assert labels[130:] == gamma_r_exact(cycle_graph(7)).witness.labels
+    assert gamma_exact(g).value == 1 + gamma_exact(cycle_graph(7)).value
 
 
 def test_certificates_carry_valid_witnesses():
@@ -284,6 +299,7 @@ NODE_COUNTS = [
     (gamma_r_exact, "C", 5, 2, 2_599),
     (gamma_r_exact, "K", 3, 4, 590),
     (gamma_r_exact, "P", 1500, 1, 2_500),  # S(P1500, 1) is the path itself
+    (gamma_r_exact, "P", 3100, 1, 9_300),
     (gamma_exact, "P", 7, 2, 81),
     (gamma_exact, "star", 4, 3, 6),
 ]
@@ -370,13 +386,26 @@ _node_states = st.integers(1, 12).flatmap(
 )
 
 
+def _count_hist(closed, undom, barred):
+    """The searches' histogram of |N[u] & undom|, a barred u shifted up by top, and top."""
+    top = max(m.bit_count() for m in closed) + 1
+    hist = [0] * (2 * top)
+    for u, m in enumerate(closed):
+        hist[(m & undom).bit_count() + (top if barred >> u & 1 else 0)] += 1
+    return hist, top
+
+
 @settings(max_examples=300, deadline=None)
 @given(_node_states)
 def test_roman_prune_decision_matches_lower_bound(state):
     n, seed, extra, undom, excluded, gap = state
     closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
     want = _reference_roman_lower(closed, n, undom, excluded) >= gap
-    assert _roman_bound_reaches(closed, f"0{n}b", undom, excluded, gap) == want
+    hist, top = _count_hist(closed, undom, excluded)
+    ucount = undom.bit_count()
+    assert _roman_bound_reaches(hist, top, ucount, gap) == want
+    if ucount >= gap and gap <= 2:  # the search decides these before it makes the counts
+        assert want
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,9 +414,8 @@ def test_domination_prune_decision_matches_min_picks(state):
     n, seed, extra, undom, excluded, gap = state
     closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
     need = _reference_min_picks(closed, n, undom, excluded)
-    assert _dominators_short(closed, f"0{n}b", undom, excluded, gap) == (
-        need is None or need >= gap
-    )
+    hist, top = _count_hist(closed, undom, excluded)
+    assert _dominators_short(hist, top, undom.bit_count(), gap) == (need is None or need >= gap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -400,7 +428,86 @@ def test_witness_prune_decision_matches_gains_test(state, data):
     target = data.draw(st.integers(0, n + 1))
     most = [max((closed[u].bit_count() for u in range(j, n)), default=0) for j in range(n + 1)]
     want = _reference_gains_short(closed, n, i, left, covered, target)
-    assert _gains_short(closed, most, i, left, covered, target) == want
+    hist, top = _count_hist(closed, ~covered, (1 << i) - 1)  # a node at index i bars every u < i
+    need = target - covered.bit_count()
+    assert (left * most[i] < need or _top_sum_below(hist, top, left, need)) == want
+
+
+def _random_graph(n, seed, p):
+    """A seeded G(n, p) graph; often disconnected."""
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _solve_checking_counts(g):
+    """Solve g with both searches, checking at every node that makes its counts
+    that they are |N[u] & undom| for each u it has not barred, that its
+    histogram counts them, and that its parent's lists stay as they were.
+    Returns how many nodes were checked."""
+    masks = g.closed_masks
+    descend = solver._descend
+    nodes = []
+
+    def checked(nb, top, counts, hist, undom, taken, barred):
+        before = list(counts), list(hist)
+        out, out_hist = descend(nb, top, counts, hist, undom, taken, barred)
+        assert (list(counts), list(hist)) == before
+        after = undom if taken is None else undom & ~masks[taken]
+        for u in g.vertices:
+            if counts[u] < top:
+                assert counts[u] == (masks[u] & undom).bit_count()
+            if counts[u] >= top or u in barred:
+                assert out[u] >= top
+            else:
+                assert out[u] == (masks[u] & after).bit_count()
+        assert out_hist == [list(out).count(c) for c in range(2 * top)]
+        nodes.append(taken)
+        return out, out_hist
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_descend", checked)
+        assert gamma_exact(g).value == domination_min_subsets(g)
+        assert gamma_r_exact(g).value == roman_min_enumerated(g)
+    return len(nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 11), st.integers(0, 10**6), st.sampled_from((0.15, 0.3, 0.5)), st.booleans())
+def test_carried_counts_match_the_masks_at_every_node(n, seed, p, connected):
+    if connected:
+        _solve_checking_counts(random_connected_graph(n, random.Random(seed), p))
+    else:
+        _solve_checking_counts(_random_graph(n, seed, p))
+
+
+def test_count_check_sees_nodes():
+    assert _solve_checking_counts(_sierpinski("C", 3, 2)) > 10
+    assert _solve_checking_counts(Graph(10, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8)])) > 30
+
+
+def _reference_greedy(g):
+    """Each pick from scratch: most undominated vertices in N[u], lowest id on ties."""
+    closed = g.closed_masks
+    undom = (1 << g.order) - 1
+    picks = []
+    while undom:
+        gains = [(m & undom).bit_count() for m in closed]
+        u = gains.index(max(gains))
+        picks.append(u)
+        undom &= ~closed[u]
+    return picks
+
+
+def test_greedy_cover_matches_a_from_scratch_reference():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 5) if rng.random() < 0.5 else rng.randint(6, 40)
+        g = _random_graph(n, rng.randrange(10**6), rng.choice((0.1, 0.3, 0.6)))
+        deadline = _Deadline(None)
+        assert _greedy_cover(_Closed(g).ids, deadline) == _reference_greedy(g)
+        assert deadline.ticks == 0
+    for g in (_sierpinski("C", 6, 2), _sierpinski("K", 4, 3), path_graph(600)):
+        assert _greedy_cover(_Closed(g).ids, _Deadline(None)) == _reference_greedy(g)
 
 
 # sha256 of json.dumps(sorted γ witness) and json.dumps(γ_R labels), recorded

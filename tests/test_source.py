@@ -3,9 +3,11 @@ package imports only the standard library and itself, takes no private
 (_-prefixed) name from another of its modules, reads no
 environment variable (its settings are CLI flags), and has no assert
 statement (a certifying check is an explicit raise, which python -O
-keeps)."""
+keeps).  Every function the benchmark's tracer wraps by name exists."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -118,3 +120,22 @@ def test_checker_finds_an_assert_statement():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert _assert_statements(path.read_text()) == []
+
+
+def _load_tracing():
+    path = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_exist():
+    # the benchmark tracer reports a layer as absent when its function is
+    # gone, so a renamed phase function would silently drop its metrics
+    missing = [
+        f"{mod}.{attr}"
+        for _, mod, attr, _ in _load_tracing().TARGETS
+        if not hasattr(importlib.import_module(f"{PACKAGE.name}.{mod}"), attr)
+    ]
+    assert missing == []
