@@ -7,7 +7,8 @@ then cached: the sorted neighbor tuples that neighbors, degree and
 adjacent read, and the closed-neighborhood bitmasks that the exact
 searches read.  Each is one pass over the edges, and neither is built
 for the other, so a graph that is only built, serialized or validated
-(validation reads the edge list) holds neither.
+(validation reads the edge list) holds neither.  The exact searches
+also take neighbor_lists, the same lists uncached, to make their own.
 
 Construction is a few C-level passes over the edge list.  One pass
 proves every pair ordered (u < v), which also rules out self-loops;
@@ -97,14 +98,18 @@ class Graph:
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, built on first use."""
         if self._adj is None:
-            adj = [[] for _ in range(self._n)]
-            # the edges ascend, so adj[v] receives its smaller neighbors u, from the edges
-            # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
-            for u, v in self._edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = tuple(map(tuple, adj))
+            self._adj = tuple(map(tuple, self.neighbor_lists()))
         return self._adj
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """Sorted neighbor lists, new on every call and not cached."""
+        adj = [[] for _ in range(self._n)]
+        # the edges ascend, so adj[v] receives its smaller neighbors u, from the edges
+        # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
+        for u, v in self._edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]

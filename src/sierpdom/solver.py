@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
@@ -133,28 +134,20 @@ class _Closed:
     __slots__ = ("masks", "ids", "top", "counts", "hist", "levels")
 
     def __init__(self, g: Graph):
-        ids = [[v] for v in g.vertices]
-        for u, v in g.edges:
-            ids[u].append(v)
-            ids[v].append(u)
-        for nb in ids:
-            nb.sort()
         self.masks = g.closed_masks
-        self.ids = ids
-        sizes = list(map(len, ids))
+        self.ids = ids = g.neighbor_lists()
+        for v, nb in enumerate(ids):
+            insort(nb, v)  # nb ascends, so v goes in at its place
+        self.counts = sizes = list(map(len, ids))
         self.top = top = max(sizes) + 1
-        # a count stays below 2 * top, barred or not, so a byte holds it while 2 * top <= 256
-        self.counts = bytearray(sizes) if top <= 128 else sizes
-        hist = [0] * (2 * top)
-        levels: dict[int, int] = {}
+        level = [0] * top  # level[c]: the vertices of count c
         for v, c in enumerate(sizes):
-            hist[c] += 1
-            levels[c] = levels.get(c, 0) | 1 << v
-        self.hist = hist
-        self.levels = [levels[c] for c in sorted(levels, reverse=True)]
+            level[c] |= 1 << v
+        self.hist = [m.bit_count() for m in level] + [0] * top
+        self.levels = [m for m in reversed(level) if m]
 
 
-def _descend(nb, top: int, counts, hist: list[int], undom: int, taken, barred):
+def _descend(nb, top: int, counts: list[int], hist: list[int], undom: int, taken, barred):
     """The counts and histogram of a child node, from its parent's.
 
     counts[u] is |N[u] & undom| for every u the node may still pick, and
@@ -184,7 +177,7 @@ def _descend(nb, top: int, counts, hist: list[int], undom: int, taken, barred):
     return counts, hist
 
 
-def _branch(levels, nb, counts, top: int, undom: int) -> tuple[int, list[int]]:
+def _branch(levels, nb, counts: list[int], top: int, undom: int) -> tuple[int, list[int]]:
     """The max-degree undominated v (lowest id on ties) and the unbarred
     vertices of N[v], best cover first (lowest id on ties)."""
     for level in levels:
@@ -210,9 +203,21 @@ def _top_sum_below(hist: list[int], top: int, k: int, need: int) -> bool:
     return True
 
 
+def _gamma_drops_early(gap: int) -> bool:
+    """Whether gamma_exact drops a node before making its counts: an
+    undominated vertex needs one more pick, and gap <= 1 allows none."""
+    return gap <= 1
+
+
 def _dominators_short(hist: list[int], top: int, ucount: int, gap: int) -> bool:
-    """Whether fewer than gap unbarred vertices cannot dominate ucount vertices."""
-    return gap <= 1 or _top_sum_below(hist, top, gap - 1, ucount)
+    """Whether fewer than gap unbarred vertices cannot dominate ucount >= 1 vertices."""
+    return _top_sum_below(hist, top, gap - 1, ucount)
+
+
+def _roman_drops_early(ucount: int, gap: int) -> bool:
+    """Whether phase 1 drops a node before making its counts: a completion
+    adds 2 per pick or, with no pick, ucount, so it adds at least min(2, ucount)."""
+    return gap <= 2 and ucount >= gap
 
 
 def _roman_bound_reaches(hist: list[int], top: int, ucount: int, gap: int) -> bool:
@@ -228,8 +233,6 @@ def _roman_bound_reaches(hist: list[int], top: int, ucount: int, gap: int) -> bo
     if slack < 0:
         return False
     picks = (gap - 1) // 2
-    if picks <= 0:
-        return True
     for c in range(top - 1, 2, -1):
         h = hist[c]
         if h >= picks:
@@ -296,7 +299,7 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
                 best_size, best = size, chosen
             continue
         gap = best_size - size
-        if gap <= 1:  # _dominators_short without the counts
+        if _gamma_drops_early(gap):
             continue
         taken = None if chosen is None else chosen[1]
         counts, hist = _descend(nb, top, counts, hist, before, taken, barred)
@@ -327,11 +330,8 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     return Certificate("domination", best_size, witness, deadline.ticks, time.perf_counter() - start)
 
 
-def _roman_value(
-    g: Graph, deadline: _Deadline, closed: Optional[_Closed] = None
-) -> tuple[int, int]:
+def _roman_value(g: Graph, deadline: _Deadline, closed: _Closed) -> tuple[int, int]:
     """Phase 1: the optimal weight, by branch and bound over 2-sets."""
-    closed = closed or _Closed(g)
     masks, nb, top, levels = closed.masks, closed.ids, closed.top, closed.levels
     n = g.order
     best = min(2 * len(_greedy_cover(nb, deadline)), n)
@@ -350,7 +350,7 @@ def _roman_value(
             continue
         gap = best - weight
         ucount = undom.bit_count()
-        if ucount >= gap and gap <= 2:  # _roman_bound_reaches without the counts
+        if _roman_drops_early(ucount, gap):
             continue
         counts, hist = _descend(nb, top, counts, hist, before, taken, barred)
         if _roman_bound_reaches(hist, top, ucount, gap):
@@ -365,13 +365,12 @@ def _roman_value(
 
 
 def _lex_min_two_set(
-    g: Graph, k: int, target_cover: int, deadline: _Deadline, closed: Optional[_Closed] = None
+    g: Graph, k: int, target_cover: int, deadline: _Deadline, closed: _Closed
 ) -> tuple[Optional[list[int]], int]:
     """Lexicographically smallest k-subset covering at least target_cover.
 
     A node at index i bars every u < i, and its counts are relative to the
     vertices still uncovered."""
-    closed = closed or _Closed(g)
     masks, nb, top = closed.masks, closed.ids, closed.top
     n = g.order
     # reach[i]: all vertices some u >= i can cover; most[i]: the largest |N[u]| over u >= i

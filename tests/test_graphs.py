@@ -164,7 +164,8 @@ def test_construction_rejects_wrong_arity_pairs(pair, before):
 
 @given(raw_edge_lists(), st.booleans())
 def test_derived_views_match_the_edge_list(case, masks_first):
-    """Masks and neighbor tuples agree with the edges, whichever is built first."""
+    """Masks, neighbor tuples and neighbor lists agree with the edges,
+    whichever is built first."""
     n, raw = case
     g = Graph(n, raw)
     canon = {(min(u, v), max(u, v)) for u, v in raw}
@@ -178,6 +179,8 @@ def test_derived_views_match_the_edge_list(case, masks_first):
         adjacent = [(min(u, v), max(u, v)) in canon for u in range(n)]
         assert views[v] == (tuple(want[v]), len(want[v]), adjacent)
         assert masks[v] == sum(1 << u for u in [v, *want[v]])
+    lists = g.neighbor_lists()
+    assert lists == want and lists[0] is not g.neighbor_lists()[0]
 
 
 def test_build_serialize_validate_never_builds_neighbor_tuples():

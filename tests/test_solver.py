@@ -37,9 +37,11 @@ from sierpdom.solver import (
     _Deadline,
     _check_order,
     _dominators_short,
+    _gamma_drops_early,
     _greedy_cover,
     _lex_min_two_set,
     _roman_bound_reaches,
+    _roman_drops_early,
     _roman_value,
     _top_sum_below,
 )
@@ -73,15 +75,23 @@ def test_roman_known_values():
 
 
 def test_counts_past_a_byte():
-    # a hub of degree 129 makes counts that a byte cannot hold, so the
-    # searches carry them in a list; a 7-cycle beside it keeps them searching
+    # a hub of degree 129 makes barred counts (count plus top) past 255;
+    # a 7-cycle beside it keeps the searches going
     cycle = [(130 + i, 130 + (i + 1) % 7) for i in range(7)]
     g = Graph(137, [(0, v) for v in range(1, 130)] + cycle)
-    assert not isinstance(_Closed(g).counts, bytearray)
     labels = gamma_r_exact(g).witness.labels
     assert labels[:130] == (2,) + (0,) * 129
     assert labels[130:] == gamma_r_exact(cycle_graph(7)).witness.labels
     assert gamma_exact(g).value == 1 + gamma_exact(cycle_graph(7)).value
+
+
+def test_solves_cache_no_neighbor_tuples():
+    # the searches make their own id lists and leave the graph as they found it:
+    # neighbor tuples built per solve raised the peak RSS of long solve loops
+    g = _sierpinski("C", 4, 2)
+    gamma_exact(g)
+    gamma_r_exact(g)
+    assert g._adj is None
 
 
 def test_certificates_carry_valid_witnesses():
@@ -318,11 +328,11 @@ def test_phase_split_is_pinned():
     # γ_R S(C6,2) = 22: phase 1 proves the value, then phase 2 finds no
     # eleven 2s covering all 36 vertices and the witness among ten 2s
     g = _sierpinski("C", 6, 2)
-    deadline = _Deadline(None)
-    assert _roman_value(g, deadline) == (22, 6_143)
-    twos, ticks = _lex_min_two_set(g, 11, 36, deadline)
+    deadline, closed = _Deadline(None), _Closed(g)
+    assert _roman_value(g, deadline, closed) == (22, 6_143)
+    twos, ticks = _lex_min_two_set(g, 11, 36, deadline, closed)
     assert (twos, ticks) == (None, 8_299)
-    twos, ticks = _lex_min_two_set(g, 10, 34, deadline)
+    twos, ticks = _lex_min_two_set(g, 10, 34, deadline, closed)
     assert twos is not None and ticks == 7_847
     assert deadline.ticks == 22_289
 
@@ -404,7 +414,7 @@ def test_roman_prune_decision_matches_lower_bound(state):
     hist, top = _count_hist(closed, undom, excluded)
     ucount = undom.bit_count()
     assert _roman_bound_reaches(hist, top, ucount, gap) == want
-    if ucount >= gap and gap <= 2:  # the search decides these before it makes the counts
+    if _roman_drops_early(ucount, gap):  # the search's shortcut before it makes the counts
         assert want
 
 
@@ -415,7 +425,10 @@ def test_domination_prune_decision_matches_min_picks(state):
     closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
     need = _reference_min_picks(closed, n, undom, excluded)
     hist, top = _count_hist(closed, undom, excluded)
-    assert _dominators_short(hist, top, undom.bit_count(), gap) == (need is None or need >= gap)
+    want = need is None or need >= gap
+    assert _dominators_short(hist, top, undom.bit_count(), gap) == want
+    if _gamma_drops_early(gap):  # the search's shortcut before it makes the counts
+        assert want
 
 
 @settings(max_examples=300, deadline=None)
