@@ -45,7 +45,7 @@ from .generators import (
 )
 from .graphs import Graph, format_edge_list, parse_edge_list, to_dot
 from .roman import RomanFunction
-from .sierpinski import DEFAULT_VERTEX_BUDGET, build, extreme_vertices
+from .sierpinski import DEFAULT_VERTEX_BUDGET, build, edge_keys, format_word, word_labels
 from .solver import brute_force_gamma_r, gamma_exact, gamma_r_exact
 
 _FAMILIES = {
@@ -101,21 +101,22 @@ def _emit(text: str, out: Optional[str]):
 
 def _cmd_gen(args) -> int:
     base = _load_base(args)
-    s = build(base, args.t, args.budget)
+    n, t = base.order, args.t
+    keys = edge_keys(base, t, args.budget)  # written as they are, with no Graph
     if args.format == "dot":
-        text = to_dot(s.graph, graph_name="S", labels=s.word_labels())
+        text = to_dot(keys, graph_name="S", labels=word_labels(n, t))
     else:
-        text = format_edge_list(s.graph)
+        text = format_edge_list(keys)
     _emit(text, args.out)
     if args.meta:
         meta = {
             "config": RunConfig("gen", budget=args.budget).to_dict(),
-            "base_order": base.order,
+            "base_order": n,
             "base_size": base.size,
-            "depth": s.depth,
-            "order": s.order,
-            "size": s.graph.size,
-            "extreme_vertices": [s.word_label(v) for v in extreme_vertices(s)],
+            "depth": t,
+            "order": keys.order,
+            "size": keys.size,
+            "extreme_vertices": [format_word((x,) * t, n) for x in range(n)],
         }
         _emit(json.dumps(meta, sort_keys=True) + "\n", None if args.meta == "-" else args.meta)
     return 0

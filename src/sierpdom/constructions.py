@@ -79,7 +79,7 @@ class ConstructionReport:
         }
         if self.lower_bound is not None:
             doc["lower_bound"] = self.lower_bound
-        doc["function"] = json.loads(self.function.to_json(self.sierpinski if words else None))
+        doc["function"] = self.function.to_dict(self.sierpinski if words else None)
         return json.dumps(doc, sort_keys=True)
 
 

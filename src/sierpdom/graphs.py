@@ -10,21 +10,22 @@ for the other, so a graph that is only built, serialized or validated
 (validation reads the edge list) holds neither.  The exact searches
 also take neighbor_lists, the same lists uncached, to make their own.
 
-Construction is a few C-level passes over the edge list.  One pass
-proves every pair ordered (u < v), which also rules out self-loops;
-only when it fails are the pairs canonicalized and scanned for loops.
-Then one sort, a range check (the smallest vertex is the first one after
-the sort, the largest a max over the second ends) and a scan for
-adjacent duplicates.  The one sort is list.sort, which finds ascending
-runs and merges them, so m edges in k sorted runs (sierpinski build
-emits one run per level) cost about m·log k comparisons, and any other
-order costs a plain sort.  Appending neighbors from the sorted edge list
-fills every neighbor tuple in ascending order, so no per-vertex sort is
-needed.  A ValueError names the first invalid edge in input order, as
-given.
+Graph(n, edges) is the way in for any input: a few C-level passes over
+the edge list.  One pass proves every pair ordered (u < v), which also
+rules out self-loops; only when it fails are the pairs canonicalized and
+scanned for loops.  Then one sort, a range check (the smallest vertex is
+the first one after the sort, the largest a max over the second ends)
+and a scan for adjacent duplicates.  Appending neighbors from the sorted
+edge list fills every neighbor tuple in ascending order, so no
+per-vertex sort is needed.  A ValueError names the first invalid edge in
+input order, as given.  from_canonical_edges skips all of that for a
+caller that has already proven its edges canonical (sierpinski.build
+certifies its edge keys).
 
-The edge-list and DOT writers format a slice of lines per %-operation
-and write the slices to one buffer.
+The edge-list and DOT writers read only a graph's order, size and edges
+(an EdgeSource), so they also write S(G, t) straight from its keys.  They
+format a slice of lines per %-operation and write the slices to one
+buffer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import hashlib
 import io
 from itertools import chain, groupby, islice, starmap
 from operator import eq, itemgetter, lt
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Protocol
 
 
 class Graph:
@@ -142,6 +143,18 @@ class Graph:
         return f"<Graph{tag} n={self._n} m={self.size}>"
 
 
+def from_canonical_edges(n: int, edges: tuple[tuple[int, int], ...], name: str = "") -> Graph:
+    """A Graph on edges the caller has proven canonical, taken as they are.
+
+    edges must be (u, v) pairs with 0 <= u < v < n in strictly ascending
+    order; nothing is checked.  Input from outside the package goes
+    through Graph(n, edges), which checks and canonicalizes it.
+    """
+    g = Graph.__new__(Graph)
+    g._n, g._edges, g._adj, g._closed_mask, g.name = n, edges, None, None, name
+    return g
+
+
 def _raise_first_bad_edge(n: int, edges: Iterable[tuple[int, int]]):
     """Raise the ValueError for the first invalid edge in input order."""
     for u, v in edges:
@@ -201,7 +214,20 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
     return Graph(n, edges, name=name)
 
 
-def format_edge_list(g: Graph) -> str:
+class EdgeSource(Protocol):
+    """What the writers read: a Graph, or sierpinski.EdgeKeys decoding its keys."""
+
+    @property
+    def order(self) -> int: ...
+
+    @property
+    def size(self) -> int: ...
+
+    @property
+    def edges(self) -> Iterable[tuple[int, int]]: ...
+
+
+def format_edge_list(g: EdgeSource) -> str:
     """The "n m" header, then one "u v" line per edge.
 
     Each slice of _SLICE edges is formatted by one %-operation and
@@ -214,7 +240,7 @@ def format_edge_list(g: Graph) -> str:
 
 
 def to_dot(
-    g: Graph,
+    g: EdgeSource,
     graph_name: str = "G",
     colors: Optional[dict[int, str]] = None,
     labels: Optional[Iterable[str]] = None,
@@ -226,7 +252,8 @@ def to_dot(
     otherwise).  Without colors, node and edge lines are written a slice
     at a time, as in format_edge_list; with colors, one line at a time.
     """
-    nodes = zip(g.vertices, g.vertices if labels is None else labels, strict=True)
+    vertices = range(g.order)
+    nodes = zip(vertices, vertices if labels is None else labels, strict=True)
     out = io.StringIO()
     write = out.write
     write(f"graph {graph_name} {{\n")

@@ -65,7 +65,8 @@ class RomanFunction:
     def weight(self) -> int:
         return sum(self.labels)
 
-    def to_json(self, sierpinski: Optional[SierpinskiGraph] = None) -> str:
+    def to_dict(self, sierpinski: Optional[SierpinskiGraph] = None) -> dict:
+        """The document to_json writes; with sierpinski, the labels keyed by its words."""
         doc: dict = {"weight": self.weight}
         if sierpinski is not None:
             graph = sierpinski.graph
@@ -73,7 +74,10 @@ class RomanFunction:
             doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
         else:
             doc["labels"] = list(self.labels)
-        return json.dumps(doc, sort_keys=True)
+        return doc
+
+    def to_json(self, sierpinski: Optional[SierpinskiGraph] = None) -> str:
+        return json.dumps(self.to_dict(sierpinski), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RomanFunction":

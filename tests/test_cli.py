@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 import shlex
 import subprocess
@@ -12,12 +13,17 @@ from pathlib import Path
 import pytest
 
 from sierpdom import (
+    DEFAULT_VERTEX_BUDGET,
+    Graph,
     RomanFunction,
     SolveTimeout,
     build,
+    extreme_vertices,
+    format_edge_list,
     is_roman_dominating,
     parse_edge_list,
     path_graph,
+    to_dot,
 )
 from sierpdom.cli import _build_parser, main
 
@@ -53,6 +59,39 @@ def test_gen_meta_block(capsys, tmp_path):
     assert meta["order"] == 9 and meta["size"] == 12
     assert meta["extreme_vertices"] == ["00", "11", "22"]
     assert parse_edge_list(target.read_text()).order == 9
+
+
+def _random_base(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))), name=f"rand{n}")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gen_streams_the_bytes_of_the_built_graph(tmp_path, seed):
+    """gen writes from the edge keys what the writers make of the built Graph."""
+    rng = random.Random(seed)
+    n, t = rng.randint(2, 11), rng.randint(1, 4)
+    base = Graph(n, name="E") if seed == 0 else _random_base(rng, n)  # seed 0: edgeless
+    (tmp_path / "base.txt").write_text(format_edge_list(base))
+    s = build(base, t)
+    expect = {
+        "edgelist": format_edge_list(s.graph),
+        "dot": to_dot(s.graph, graph_name="S", labels=s.word_labels()),
+    }
+    for fmt, text in expect.items():
+        out, meta = tmp_path / f"s.{fmt}", tmp_path / f"meta.{fmt}"
+        argv = ["gen", "--base", str(tmp_path / "base.txt"), "--t", str(t), "--format", fmt]
+        assert main([*argv, "--out", str(out), "--meta", str(meta)]) == 0
+        assert out.read_text() == text
+        assert json.loads(meta.read_text()) == {
+            "config": {"command": "gen", "budget": DEFAULT_VERTEX_BUDGET},
+            "base_order": n,
+            "base_size": base.size,
+            "depth": t,
+            "order": s.order,
+            "size": s.graph.size,
+            "extreme_vertices": [s.word_label(v) for v in extreme_vertices(s)],
+        }
 
 
 def test_gen_needs_a_base(capsys):

@@ -23,6 +23,7 @@ from sierpdom import (
     star_graph,
     to_dot,
 )
+from sierpdom.cli import main
 from oracles import shortest_path_by_enumeration
 
 
@@ -233,6 +234,23 @@ def _build_peak_bytes(t):
 def test_build_memory_is_linear():
     """Four times the vertices may cost at most six times the peak memory."""
     small, large = _build_peak_bytes(12), _build_peak_bytes(14)
+    assert large <= 6 * small
+
+
+def _gen_peak_bytes(tmp_path, t):
+    base = tmp_path / "P2.txt"
+    base.write_text("2 1\n0 1\n")
+    tracemalloc.start()
+    try:
+        assert main(["gen", "--base", str(base), "--t", str(t), "--out", str(tmp_path / "s.txt")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_memory_is_linear(tmp_path):
+    """gen streams from the edge keys: the same bound as build."""
+    small, large = _gen_peak_bytes(tmp_path, 12), _gen_peak_bytes(tmp_path, 14)
     assert large <= 6 * small
 
 

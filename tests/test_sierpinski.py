@@ -19,6 +19,8 @@ from sierpdom import (
     star_graph,
 )
 from sierpdom.sierpinski import (
+    _certify,
+    _progression,
     format_word,
     id_of,
     suffix_labels,
@@ -91,19 +93,56 @@ def _word_rule_edges(s):
     return expected
 
 
+def _assert_word_rule(s):
+    expected = _word_rule_edges(s)
+    assert set(s.graph.edges) == expected
+    # build decodes its keys into the Graph as they are, so their order and
+    # distinctness are what a sorting, deduplicating Graph(n, edges) would give
+    assert s.graph.edges == tuple(sorted(expected))
+    assert s.graph == Graph(s.order, s.graph.edges)
+
+
 def test_adjacency_matches_word_rule():
-    """Edges are exactly the pairs w a b..b / w b a..a over base edges."""
-    for base, t in ((cycle_graph(4), 3), (path_graph(2), 6), (complete_graph(5), 3), (star_graph(4), 4)):
-        s = build(base, t)
-        assert set(s.graph.edges) == _word_rule_edges(s)
+    """Edges are exactly the pairs w a b..b / w b a..a over base edges, in canonical order."""
+    eleven = random_connected_graph(11, random.Random(11), 0.2)
+    for base, t in (
+        (cycle_graph(4), 3),
+        (path_graph(2), 6),
+        (complete_graph(5), 3),
+        (star_graph(4), 4),
+        (Graph(2), 4),  # edgeless
+        (Graph(6, [(0, 1), (0, 2), (3, 5)]), 3),  # disconnected, vertex 4 isolated
+        (eleven, 2),  # two-digit letters
+    ):
+        _assert_word_rule(build(base, t))
+    assert build(eleven, 2).word_label(10 * 11 + 3) == "10-3"
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6))
 def test_adjacency_matches_word_rule_random_bases(n, t, seed):
     base = random_connected_graph(n, random.Random(seed), 0.4)
-    s = build(base, t)
-    assert set(s.graph.edges) == _word_rule_edges(s)
+    _assert_word_rule(build(base, t))
+
+
+def test_edge_progressions_are_certified():
+    # order 4, stride 2: the edges (u0 + 2k, v0 + 2k) for k = 0, 1
+    assert [divmod(key, 4) for key in _progression(0, 1, 2, 4)] == [(0, 1), (2, 3)]
+    for u0, v0 in ((1, 1), (1, 0)):  # u0 >= v0
+        with pytest.raises(AssertionError):
+            _progression(u0, v0, 2, 4)
+    with pytest.raises(AssertionError):  # the last pair would be (2, 4), off the graph
+        _progression(0, 2, 2, 4)
+
+
+def test_edge_key_certification():
+    good = [1, 2, 7, 11]  # order 4: (0, 1), (0, 2), (1, 3), (2, 3)
+    assert _certify(good, 4, 4) is None
+    for keys in ([1, 2, 2, 7], [1, 7, 2, 11], [1, 2, 7, 16], [-1, 2, 7, 11]):
+        with pytest.raises(AssertionError):  # a repeat, a descent, a key past order², one below 0
+            _certify(keys, 4, 4)
+    with pytest.raises(AssertionError):
+        _certify(good, 4, 5)  # one edge short
 
 
 def test_budget_enforced():

@@ -3,12 +3,14 @@ package imports only the standard library and itself, takes no private
 (_-prefixed) name from another of its modules, reads no
 environment variable (its settings are CLI flags), and has no assert
 statement (a certifying check is an explicit raise, which python -O
-keeps).  Every function the benchmark's tracer wraps by name exists."""
+keeps).  Every function the benchmark's tracer wraps by name exists, and
+build and gen run under the installed tracer."""
 
 import ast
 import importlib
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -139,3 +141,30 @@ def test_benchmark_trace_targets_exist():
         if not hasattr(importlib.import_module(f"{PACKAGE.name}.{mod}"), attr)
     ]
     assert missing == []
+
+
+def test_benchmark_tracer_runs_build_and_gen(tmp_path, monkeypatch):
+    # the tracer rebinds sierpinski.Graph to a plain function, so code that
+    # reaches a Graph attribute through that name fails every traced op
+    from sierpdom import cli, generators, sierpinski
+
+    tracing = _load_tracing()
+    # install() also rebinds the names of the benchmark's workloads module
+    monkeypatch.setitem(sys.modules, "workloads", types.ModuleType("workloads"))
+    base = generators.complete_graph(3)
+    (tmp_path / "K3.txt").write_text("3 3\n0 1\n0 2\n1 2\n")
+    argv = ["gen", "--base", str(tmp_path / "K3.txt"), "--t", "3", "--out", str(tmp_path / "s.txt")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        s = sierpinski.build(base, 3)
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert s.order == 27 and code == 0
+    assert [span[-2] for span in tracer.spans] == [None] * len(tracer.spans)  # no errors
+    assert [(span[0], span[-1]) for span in tracer.spans if span[0] == "sierpinski.build"] == [
+        ("sierpinski.build", 27)
+    ]
+    # build makes its Graph without Graph.__init__, and gen makes none
+    assert "graphs.init" not in {span[0] for span in tracer.spans}
