@@ -11,15 +11,18 @@ labeling onto the two-letter words and sheds weight there in four
 rewrite steps; the path and cycle constructions place labels by
 two-letter patterns, the complete-base one labels whole words.
 
-The complete-base construction rests on the 1-perfect codes of S(K_n, t),
-which a letter rule writes down.  The words under one prefix form a block
-in state E (every extreme vertex in the code), O(x) (extreme x in the
-code), D(x) (extreme x dominated from outside the block) or F (every
-extreme dominated from outside).  Letter a moves E to O(a), O(x) to E if
-a = x else D(x), D(x) to F if a = x else O(x), and F to D(a).  Even depth
-starts in E, odd depth in O(0), and the code is the words ending in E: the
-even-depth code is unique and at odd depth there is one per extreme
-vertex (Klavzar, Milutinovic and Petr, Bull. Austral. Math. Soc. 66, 2002).
+Both labelings of S(K_n, t) come off one letter rule.  The words under
+one prefix form a block in state E (every extreme vertex in the code),
+O(x) (extreme x in the code), D(x) (extreme x dominated from outside the
+block) or F (every extreme dominated from outside).  Letter a moves E to
+O(a), O(x) to E if a = x else D(x), D(x) to F if a = x else O(x), and F
+to D(a).  The 1-perfect code starts in E at even depth and in O(0) at
+odd depth, and is the words ending in E: the even-depth code is unique
+and at odd depth there is one per extreme vertex (Klavzar, Milutinovic
+and Petr, Bull. Austral. Math. Soc. 66, 2002).  The complete-base Roman
+labeling starts in O(0) at every depth: at odd depth 2 goes on the words
+ending in E (the code through 0..0), at even depth on the words ending in
+F, and 1 on the word 0..0.
 """
 
 from __future__ import annotations
@@ -352,31 +355,35 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
     return rep
 
 
-def _code_labels(n: int, t: int) -> list[int]:
-    """2 on the words the letter rule puts in the code of S(K_n, t), 0 elsewhere."""
-    # state numbers: 0 is E, 1 is F, 2 + x is O(x), 2 + n + x is D(x)
+def _rule_labels(n: int, t: int, start: int, accept: int) -> list[int]:
+    """2 on the words of S(K_n, t) whose run from state start ends in state accept, 0 elsewhere.
+
+    States are numbered 0 for E, 1 for F, 2 + x for O(x) and 2 + n + x
+    for D(x).  The states of the words of length t - 1 are expanded a
+    level at a time; the last letter then reads its label off one row
+    of n labels per state.
+    """
     moves = [[2 + a for a in range(n)], [2 + n + a for a in range(n)]]
     moves += [[0 if a == x else 2 + n + x for a in range(n)] for x in range(n)]
     moves += [[1 if a == x else 2 + x for a in range(n)] for x in range(n)]
-    states = [2 if t % 2 else 0]
-    for _ in range(t):
+    states = [start]
+    for _ in range(t - 1):
         states = list(chain.from_iterable(map(moves.__getitem__, states)))
-    return [2 if state == 0 else 0 for state in states]
+    rows = [[2 if state == accept else 0 for state in row] for row in moves]
+    return list(chain.from_iterable(map(rows.__getitem__, states)))
 
 
 def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> frozenset[int]:
     """The 1-perfect code of S(K_n, t) through every extreme vertex at even
-    depth, through 0..0 alone at odd depth (unique: Klavzar et al.), read
-    off the letter rule (E -> O(a); O(x) -> E or D(x) and D(x) -> F or
-    O(x), as a = x or not; F -> D(a); E at even depth, O(0) at odd; the
-    code ends in E) and certified on the built S(K_n, t): one code word in
-    every closed neighborhood, the domination formula's size, and those
-    extreme vertices.
+    depth, through 0..0 alone at odd depth, read off the letter rule of
+    the module docstring and certified on the built S(K_n, t): one code
+    word in every closed neighborhood, the domination formula's size, and
+    those extreme vertices.
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
     s = build(complete_graph(n), t, max_vertices)
-    labels = _code_labels(n, t)
+    labels = _rule_labels(n, t, 2 if t % 2 else 0, 0)  # from O(0) at odd depth, E at even
     if set(_twos_per_closed_neighborhood(labels, s.graph)) != {1}:
         raise AssertionError(f"letter-rule code of S(K{n},{t}) is not a perfect code")
     code = frozenset(v for v, x in enumerate(labels) if x)
@@ -389,60 +396,21 @@ def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> froz
 
 
 def complete_graph_construction(n: int, t: int, max_vertices: Optional[int] = None) -> ConstructionReport:
-    """Labeling of S(K_n, t) meeting the complete-base upper bound.
+    """Labeling of S(K_n, t) meeting the complete-base upper bound, read off the
+    letter rule of the module docstring and certified on the S(K_n, t) it builds.
 
-    Odd depth: 2s on the perfect code through 0..0.  Even depth: a
-    doubling scheme; depth 2 puts 1 on the word 00 and 2 on every i0, and
-    each further even depth extends by prefix shape: 00+w keeps the old
-    labels, 0i+w applies them through the letter swap 0<->i (zeroing the
-    word 0ii..i), i0+w puts 2 exactly on the previous even depth's perfect
-    code, and ij+w keeps the old labels with the word ij0..0 zeroed.  Each
-    code comes off the letter rule (E -> O(a); O(x) -> E or D(x) and D(x)
-    -> F or O(x), as a = x or not; F -> D(a); unique by Klavzar et al.), so
-    S(K_n, t) is built once.  The weight identity is asserted at every
-    doubling.
+    The step names, code-doubling at odd depth and depth-2-base,
+    double-to-4, ..., double-to-t at even depth, record the doubling proof
+    that the labeling follows; the labels come off the rule in one pass.
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
     s = build(complete_graph(n), t, max_vertices)
-    if t % 2 == 1:
-        labels = _code_labels(n, t)
-        steps = ["code-doubling"]
+    if t % 2:
+        labels = _rule_labels(n, t, 2, 0)  # from O(0), 2 on the words ending in E
+        steps = ("code-doubling",)
     else:
-        labels = _pair_table(n, [(i, 0) for i in range(1, n)], [(0, 0)])
-        level = 2
-        steps = ["depth-2-base"]
-        while level < t:
-            prev = labels
-            block = len(prev)
-            code = _code_labels(n, level)
-            labels = [0] * (n * n * block)
-            labels[:block] = prev
-            for i in range(1, n):
-                off = id_of((0, i), n) * block
-                sigma = list(range(n))
-                sigma[0], sigma[i] = i, 0
-                swap = [0]  # swap[w]: the id of word w with letters 0 and i swapped
-                for _ in range(level):
-                    swap = [p * n + d for p in swap for d in sigma]
-                # the swap is an involution, so reading prev through it places prev[w] at swap[w]
-                labels[off : off + block] = map(prev.__getitem__, swap)
-                labels[off + id_of((i,) * level, n)] = 0
-            for i in range(1, n):
-                off = id_of((i, 0), n) * block
-                labels[off : off + block] = code
-            for i in range(1, n):
-                for j in range(1, n):
-                    off = id_of((i, j), n) * block
-                    labels[off : off + block] = prev
-                    labels[off] = 0
-            level += 2
-            expect = gamma_r_knt_upper(n, level)
-            if sum(labels) != expect:
-                raise AssertionError(
-                    f"doubling to depth {level} gave weight {sum(labels)}, expected {expect}"
-                )
-            steps.append(f"double-to-{level}")
-        if labels[0] != 1:
-            raise AssertionError("even-depth labeling must put 1 on the all-zero word")
+        labels = _rule_labels(n, t, 2, 1)  # from O(0), 2 on the words ending in F
+        labels[0] = 1
+        steps = ("depth-2-base", *(f"double-to-{d}" for d in range(4, t + 1, 2)))
     return _certified(s, labels, gamma_r_knt_upper(n, t), steps)

@@ -11,13 +11,15 @@ for the other, so a graph that is only built, serialized or validated
 also take neighbor_lists, the same lists uncached, to make their own.
 
 Graph(n, edges) is the way in for any input: a few C-level passes over
-the edge list.  One pass proves every pair ordered (u < v), which also
-rules out self-loops; only when it fails are the pairs canonicalized and
-scanned for loops.  Then one sort, a range check (the smallest vertex is
-the first one after the sort, the largest a max over the second ends)
-and a scan for adjacent duplicates.  Appending neighbors from the sorted
-edge list fills every neighbor tuple in ascending order, so no
-per-vertex sort is needed.  A ValueError names the first invalid edge in
+the edge list.  One pass proves every vertex of type int exactly (a bool
+or a float is refused), so the writers format vertices with %d.  One
+pass proves every pair ordered (u < v), which also rules out self-loops;
+only when it fails are the pairs canonicalized and scanned for loops.
+Then one sort, a range check (the smallest vertex is the first one after
+the sort, the largest a max over the second ends) and a scan for
+adjacent duplicates.  Appending neighbors from the sorted edge list
+fills every neighbor tuple in ascending order, so no per-vertex sort is
+needed.  A ValueError names the first invalid edge in
 input order, as given.  from_canonical_edges skips all of that for a
 caller that has already proven its edges canonical (sierpinski.build
 certifies its edge keys).
@@ -46,6 +48,8 @@ class Graph:
         if n < 1:
             raise ValueError("graph order must be at least 1")
         pairs = list(map(tuple, edges))  # input order, to name a bad edge; never the caller's list
+        if not {int}.issuperset(map(type, chain.from_iterable(pairs))):
+            _raise_first_bad_edge(n, pairs)
         try:
             ordered = all(starmap(lt, pairs))
         except TypeError:  # a pair of the wrong length: the unpacking below raises its ValueError
@@ -158,6 +162,8 @@ def from_canonical_edges(n: int, edges: tuple[tuple[int, int], ...], name: str =
 def _raise_first_bad_edge(n: int, edges: Iterable[tuple[int, int]]):
     """Raise the ValueError for the first invalid edge in input order."""
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r}, {v!r}) has a vertex that is not an int")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
         if u == v:
@@ -235,7 +241,7 @@ def format_edge_list(g: EdgeSource) -> str:
     at most once more."""
     out = io.StringIO()
     out.write(f"{g.order} {g.size}\n")
-    _write_sliced(out.write, "%s %s\n", g.edges)
+    _write_sliced(out.write, "%d %d\n", g.edges)
     return out.getvalue()
 
 
@@ -265,7 +271,7 @@ def to_dot(
             write(f"  {v} [{attrs}];\n")
     else:
         _write_sliced(write, '  %s [label="%s"];\n', nodes)
-    _write_sliced(write, "  %s -- %s;\n", g.edges)
+    _write_sliced(write, "  %d -- %d;\n", g.edges)
     write("}\n")
     return out.getvalue()
 

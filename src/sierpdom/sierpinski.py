@@ -223,21 +223,15 @@ def prefix_vertices(s: SierpinskiGraph, prefix: Word) -> tuple[int, ...]:
 
 
 def check_boundary_adjacency(s: SierpinskiGraph) -> bool:
-    """Every edge leaving a copy touches it at or next to the copy extreme.
+    """The copies of S(G, t - 1) are joined exactly as the paper's word rule says.
 
-    For each edge {u, v} whose endpoints lie in different depth-(t-1)
-    copies, the endpoint inside a copy must be that copy's extreme vertex
-    or one of the extreme vertex's neighbors inside the copy.
+    Copy x holds the words that start with x.  Every edge between copies
+    x != y must be the edge x·yᵗ⁻¹ -- y·xᵗ⁻¹ of a base edge {x, y}, and
+    each base edge must give one, so there are exactly |E(G)| of them.
     """
-    if s.depth < 2:
-        return True
     n = s.base.order
-    g = s.graph
-    for u, v in g.edges:
-        if u // n == v // n:
-            continue
-        for x in (u, v):
-            ext = (x // n) * n + (x // n) % n
-            if x != ext and not g.adjacent(x, ext):
-                return False
-    return True
+    span = n ** (s.depth - 1)
+    run = (span - 1) // (n - 1)  # the value of the word 11..1 of length t - 1
+    crossing = [(u, v) for u, v in s.graph.edges if u // span != v // span]
+    # for a base edge (x, y) with x < y, the pair (x·span + y·run, y·span + x·run) is canonical
+    return crossing == sorted((x * span + y * run, y * span + x * run) for x, y in s.base.edges)

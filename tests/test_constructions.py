@@ -371,6 +371,12 @@ def test_cycle_construction_memory_is_linear():
     assert _peak_bytes(cycle_construction, 4, 7) <= 6 * _peak_bytes(cycle_construction, 4, 6)
 
 
+def test_complete_construction_memory_is_linear():
+    """Nine times the vertices may cost at most fifteen times the peak memory."""
+    peak = _peak_bytes(complete_graph_construction, 3, 6)
+    assert _peak_bytes(complete_graph_construction, 3, 8) <= 15 * peak
+
+
 def test_complete_construction_builds_once(monkeypatch):
     from sierpdom import constructions
 
@@ -431,3 +437,60 @@ def test_construction_reports_are_pinned():
     for n, t in ((3, 4), (3, 6), (4, 6)):
         got[f"complete({n},{t})"] = _sha(complete_graph_construction(n, t))
     assert got == CONSTRUCTION_SHA256
+
+
+# sha256 of bytes(labels) of complete_graph_construction(n, t) at every n = 2..6
+# with n**t <= 50,000, recorded while even depths were still built by doubling
+COMPLETE_LABELS_SHA256 = {
+    (2, 1): "99be5efb88ca2013bd8e4eb035fd42d5245468fe9afa70d8ba9c1c419a48c4e8",
+    (2, 2): "7b11c1133330cd161071bf23a0c9b6ce5320a8f3a0f83620035a72be46df4104",
+    (2, 3): "be77f869ca2456c361932b0bf2cc56f1e9e57e5012cd11a24bd38abe0b4b6248",
+    (2, 4): "0b52b62d4811a20cd17fa188d6e6dc09af075ea1d5f2e260c214309d4315464a",
+    (2, 5): "aacf728c5373e1492f8ba2391476df7a66e326ac7e87b31d61cb3aae76c09b31",
+    (2, 6): "2547f042c5166976f3b07b7b7417e55ad52d3255132daeb9957b53952551a916",
+    (2, 7): "c51290568d86c0a0081155fcfa6e9f1002be540885a8868741091e5161d1a067",
+    (2, 8): "16c1ed9742a3d7a675e7fd7c250f4909dc07da433f6be6685c3542be86d0ae54",
+    (2, 9): "1fffd9c61152dfe94262639ddf6cd464e85fb2a5ae867452bc31f04da58737ea",
+    (2, 10): "2d42992f1d256bca2a6c6da9ab60db87f09ee69ff26be43edde1cc3956258818",
+    (2, 11): "758be6a17abedff721b28e31c6e2e069f3de49ed6cdcbb36d54d7bc2a6b6ce68",
+    (2, 12): "cd85dd123229500ef269b0e1aff7ce2ace868df055ffa6bc5dc14eb5785ac561",
+    (2, 13): "cbd63f1460769e602b05102928134a481cd2afca52c4f04227cbb13d75e109b8",
+    (2, 14): "a27277baead20a977b0ad245f365b076146a7e9b61d1f909e8cf6c4ab6e70092",
+    (2, 15): "dc3f3dd61f87a8c963eae717165a66acc3acc93536beebd956c64cd7c091ede5",
+    (3, 1): "070b13c004e9475fa155cd84d90de9f87db1b7dea6707329638a6ce66043d246",
+    (3, 2): "eb8bfb5c169df318d784df484d066d558738c71d9765e4e51a4b059ed05583a4",
+    (3, 3): "963d775a2b04667daba9f74bd86e5c3bf2a4830d01ac79ff5e8dfa61fbbb7a52",
+    (3, 4): "cebad491fcf11eddc20d1a6ae8d0a6a287386aa2cb3a76ec0a9cbf9e5a8f56c9",
+    (3, 5): "79872dedd3a02ad1c62b8fade62bb2797006e964595128f2a5503ae96df6d449",
+    (3, 6): "a23ad855587626060f045a828ae5afe226660cd8182fefccc66460ffd191957f",
+    (3, 7): "a12b8c5f52c0a1fa2d6acc8deb01e49aa37e6ce6c7e3e532c9ef5b579768e786",
+    (3, 8): "f8e5e899f8626dca6eaf11db3443f2eb1f65e461989eff0ac70b9bfcb7acb7fe",
+    (3, 9): "45531f909f166af3af388ac4de09397766a8128ee0714bc096a7be0f29976603",
+    (4, 1): "26b25d457597a7b0463f9620f666dd10aa2c4373a505967c7c8d70922a2d6ece",
+    (4, 2): "ed2a4ad6074941d44b30359b919b1a6f354db703e0fa4f79e607954f668663de",
+    (4, 3): "045ff409dbfe1ae0fe40c97c61127ddde999d8db997f6a794de1f6a0d4df33a9",
+    (4, 4): "356645fedb4395474730097a353a44c83502cea027a124d18ab3e3303b6a4dc3",
+    (4, 5): "c3cd5940e4fb782f2f9c35b609a727b4492ce6b9889bb3ee9346326672386e08",
+    (4, 6): "1d59a6061593f47c715b07a79dceae426a03c362223ce6502b58b65a75bc58ad",
+    (4, 7): "839719998d370d197afd4c971e845d8cb9712234ae068b7c0ba6a8a610d139e1",
+    (5, 1): "395c2f5598a1643a205154c6f4c46ce36895b28e6c35660a95e5c6fd5ef9aeab",
+    (5, 2): "7453010ce12629d1b7790374691784fec4e9e07d1c4308ee6e33e14b4ff3e7d2",
+    (5, 3): "2c06d10f9fd9e5e6a6d9cdbe79c5ec8f5736129436a91601e69d9e51aaed5b97",
+    (5, 4): "d56ac961a72d90b415bab4f9aedb0b390023cc62de810bd7ec5236ce6f1b8aa9",
+    (5, 5): "37749beba0c494367939a4afa721ce6b6d6e4392a9089ab07f221e62e5b36d80",
+    (5, 6): "83380b294a8f16eb7e8944a02dcc4e8f5bd8935fa9c404ad152bfe0ee9f0e0ff",
+    (6, 1): "c05d231da83665dd60560fc424059d66b433774afcff4d3b053b407f057d54ba",
+    (6, 2): "046ba997c1bfd5ae4b58ec78b2f64077205bbb80cf917d687de4820d1a6a8430",
+    (6, 3): "66f43d24d338eeb426e7fcb2232036196b82eabb2b294937ac787a7b0be5885a",
+    (6, 4): "d93c5b7d7d6711d29fec5c1263922429e8d07c83fa08b3d3aefad8db53b8aecd",
+    (6, 5): "a714a094fc6fe9eee079e6bf6d1ae5991aa96033d358471abfd2009db6715bf9",
+    (6, 6): "ae6523254c577ad68285d68cb3894568141ac494526391927b7a7d59d9fd5e34",
+}
+
+
+def test_complete_labelings_are_pinned():
+    got = {}
+    for n, t in COMPLETE_LABELS_SHA256:
+        labels = complete_graph_construction(n, t).function.labels
+        got[n, t] = hashlib.sha256(bytes(labels)).hexdigest()
+    assert got == COMPLETE_LABELS_SHA256

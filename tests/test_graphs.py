@@ -163,6 +163,23 @@ def test_construction_rejects_wrong_arity_pairs(pair, before):
         Graph(3, [*before, pair])
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(0, 1.5), (True, 2)], "edge (0, 1.5) has a vertex that is not an int"),
+        ([(0, 1), (True, 2)], "edge (True, 2) has a vertex that is not an int"),
+        ([(0, 1), (1, 2.0)], "edge (1, 2.0) has a vertex that is not an int"),
+        ([(2, 1), (0, "1")], "edge (0, '1') has a vertex that is not an int"),
+        ([(0, 5), (1, 1.5)], "edge (0, 5) out of range for order 3"),
+    ],
+)
+def test_construction_rejects_vertices_that_are_not_ints(edges, message):
+    """Only int vertices get in, so every graph writes an edge list that parses back."""
+    with pytest.raises(ValueError) as exc:
+        Graph(3, edges)
+    assert str(exc.value) == message
+
+
 @given(raw_edge_lists(), st.booleans())
 def test_derived_views_match_the_edge_list(case, masks_first):
     """Masks, neighbor tuples and neighbor lists agree with the edges,

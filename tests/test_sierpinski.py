@@ -19,6 +19,7 @@ from sierpdom import (
     star_graph,
 )
 from sierpdom.sierpinski import (
+    SierpinskiGraph,
     _certify,
     _progression,
     format_word,
@@ -199,6 +200,17 @@ def test_prefix_vertices_any_length():
 def test_boundary_property_random_bases(n, t, seed):
     base = random_connected_graph(n, random.Random(seed), 0.3)
     assert check_boundary_adjacency(build(base, t))
+
+
+@pytest.mark.parametrize("t,add,drop", [(2, (1, 4), ()), (3, (4, 13), ()), (2, (), (1, 3))])
+def test_boundary_property_rejects_a_changed_copy_join(t, add, drop):
+    """01 -- 11 and 011 -- 111 join copies 0 and 1 next to their extreme
+    vertices but are not the word rule's one edge 01..1 -- 10..0; without
+    01 -- 10 the copies 0 and 1 of S(P3, 2) are not joined at all."""
+    s = build(path_graph(3), t)
+    assert check_boundary_adjacency(s)
+    edges = [e for e in s.graph.edges if e != drop] + ([add] if add else [])
+    assert not check_boundary_adjacency(SierpinskiGraph(s.base, t, Graph(s.order, edges)))
 
 
 def test_connector_vertex_degrees():
