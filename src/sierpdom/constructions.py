@@ -4,9 +4,11 @@ Every construction fills a table of labels by trailing letters and
 leaves through _certified, which repeats the table under every prefix,
 validates the result on the built S(G, t) and reports its weight next to
 the predicted one; the report keeps that S(G, t), so nothing downstream
-builds it again.  A weight off the prediction is a program fault and
-raises AssertionError; a labeling that does not dominate is reported with
-valid false.  The general-base construction lifts an optimal base
+builds it again.  Validation and the perfect-code and packing checks
+read S(G, t)'s certified edge runs, so no construction decodes its
+Graph; construct --dot does, on the report's S(G, t).  A weight off the
+prediction is a program fault and raises AssertionError; a labeling
+that does not dominate is reported with valid false.  The general-base construction lifts an optimal base
 labeling onto the two-letter words and sheds weight there in four
 rewrite steps; the path and cycle constructions place labels by
 two-letter patterns, the complete-base one labels whole words.
@@ -40,7 +42,7 @@ from .formulas import (
     gamma_r_sierpinski_path,
 )
 from .generators import complete_graph, cycle_graph, path_graph
-from .graphs import Graph
+from .graphs import EdgeSource, Graph
 from .roman import DerivedSets, RomanFunction, derived_sets, is_roman_dominating
 from .sierpinski import (
     SierpinskiGraph,
@@ -144,7 +146,7 @@ def theorem_upper_bound_construction(
     s = build(base, t, max_vertices)  # checks the vertex budget first
     # under each prefix the level-1 and level-2 edges of S(G, t) are those of S(G, 2), and
     # extra edges keep a labeling Roman dominating: valid on S(G, 2) is valid under each prefix
-    block = s.graph if t == 2 else build(base, 2).graph
+    block = s if t == 2 else build(base, 2)
     table = list(lift_base_function(f, base, 2).labels)
     scale = n ** (t - 2)
     ds = derived_sets(f, base)
@@ -244,14 +246,14 @@ def _certified(s: SierpinskiGraph, table, predicted: int, steps, **fields) -> Co
     return ConstructionReport(
         function=out,
         predicted_weight=predicted,
-        valid=is_roman_dominating(out, s.graph),
+        valid=is_roman_dominating(out, s),
         sierpinski=s,
         steps_applied=tuple(steps),
         **fields,
     )
 
 
-def _twos_per_closed_neighborhood(labels, g: Graph) -> list[int]:
+def _twos_per_closed_neighborhood(labels, g: EdgeSource) -> list[int]:
     """How many 2s each vertex's closed neighborhood holds, in one pass over the edges."""
     seen = [x == 2 for x in labels]
     for u, v in g.edges:
@@ -347,7 +349,7 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
     rep = _certified(s, _pair_table(n, pair_twos, pair_ones), bracket.exact, steps)
     if n % 3 == 1:
         # 2s in each closed neighborhood: more than one breaks the packing, none the cover
-        twos_seen = _twos_per_closed_neighborhood(rep.function.labels, s.graph)
+        twos_seen = _twos_per_closed_neighborhood(rep.function.labels, s)
         if max(twos_seen) > 1:
             raise AssertionError("2-set is not a 2-packing")
         if min(twos_seen) == 0:
@@ -384,7 +386,7 @@ def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> froz
         raise ValueError("need n >= 2 and t >= 1")
     s = build(complete_graph(n), t, max_vertices)
     labels = _rule_labels(n, t, 2 if t % 2 else 0, 0)  # from O(0) at odd depth, E at even
-    if set(_twos_per_closed_neighborhood(labels, s.graph)) != {1}:
+    if set(_twos_per_closed_neighborhood(labels, s)) != {1}:
         raise AssertionError(f"letter-rule code of S(K{n},{t}) is not a perfect code")
     code = frozenset(v for v, x in enumerate(labels) if x)
     if len(code) != gamma_knt(n, t):

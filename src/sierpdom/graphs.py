@@ -21,13 +21,17 @@ adjacent duplicates.  Appending neighbors from the sorted edge list
 fills every neighbor tuple in ascending order, so no per-vertex sort is
 needed.  A ValueError names the first invalid edge in
 input order, as given.  from_canonical_edges skips all of that for a
-caller that has already proven its edges canonical (sierpinski.build
-certifies its edge keys).
+caller that has already proven its edges canonical (a SierpinskiGraph
+decodes its certified edge keys that way, on the first read of its
+graph).
 
-The edge-list and DOT writers read only a graph's order, size and edges
-(an EdgeSource), so they also write S(G, t) straight from its keys.  They
-format a slice of lines per %-operation and write the slices to one
-buffer.
+An EdgeSource is what reads only a graph's order, size and edges: a
+Graph, the sorted keys of sierpinski.EdgeKeys, or a SierpinskiGraph
+itself, whose edges come off its runs in no canonical order.  The
+edge-list and DOT writers and edge_list_digest take the first two, so
+gen writes S(G, t) straight from its keys; they format a slice of lines
+per %-operation and write the slices to one buffer.  Validation
+(roman.is_roman_dominating) takes any of the three.
 """
 
 from __future__ import annotations
@@ -132,7 +136,7 @@ class Graph:
 
     def digest(self) -> str:
         """Short content hash of the canonical edge list."""
-        return hashlib.sha256(format_edge_list(self).encode()).hexdigest()[:12]
+        return edge_list_digest(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -221,7 +225,9 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
 
 
 class EdgeSource(Protocol):
-    """What the writers read: a Graph, or sierpinski.EdgeKeys decoding its keys."""
+    """Order, size and edges: a Graph, sierpinski.EdgeKeys decoding its keys, or a
+    SierpinskiGraph reading its runs.  The writers and the digest need the edges
+    in canonical order, which the runs are not."""
 
     @property
     def order(self) -> int: ...
@@ -243,6 +249,11 @@ def format_edge_list(g: EdgeSource) -> str:
     out.write(f"{g.order} {g.size}\n")
     _write_sliced(out.write, "%d %d\n", g.edges)
     return out.getvalue()
+
+
+def edge_list_digest(g: EdgeSource) -> str:
+    """Short content hash of the edge list format_edge_list writes."""
+    return hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:12]
 
 
 def to_dot(

@@ -3,6 +3,12 @@
 A Roman dominating function (RDF) labels every vertex 0, 1 or 2 so that
 each 0-vertex has a neighbor labeled 2.  Its weight is the label sum,
 and the minimum weight over all RDFs is the Roman domination number.
+
+is_roman_dominating reads only a graph's order and edges, so the
+constructions validate on S(G, t)'s edge runs and decode no Graph; so
+does to_dict, which names S(G, t) and digests its sorted edge keys.
+derived_sets and copy_weight_profile read neighbors and degrees, so
+copy_weight_profile decodes S(G, t)'s Graph.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ContractError
-from .graphs import Graph
+from .graphs import EdgeSource, Graph
 from .sierpinski import SierpinskiGraph, prefix_vertices, word_of
 
 _LABELS = frozenset((0, 1, 2))
@@ -69,9 +75,8 @@ class RomanFunction:
         """The document to_json writes; with sierpinski, the labels keyed by its words."""
         doc: dict = {"weight": self.weight}
         if sierpinski is not None:
-            graph = sierpinski.graph
             doc["labels_by_word"] = dict(zip(sierpinski.word_labels(), self.labels, strict=True))
-            doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
+            doc["graph"] = {"name": sierpinski.name, "sha256": sierpinski.digest()}
         else:
             doc["labels"] = list(self.labels)
         return doc
@@ -97,7 +102,7 @@ class RomanFunction:
         return f
 
 
-def is_roman_dominating(f: RomanFunction, g: Graph) -> bool:
+def is_roman_dominating(f: RomanFunction, g: EdgeSource) -> bool:
     """Check the defining condition: every 0-vertex sees a 2."""
     if f.order != g.order:
         raise ValueError(f"labeling covers {f.order} vertices, graph has {g.order}")

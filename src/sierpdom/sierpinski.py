@@ -7,17 +7,23 @@ the shapes w a b b..b and w b a a..a for some base edge {a, b}: the edge
 sits at level r when the differing suffix has length r.  S(G, 1) is G
 itself.
 
-In ids, the level-r edge of base edge {a, b} under prefix w is the pair
-(a·rep + b·run, b·rep + a·run) shifted by w·nʳ, where rep = nʳ⁻¹ and run
-is the value of the word 11..1 of length r-1.  edge_keys writes each edge
-(u, v) as the one integer key u·N + v, N = nᵗ, so the edges of one level
-and base edge are a single range of step nʳ·(N + 1), and one list.sort
-merges the t·|E(G)| ranges into canonical edge order.  Each range is
-certified to hold only pairs u < v < N, and the sorted keys to ascend
-strictly and number |E(G)|·(N - 1)/(n - 1); together that proves the
-keys are the canonical edge list Graph would make of them, so build
-decodes them into its Graph without checking each edge again, and gen
-writes them out without a Graph at all.
+In ids, the level-r edges of base edge {a, b} are one run, the pairs
+(a·rep + b·run, b·rep + a·run) + k·nʳ for k < nᵗ⁻ʳ, where rep = nʳ⁻¹ and
+run is the value of the word 11..1 of length r-1.  A run is held as the
+keys u·N + v of its edges, N = nᵗ: a single range of step nʳ·(N + 1).
+Each run is certified to hold only pairs u < v < N, and the t·|E(G)|
+runs to number |E(G)|·(N - 1)/(n - 1) edges.
+
+build checks the vertex budget and returns S(G, t) as these runs: a
+SierpinskiGraph, whose order, size and edges (read off each run as two
+ranges of ends, in no canonical order) are all that validation and the
+construction checks read, so no construction decodes a Graph.  Its
+edge_keys merges the runs with one list.sort and certifies the sorted
+keys to ascend strictly, which with the runs' checks proves them the
+canonical edge list Graph would make of them.  gen writes those keys
+out without a Graph; graph, which the solvers, construct --dot and the
+copy checks read, is decoded from them on first read with no edge
+checked again, and kept.
 
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word turns a word into its display
@@ -28,29 +34,70 @@ each word the value a table holds for its trailing letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import lt
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
-from .graphs import Graph, from_canonical_edges
+from .graphs import Graph, edge_list_digest, from_canonical_edges
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class SierpinskiGraph:
-    """A built S(G, t) together with its base graph and word coding."""
+    """S(G, t) as its certified edge runs, with its base graph and word coding.
 
-    base: Graph
-    depth: int
-    graph: Graph
+    It is an EdgeSource: order, size and edges come off the runs, the
+    edges in run order, not in canonical order.  graph is the canonical
+    Graph, decoded from edge_keys on first read and then kept; a graph
+    given to the constructor is taken as it is, to check a changed copy.
+    """
+
+    __slots__ = ("base", "depth", "order", "runs", "_graph")
+
+    def __init__(self, base: Graph, depth: int, graph: Optional[Graph] = None):
+        self.base = base
+        self.depth = depth
+        self.order = base.order**depth
+        self.runs = _edge_runs(base, depth)
+        self._graph = graph
 
     @property
-    def order(self) -> int:
-        return self.graph.order
+    def name(self) -> str:
+        return f"S({self.base.name or 'G'},{self.depth})"
+
+    @property
+    def size(self) -> int:
+        return sum(map(len, self.runs))
+
+    @property
+    def edges(self) -> Iterator[tuple[int, int]]:
+        return chain.from_iterable(map(_pairs, self.runs, repeat(self.order)))
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            keys = self.edge_keys()
+            # the key list is new and ours alone: decoded in place a slice at a time,
+            # each key is freed as its pair is made, so the peak is the pairs and no more
+            edges, chunk = keys.keys, 1024
+            for i in range(0, len(edges), chunk):
+                edges[i : i + chunk] = map(divmod, edges[i : i + chunk], repeat(keys.order))
+            self._graph = from_canonical_edges(keys.order, tuple(edges), self.name)
+        return self._graph
+
+    def edge_keys(self) -> EdgeKeys:
+        """The runs' keys u·order + v, merged by one sort and certified."""
+        keys = list(chain.from_iterable(self.runs))
+        keys.sort()  # each run ascends, and list.sort merges ascending runs
+        _certify(keys, self.order, self.size)
+        return EdgeKeys(self.order, keys)
+
+    def digest(self) -> str:
+        """Graph.digest of graph, read off the keys."""
+        return edge_list_digest(self.edge_keys())
 
     def word_of(self, vid: int) -> Word:
         return word_of(vid, self.base.order, self.depth)
@@ -65,7 +112,7 @@ class SierpinskiGraph:
 
 @dataclass(frozen=True)
 class EdgeKeys:
-    """The edges of S(G, t) as the certified sorted keys u·order + v of edge_keys.
+    """The edges of S(G, t) as the certified sorted keys u·order + v.
 
     It has the order, size and edges that format_edge_list and to_dot
     read, so they write S(G, t) from the keys without a Graph; edges
@@ -132,34 +179,54 @@ def suffix_labels(table: Sequence[int], n: int, length: int) -> tuple[int, ...]:
     return tuple(table) * (n**length // len(table))
 
 
-def edge_keys(base: Graph, depth: int, max_vertices: Optional[int] = None) -> EdgeKeys:
-    """The edges of S(base, depth) as certified sorted keys u·nᵗ + v.
-
-    Raises ValueError for depth < 1 or a base of fewer than 2 vertices,
-    and BudgetError when the vertex count n**depth would exceed the budget
-    (DEFAULT_VERTEX_BUDGET unless given).
-    """
+def _check_order(base: Graph, depth: int, max_vertices: Optional[int]) -> None:
+    """Raise ValueError for depth < 1 or a base of fewer than 2 vertices, and
+    BudgetError when n**depth would exceed the budget (DEFAULT_VERTEX_BUDGET unless given)."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    n = base.order
-    if n < 2:
+    if base.order < 2:
         raise ValueError("base graph needs at least 2 vertices")
-    total = n**depth
+    total = base.order**depth
     budget = DEFAULT_VERTEX_BUDGET if max_vertices is None else max_vertices
     if total > budget:
         raise BudgetError(
             f"S({base.name or 'G'},{depth}) has {total} vertices, over the budget of {budget}"
         )
-    keys: list[int] = []
+
+
+def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
+    """S(base, depth) as its certified edge runs; its graph is decoded on first read.
+
+    Raises ValueError for depth < 1 or a base of fewer than 2 vertices,
+    and BudgetError when the vertex count n**depth would exceed the
+    budget (DEFAULT_VERTEX_BUDGET unless given).
+    """
+    _check_order(base, depth, max_vertices)
+    return SierpinskiGraph(base, depth)
+
+
+def edge_keys(base: Graph, depth: int, max_vertices: Optional[int] = None) -> EdgeKeys:
+    """The edges of S(base, depth) as certified sorted keys u·nᵗ + v; raises as build does."""
+    _check_order(base, depth, max_vertices)
+    return SierpinskiGraph(base, depth).edge_keys()
+
+
+def _edge_runs(base: Graph, depth: int) -> list[range]:
+    """The key ranges of the t·|E(G)| runs, level by level, each certified by
+    _progression; raises unless they number |E(G)|·(nᵗ - 1)/(n - 1) edges."""
+    n = base.order
+    total = n**depth
+    runs = []
     for r in range(1, depth + 1):
         rep = n ** (r - 1)
         # a letter d repeated r-1 times has numeric value d * run
         run = (rep - 1) // (n - 1)
         for a, b in base.edges:
-            keys += _progression(a * rep + b * run, b * rep + a * run, rep * n, total)
-    keys.sort()  # each progression is an ascending run, which list.sort merges
-    _certify(keys, total, base.size * (total - 1) // (n - 1))
-    return EdgeKeys(total, keys)
+            runs.append(_progression(a * rep + b * run, b * rep + a * run, rep * n, total))
+    expect = base.size * (total - 1) // (n - 1)
+    if sum(map(len, runs)) != expect:
+        raise AssertionError(f"edge runs hold {sum(map(len, runs))} edges, expected {expect}")
+    return runs
 
 
 def _progression(u0: int, v0: int, stride: int, total: int) -> range:
@@ -175,6 +242,14 @@ def _progression(u0: int, v0: int, stride: int, total: int) -> range:
     return range(start, start + total // stride * step, step)
 
 
+def _pairs(keys: range, total: int) -> Iterator[tuple[int, int]]:
+    """The edges of one run, read off its key range as two ranges of ends."""
+    u0, v0 = divmod(keys.start, total)
+    stride = keys.step // (total + 1)
+    # _progression proved v0 < stride, so each range holds total/stride ends
+    return zip(range(u0, total, stride), range(v0, total, stride))
+
+
 def _certify(keys: list[int], total: int, expect: int) -> None:
     """Raise unless the sorted keys number expect, lie below total², and ascend strictly.
 
@@ -187,22 +262,6 @@ def _certify(keys: list[int], total: int, expect: int) -> None:
         raise AssertionError(f"edge key out of range for order {total}")
     if not all(map(lt, keys, islice(keys, 1, None))):
         raise AssertionError("edge keys repeat or descend")
-
-
-def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
-    """Construct S(base, depth); raises as edge_keys does.
-
-    The certified keys are decoded straight into the Graph's edge list,
-    so no edge is checked again.
-    """
-    keys = edge_keys(base, depth, max_vertices)
-    # the key list is new and build's alone: decoded in place a slice at a time,
-    # each key is freed as its pair is made, so the peak is the pairs and no more
-    edges, chunk = keys.keys, 1024
-    for i in range(0, len(edges), chunk):
-        edges[i : i + chunk] = map(divmod, edges[i : i + chunk], repeat(keys.order))
-    graph = from_canonical_edges(keys.order, tuple(edges), f"S({base.name or 'G'},{depth})")
-    return SierpinskiGraph(base, depth, graph)
 
 
 def extreme_vertices(s: SierpinskiGraph) -> tuple[int, ...]:
@@ -229,9 +288,9 @@ def check_boundary_adjacency(s: SierpinskiGraph) -> bool:
     x != y must be the edge x·yᵗ⁻¹ -- y·xᵗ⁻¹ of a base edge {x, y}, and
     each base edge must give one, so there are exactly |E(G)| of them.
     """
-    n = s.base.order
-    span = n ** (s.depth - 1)
-    run = (span - 1) // (n - 1)  # the value of the word 11..1 of length t - 1
+    n, t = s.base.order, s.depth
+    span = n ** (t - 1)
     crossing = [(u, v) for u, v in s.graph.edges if u // span != v // span]
-    # for a base edge (x, y) with x < y, the pair (x·span + y·run, y·span + x·run) is canonical
-    return crossing == sorted((x * span + y * run, y * span + x * run) for x, y in s.base.edges)
+    # for a base edge (x, y) with x < y, the word x·yᵗ⁻¹ has the smaller id
+    joins = [(id_of((x,) + (y,) * (t - 1), n), id_of((y,) + (x,) * (t - 1), n)) for x, y in s.base.edges]
+    return crossing == sorted(joins)

@@ -18,6 +18,8 @@ from sierpdom import (
     RomanFunction,
     SolveTimeout,
     build,
+    complete_graph,
+    cycle_graph,
     extreme_vertices,
     format_edge_list,
     is_roman_dominating,
@@ -236,6 +238,37 @@ def test_construct_builds_its_graph_once(capsys, monkeypatch, tmp_path, family, 
         assert depths == [t]
     assert len(json.loads(out)["function"]["labels_by_word"]) == n**t
     assert dot.read_text().startswith("graph S {")
+
+
+@pytest.mark.parametrize("words", [False, True])
+@pytest.mark.parametrize(
+    "family,n,t", [("path", 5, 3), ("cycle", 4, 3), ("cycle", 6, 3), ("complete", 3, 4), ("theorem", 4, 3)]
+)
+def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, family, n, t, words):
+    """Validation reads S(G, t)'s edge runs, and --words names it and digests its
+    edge keys, so only --dot decodes a Graph of S(G, t)."""
+    args = ["--family", family, "--t", str(t)] + ["--words"] * words
+    if family == "theorem":
+        (tmp_path / "P4.txt").write_text(format_edge_list(path_graph(4)))
+        (tmp_path / "f.json").write_text(RomanFunction((0, 2, 0, 1)).to_json())
+        args += ["--base", str(tmp_path / "P4.txt"), "--function", str(tmp_path / "f.json")]
+    else:
+        args += ["--n", str(n)]
+
+    def refuse(*_):
+        raise AssertionError("a Graph of S(G, t) was decoded")
+
+    monkeypatch.setattr("sierpdom.sierpinski.from_canonical_edges", refuse)
+    code, out, _ = run(capsys, "construct", *args)
+    assert code == 0 and json.loads(out)["valid"] is True
+    monkeypatch.undo()
+    if words:  # the name and digest of the Graph that build decodes
+        bases = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}
+        if family in bases:
+            s = build(bases[family](n), t)
+        else:
+            s = build(parse_edge_list((tmp_path / "P4.txt").read_text(), name="P4.txt"), t)
+        assert json.loads(out)["function"]["graph"] == {"name": s.graph.name, "sha256": s.graph.digest()}
 
 
 def test_construct_residue_error(capsys):

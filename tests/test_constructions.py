@@ -377,6 +377,18 @@ def test_complete_construction_memory_is_linear():
     assert _peak_bytes(complete_graph_construction, 3, 8) <= 15 * peak
 
 
+def test_complete_construction_peak_is_small():
+    """S(K4, 8) has 65,536 vertices and 131,070 edges; validated on its edge runs, with
+    no Graph decoded, the construction and its report peak below 8 MiB under tracemalloc."""
+    tracemalloc.start()
+    try:
+        complete_graph_construction(4, 8).to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 def test_complete_construction_builds_once(monkeypatch):
     from sierpdom import constructions
 

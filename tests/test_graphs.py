@@ -242,7 +242,7 @@ def test_adjacent_matches_neighbor_lists(g):
 def _build_peak_bytes(t):
     tracemalloc.start()
     try:
-        build(path_graph(2), t)
+        build(path_graph(2), t).graph  # build holds only the runs; the Graph is decoded here
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,6 +13,7 @@ from sierpdom import (
     complete_graph,
     cycle_graph,
     extreme_vertices,
+    is_connected,
     path_graph,
     prefix_vertices,
     random_connected_graph,
@@ -144,6 +145,22 @@ def test_edge_key_certification():
             _certify(keys, 4, 4)
     with pytest.raises(AssertionError):
         _certify(good, 4, 5)  # one edge short
+
+
+def test_edge_runs_are_the_graph_random_bases():
+    """The runs' edges, sorted, are the decoded Graph's edge list, and their count its size,
+    on seeded random bases of order 2-6, edgeless and disconnected ones included, t = 1-4."""
+    bases = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, t, p = rng.randint(2, 6), rng.randint(1, 4), rng.choice((0.0, 0.25, 0.5, 0.9))
+        base = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        s = build(base, t)
+        assert sorted(s.edges) == list(s.graph.edges)
+        assert s.size == s.graph.size
+        bases.append(base)
+    assert not all(map(is_connected, bases))
+    assert any(base.size == 0 for base in bases)
 
 
 def test_budget_enforced():

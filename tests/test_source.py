@@ -168,3 +168,28 @@ def test_benchmark_tracer_runs_build_and_gen(tmp_path, monkeypatch):
     ]
     # build makes its Graph without Graph.__init__, and gen makes none
     assert "graphs.init" not in {span[0] for span in tracer.spans}
+
+
+def test_benchmark_tracer_runs_constructions_and_construct_dot(tmp_path, monkeypatch):
+    # construct --dot decodes the report's S(G, t) on first read of its graph, which
+    # must not go through sierpinski.Graph, the name the tracer rebinds
+    from sierpdom import cli, constructions
+
+    tracing = _load_tracing()
+    monkeypatch.setitem(sys.modules, "workloads", types.ModuleType("workloads"))
+    dot = tmp_path / "s.dot"
+    argv = ["construct", "--family", "complete", "--n", "3", "--t", "3", "--dot", str(dot)]
+    argv += ["--out", str(tmp_path / "report.json")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = constructions.complete_graph_construction(3, 3)
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert report.valid and code == 0
+    assert [span[-2] for span in tracer.spans] == [None] * len(tracer.spans)  # no errors
+    assert [(span[0], span[-1]) for span in tracer.spans if span[0] == "sierpinski.build"] == [
+        ("sierpinski.build", 27)
+    ] * 2
+    assert dot.read_text().startswith("graph S {")
