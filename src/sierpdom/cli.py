@@ -180,7 +180,7 @@ def _cmd_construct(args) -> int:
         s = report.sierpinski  # the S(G, t) the labeling was validated on
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(s.graph, graph_name="S", colors=colors, labels=s.word_labels()))
+            fh.write(to_dot(s.edge_keys(), graph_name="S", colors=colors, labels=s.word_labels()))
     _emit(report.to_json(words=args.words) + "\n", args.out)
     return 0 if report.valid else 1
 
@@ -294,7 +294,7 @@ _VERIFY = {
 
 def _verify_families(spec: Optional[str]) -> list[str]:
     """The --families names in table order; an unknown name is bad input."""
-    wanted = spec.split(",") if spec else list(_VERIFY)
+    wanted = spec.split(",") if spec is not None else list(_VERIFY)
     unknown = [name for name in wanted if name not in _VERIFY]
     if unknown:
         names = ", ".join(map(repr, unknown))

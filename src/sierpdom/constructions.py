@@ -6,9 +6,10 @@ validates the result on the built S(G, t) and reports its weight next to
 the predicted one; the report keeps that S(G, t), so nothing downstream
 builds it again.  Validation and the perfect-code and packing checks
 read S(G, t)'s certified edge runs, so no construction decodes its
-Graph; construct --dot does, on the report's S(G, t).  A weight off the
-prediction is a program fault and raises AssertionError; a labeling
-that does not dominate is reported with valid false.  The general-base construction lifts an optimal base
+Graph, and construct --dot writes the report's S(G, t) from its edge
+keys.  A weight off the prediction is a program fault and raises
+AssertionError; a labeling that does not dominate is reported with
+valid false.  The general-base construction lifts an optimal base
 labeling onto the two-letter words and sheds weight there in four
 rewrite steps; the path and cycle constructions place labels by
 two-letter patterns, the complete-base one labels whole words.

@@ -60,6 +60,8 @@ def random_connected_graph(n: int, rng: random.Random, extra_edge_prob: float = 
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    if not 0 <= extra_edge_prob <= 1:  # NaN fails this too
+        raise ValueError(f"extra edge probability {extra_edge_prob} is not between 0 and 1")
     tree = set()
     for u, v in _prufer_tree(n, rng):
         tree.add((u, v) if u < v else (v, u))

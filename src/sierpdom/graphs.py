@@ -10,20 +10,18 @@ for the other, so a graph that is only built, serialized or validated
 (validation reads the edge list) holds neither.  The exact searches
 also take neighbor_lists, the same lists uncached, to make their own.
 
-Graph(n, edges) is the way in for any input: a few C-level passes over
-the edge list.  One pass proves every vertex of type int exactly (a bool
-or a float is refused), so the writers format vertices with %d.  One
-pass proves every pair ordered (u < v), which also rules out self-loops;
-only when it fails are the pairs canonicalized and scanned for loops.
-Then one sort, a range check (the smallest vertex is the first one after
-the sort, the largest a max over the second ends) and a scan for
-adjacent duplicates.  Appending neighbors from the sorted edge list
+Graph(n, edges) is the way in for any input: one pass over the edges in
+input order checks each for vertices of type int exactly (a bool or a
+float is refused, so the writers format vertices with %d), then for
+range, then for a self-loop, and adds its (min, max) pair to a set,
+which one sort turns into the edge list.  A ValueError names the first
+invalid edge, as given.  Appending neighbors from the sorted edge list
 fills every neighbor tuple in ascending order, so no per-vertex sort is
-needed.  A ValueError names the first invalid edge in
-input order, as given.  from_canonical_edges skips all of that for a
-caller that has already proven its edges canonical (a SierpinskiGraph
-decodes its certified edge keys that way, on the first read of its
-graph).
+needed.  from_canonical_edges skips the checks for a caller that has
+already proven its edges canonical.  Only a SierpinskiGraph calls it,
+when it decodes its certified edge keys on the first read of its graph,
+so S(G, t) skips the checks however large it is, and they run on base
+graphs and on graphs read from input.
 
 An EdgeSource is what reads only a graph's order, size and edges: a
 Graph, the sorted keys of sierpinski.EdgeKeys, or a SierpinskiGraph
@@ -38,8 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-from itertools import chain, groupby, islice, starmap
-from operator import eq, itemgetter, lt
+from itertools import chain, islice
 from typing import Iterable, Optional, Protocol
 
 
@@ -51,26 +48,17 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if n < 1:
             raise ValueError("graph order must be at least 1")
-        pairs = list(map(tuple, edges))  # input order, to name a bad edge; never the caller's list
-        if not {int}.issuperset(map(type, chain.from_iterable(pairs))):
-            _raise_first_bad_edge(n, pairs)
-        try:
-            ordered = all(starmap(lt, pairs))
-        except TypeError:  # a pair of the wrong length: the unpacking below raises its ValueError
-            ordered = False
-        # u < v on every pair rules out self-loops and leaves nothing to canonicalize
-        canon = pairs.copy() if ordered else [(u, v) if u < v else (v, u) for u, v in pairs]
-        canon.sort()
-        if canon and (
-            canon[0][0] < 0
-            or max(map(itemgetter(1), canon)) >= n
-            or (not ordered and any(starmap(eq, canon)))
-        ):
-            _raise_first_bad_edge(n, pairs)
-        if any(map(eq, canon, islice(canon, 1, None))):  # the sort put duplicates side by side
-            canon = [e for e, _ in groupby(canon)]
+        canon = set()
+        for u, v in edges:  # in input order, so a ValueError names the first bad edge as given
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a vertex that is not an int")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} not allowed")
+            canon.add((u, v) if u < v else (v, u))
         self._n = n
-        self._edges = tuple(canon)
+        self._edges = tuple(sorted(canon))
         self._adj: Optional[tuple[tuple[int, ...], ...]] = None
         self._closed_mask: Optional[tuple[int, ...]] = None
         self.name = name
@@ -161,18 +149,6 @@ def from_canonical_edges(n: int, edges: tuple[tuple[int, int], ...], name: str =
     g = Graph.__new__(Graph)
     g._n, g._edges, g._adj, g._closed_mask, g.name = n, edges, None, None, name
     return g
-
-
-def _raise_first_bad_edge(n: int, edges: Iterable[tuple[int, int]]):
-    """Raise the ValueError for the first invalid edge in input order."""
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int:
-            raise ValueError(f"edge ({u!r}, {v!r}) has a vertex that is not an int")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} not allowed")
-    raise AssertionError("bulk edge check failed but no edge is invalid")
 
 
 def is_connected(g: Graph) -> bool:

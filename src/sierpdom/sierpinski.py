@@ -20,8 +20,8 @@ ranges of ends, in no canonical order) are all that validation and the
 construction checks read, so no construction decodes a Graph.  Its
 edge_keys merges the runs with one list.sort and certifies the sorted
 keys to ascend strictly, which with the runs' checks proves them the
-canonical edge list Graph would make of them.  gen writes those keys
-out without a Graph; graph, which the solvers, construct --dot and the
+canonical edge list Graph would make of them.  gen and construct --dot
+write those keys out without a Graph; graph, which the solvers and the
 copy checks read, is decoded from them on first read with no edge
 checked again, and kept.
 
@@ -79,13 +79,7 @@ class SierpinskiGraph:
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            keys = self.edge_keys()
-            # the key list is new and ours alone: decoded in place a slice at a time,
-            # each key is freed as its pair is made, so the peak is the pairs and no more
-            edges, chunk = keys.keys, 1024
-            for i in range(0, len(edges), chunk):
-                edges[i : i + chunk] = map(divmod, edges[i : i + chunk], repeat(keys.order))
-            self._graph = from_canonical_edges(keys.order, tuple(edges), self.name)
+            self._graph = from_canonical_edges(self.order, tuple(self.edge_keys().edges), self.name)
         return self._graph
 
     def edge_keys(self) -> EdgeKeys:

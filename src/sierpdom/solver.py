@@ -58,6 +58,7 @@ searches refuse an order above MAX_SOLVE_ORDER before building them.
 from __future__ import annotations
 
 import json
+import math
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -99,6 +100,8 @@ class _Deadline:
     __slots__ = ("at", "ticks")
 
     def __init__(self, time_limit: Optional[float]):
+        if time_limit is not None and math.isnan(time_limit):  # no clock reading exceeds NaN
+            raise ValueError("time limit must be a number of seconds, not NaN")
         self.at = None if time_limit is None else time.perf_counter() + time_limit
         self.ticks = 0
 

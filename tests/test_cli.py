@@ -271,6 +271,25 @@ def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, f
         assert json.loads(out)["function"]["graph"] == {"name": s.graph.name, "sha256": s.graph.digest()}
 
 
+@pytest.mark.parametrize("family,n,t", [("complete", 3, 2), ("cycle", 4, 3)])
+def test_construct_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, family, n, t):
+    """--dot writes S(G, t) from its edge keys, in the canonical edge order."""
+
+    def refuse(*_):
+        raise AssertionError("a Graph of S(G, t) was decoded")
+
+    monkeypatch.setattr("sierpdom.sierpinski.from_canonical_edges", refuse)
+    dot = tmp_path / "s.dot"
+    code, _, _ = run(
+        capsys, "construct", "--family", family, "--n", str(n), "--t", str(t), "--dot", str(dot)
+    )
+    assert code == 0
+    monkeypatch.undo()
+    base = {"cycle": cycle_graph, "complete": complete_graph}[family](n)
+    edge_lines = [line for line in dot.read_text().splitlines() if " -- " in line]
+    assert edge_lines == [f"  {u} -- {v};" for u, v in build(base, t).graph.edges]
+
+
 def test_construct_residue_error(capsys):
     code, _, err = run(capsys, "construct", "--family", "path", "--n", "4", "--t", "2")
     assert code == 2
@@ -378,6 +397,22 @@ def test_sweep_full_checks_product_bounds(capsys):
     for r in rows:
         assert r["checks"]["product-bound"] is True
         assert r["checks"]["complete-base-lower"] is True
+
+
+@pytest.mark.parametrize("prob", ["nan", "5", "-0.5"])
+def test_sweep_rejects_extra_prob_outside_the_unit_interval(capsys, prob):
+    code, out, err = run(capsys, "sweep", "--count", "2", "--extra-prob", prob)
+    assert code == 2
+    assert out == "" and "between 0 and 1" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["solve", "--family", "complete", "--n", "3"], ["sweep", "--count", "2"]]
+)
+def test_nan_timeout_is_bad_input(capsys, command):
+    code, out, err = run(capsys, *command, "--timeout", "nan")
+    assert code == 2
+    assert out == "" and "NaN" in err
 
 
 def test_sweep_timeout_exits_3(capsys):
@@ -695,7 +730,7 @@ def test_verify_rows_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(rows_file.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("families", ["path", "paths,cycle"])
+@pytest.mark.parametrize("families", ["path", "paths,cycle", ""])
 def test_verify_rejects_unknown_families(capsys, families):
     code, out, err = run(capsys, "verify", "--families", families)
     assert code == 2

@@ -73,6 +73,12 @@ def test_extra_prob_one_gives_complete():
     assert g == complete_graph(6)
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, 5.0, float("nan"), float("inf")])
+def test_extra_prob_outside_the_unit_interval_is_refused(p):
+    with pytest.raises(ValueError, match="between 0 and 1"):
+        random_connected_graph(6, random.Random(3), extra_edge_prob=p)
+
+
 @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
 def test_spanning_subgraph_drops_one_edge(n, seed):
     rng = random.Random(seed)

@@ -217,6 +217,13 @@ def test_timeout_raises():
 
 
 @pytest.mark.parametrize("solve", [gamma_exact, gamma_r_exact])
+def test_nan_time_limit_is_refused(solve):
+    # no clock reading exceeds NaN, so such a limit would never fire
+    with pytest.raises(ValueError, match="NaN"):
+        solve(cycle_graph(6), time_limit=float("nan"))
+
+
+@pytest.mark.parametrize("solve", [gamma_exact, gamma_r_exact])
 def test_timeout_bounds_the_first_incumbent(solve):
     # the greedy incumbent of a 6000-vertex path used to take seconds before
     # the first deadline check

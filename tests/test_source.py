@@ -3,7 +3,9 @@ package imports only the standard library and itself, takes no private
 (_-prefixed) name from another of its modules, reads no
 environment variable (its settings are CLI flags), and has no assert
 statement (a certifying check is an explicit raise, which python -O
-keeps).  Every function the benchmark's tracer wraps by name exists, and
+keeps).  Only sierpinski.py reads from_canonical_edges, which checks
+nothing, so unchecked edges enter a Graph only as S(G, t)'s certified
+keys.  Every function the benchmark's tracer wraps by name exists, and
 build and gen run under the installed tracer."""
 
 import ast
@@ -124,6 +126,29 @@ def test_no_assert_statements(path):
     assert _assert_statements(path.read_text()) == []
 
 
+def _canonical_edge_reads(source: str) -> list[int]:
+    """Lines that read the name from_canonical_edges, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == "from_canonical_edges")
+        or (isinstance(node, ast.Attribute) and node.attr == "from_canonical_edges")
+    )
+
+
+def test_checker_finds_a_canonical_edge_read():
+    source = "from .graphs import from_canonical_edges\ng = from_canonical_edges(2, ((0, 1),))\n"
+    source += "make = graphs.from_canonical_edges\ndef from_canonical_edges(n, edges):\n    pass\n"
+    assert _canonical_edge_reads(source) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "sierpinski.py"], ids=lambda p: p.name
+)
+def test_only_sierpinski_reads_from_canonical_edges(path):
+    assert _canonical_edge_reads(path.read_text()) == []
+
+
 def _load_tracing():
     path = PACKAGE.parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -171,8 +196,8 @@ def test_benchmark_tracer_runs_build_and_gen(tmp_path, monkeypatch):
 
 
 def test_benchmark_tracer_runs_constructions_and_construct_dot(tmp_path, monkeypatch):
-    # construct --dot decodes the report's S(G, t) on first read of its graph, which
-    # must not go through sierpinski.Graph, the name the tracer rebinds
+    # construct --dot writes the report's S(G, t) from its edge keys, and must not
+    # go through sierpinski.Graph, the name the tracer rebinds
     from sierpdom import cli, constructions
 
     tracing = _load_tracing()
