@@ -10,7 +10,7 @@ choices.  verify --families must name families from its table, and
 --max-n/--max-t bound the base order and depth of every row; an unknown
 name, or limits that leave no rows, is bad input (exit 2) and nothing
 is verified; so is a sweep --count below 1, --max-n below 2, or
---full below --t 2.
+--full below --t 2, and a --timeout of NaN for solve, verify or sweep.
 Each input has one way in: the base graph is --family with --n or --base
 FILE, never both (solve --depth D solves S(base, D)); the theorem
 construction's labeling is --function FILE, as RomanFunction.to_json
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -45,7 +46,7 @@ from .generators import (
 )
 from .graphs import Graph, format_edge_list, parse_edge_list, to_dot
 from .roman import RomanFunction
-from .sierpinski import DEFAULT_VERTEX_BUDGET, build, edge_keys, format_word, word_labels
+from .sierpinski import DEFAULT_VERTEX_BUDGET, build, format_word, word_labels
 from .solver import brute_force_gamma_r, gamma_exact, gamma_r_exact
 
 _FAMILIES = {
@@ -102,11 +103,11 @@ def _emit(text: str, out: Optional[str]):
 def _cmd_gen(args) -> int:
     base = _load_base(args)
     n, t = base.order, args.t
-    keys = edge_keys(base, t, args.budget)  # written as they are, with no Graph
+    g = build(base, t, args.budget).graph
     if args.format == "dot":
-        text = to_dot(keys, graph_name="S", labels=word_labels(n, t))
+        text = to_dot(g, graph_name="S", labels=word_labels(n, t))
     else:
-        text = format_edge_list(keys)
+        text = format_edge_list(g)
     _emit(text, args.out)
     if args.meta:
         meta = {
@@ -114,8 +115,8 @@ def _cmd_gen(args) -> int:
             "base_order": n,
             "base_size": base.size,
             "depth": t,
-            "order": keys.order,
-            "size": keys.size,
+            "order": g.order,
+            "size": g.size,
             "extreme_vertices": [format_word((x,) * t, n) for x in range(n)],
         }
         _emit(json.dumps(meta, sort_keys=True) + "\n", None if args.meta == "-" else args.meta)
@@ -180,7 +181,7 @@ def _cmd_construct(args) -> int:
         s = report.sierpinski  # the S(G, t) the labeling was validated on
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(s.edge_keys(), graph_name="S", colors=colors, labels=s.word_labels()))
+            fh.write(to_dot(s.graph, graph_name="S", colors=colors, labels=s.word_labels()))
     _emit(report.to_json(words=args.words) + "\n", args.out)
     return 0 if report.valid else 1
 
@@ -465,6 +466,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        timeout = getattr(args, "timeout", None)  # solve, verify and sweep take one
+        if timeout is not None and math.isnan(timeout):  # no clock reading exceeds NaN
+            raise ValueError("--timeout must be a number of seconds, not NaN")
         return args.run(args)
     except (ContractError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

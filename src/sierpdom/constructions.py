@@ -5,14 +5,14 @@ leaves through _certified, which repeats the table under every prefix,
 validates the result on the built S(G, t) and reports its weight next to
 the predicted one; the report keeps that S(G, t), so nothing downstream
 builds it again.  Validation and the perfect-code and packing checks
-read S(G, t)'s certified edge runs, so no construction decodes its
-Graph, and construct --dot writes the report's S(G, t) from its edge
-keys.  A weight off the prediction is a program fault and raises
-AssertionError; a labeling that does not dominate is reported with
-valid false.  The general-base construction lifts an optimal base
-labeling onto the two-letter words and sheds weight there in four
-rewrite steps; the path and cycle constructions place labels by
-two-letter patterns, the complete-base one labels whole words.
+read S(G, t)'s certified edge runs, so no construction makes its Graph;
+only construct --dot and the word-keyed report's digest read it.  A
+weight off the prediction is a program fault and raises AssertionError;
+a labeling that does not dominate is reported with valid false.  The
+general-base construction lifts an optimal base labeling onto the
+two-letter words and sheds weight there in four rewrite steps; the path
+and cycle constructions place labels by two-letter patterns, the
+complete-base one labels whole words.
 
 Both labelings of S(K_n, t) come off one letter rule.  The words under
 one prefix form a block in state E (every extreme vertex in the code),

@@ -1,49 +1,51 @@
 """Immutable simple graphs on vertices 0..n-1.
 
-A graph stores only its canonical edge list: (min, max) pairs, sorted and
-deduplicated, so two graphs compare equal exactly when they have the same
-order and edge set.  Everything else is derived from it on first use and
+A graph is its sorted edge keys: u·n + v for each edge {u, v} with
+u < v, ascending and without repeats, so two graphs compare equal exactly
+when they have the same order and edge set.  edges decodes the keys into
+(u, v) pairs with divmod, as a fresh iterator on every read, and size
+counts them.  Everything else is derived from the edges on first use and
 then cached: the sorted neighbor tuples that neighbors, degree and
 adjacent read, and the closed-neighborhood bitmasks that the exact
 searches read.  Each is one pass over the edges, and neither is built
 for the other, so a graph that is only built, serialized or validated
-(validation reads the edge list) holds neither.  The exact searches
-also take neighbor_lists, the same lists uncached, to make their own.
+holds neither.  The exact searches also take neighbor_lists, the same
+lists uncached, to make their own.  This module is the one place that
+reads the keys.
 
 Graph(n, edges) is the way in for any input: one pass over the edges in
 input order checks each for vertices of type int exactly (a bool or a
 float is refused, so the writers format vertices with %d), then for
-range, then for a self-loop, and adds its (min, max) pair to a set,
-which one sort turns into the edge list.  A ValueError names the first
-invalid edge, as given.  Appending neighbors from the sorted edge list
-fills every neighbor tuple in ascending order, so no per-vertex sort is
-needed.  from_canonical_edges skips the checks for a caller that has
-already proven its edges canonical.  Only a SierpinskiGraph calls it,
-when it decodes its certified edge keys on the first read of its graph,
-so S(G, t) skips the checks however large it is, and they run on base
-graphs and on graphs read from input.
+range, then for a self-loop, and adds its key to a set, which one sort
+turns into the key list.  A ValueError names the first invalid edge, as
+given.  Appending neighbors from the ascending edges fills every
+neighbor tuple in ascending order, so no per-vertex sort is needed.
+from_canonical_keys skips the checks for a caller that has already
+proven its keys canonical.  Only a SierpinskiGraph calls it, with the
+keys it merges from its certified edge runs, so S(G, t) skips the
+checks however large it is, and they run on base graphs and on graphs
+read from input.
 
 An EdgeSource is what reads only a graph's order, size and edges: a
-Graph, the sorted keys of sierpinski.EdgeKeys, or a SierpinskiGraph
-itself, whose edges come off its runs in no canonical order.  The
-edge-list and DOT writers and edge_list_digest take the first two, so
-gen writes S(G, t) straight from its keys; they format a slice of lines
-per %-operation and write the slices to one buffer.  Validation
-(roman.is_roman_dominating) takes any of the three.
+Graph, or a SierpinskiGraph, whose edges come off its runs in no
+canonical order.  The edge-list and DOT writers and edge_list_digest
+take a Graph; they format a slice of lines per %-operation and write the
+slices to one buffer.  Validation (roman.is_roman_dominating) takes
+either.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-from itertools import chain, islice
-from typing import Iterable, Optional, Protocol
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Optional, Protocol
 
 
 class Graph:
     """Finite undirected simple graph on vertices 0..n-1, with an optional name."""
 
-    __slots__ = ("_n", "_edges", "_adj", "_closed_mask", "name")
+    __slots__ = ("_n", "_keys", "_adj", "_closed_mask", "name")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if n < 1:
@@ -56,9 +58,9 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} not allowed")
-            canon.add((u, v) if u < v else (v, u))
+            canon.add(u * n + v if u < v else v * n + u)
         self._n = n
-        self._edges = tuple(sorted(canon))
+        self._keys = sorted(canon)
         self._adj: Optional[tuple[tuple[int, ...], ...]] = None
         self._closed_mask: Optional[tuple[int, ...]] = None
         self.name = name
@@ -70,11 +72,12 @@ class Graph:
     @property
     def size(self) -> int:
         """Number of edges."""
-        return len(self._edges)
+        return len(self._keys)
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """The (u, v) pairs, u < v, in ascending order, decoded afresh on every read."""
+        return map(divmod, self._keys, repeat(self._n))
 
     @property
     def vertices(self) -> range:
@@ -85,7 +88,7 @@ class Graph:
         """Closed neighborhoods (vertex included) as bitmasks, built on first use."""
         if self._closed_mask is None:
             masks = [1 << v for v in range(self._n)]
-            for u, v in self._edges:
+            for u, v in self.edges:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
             self._closed_mask = tuple(masks)
@@ -103,7 +106,7 @@ class Graph:
         adj = [[] for _ in range(self._n)]
         # the edges ascend, so adj[v] receives its smaller neighbors u, from the edges
         # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
-        for u, v in self._edges:
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         return adj
@@ -129,25 +132,25 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self._keys == other._keys
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, *self._keys))
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Graph{tag} n={self._n} m={self.size}>"
 
 
-def from_canonical_edges(n: int, edges: tuple[tuple[int, int], ...], name: str = "") -> Graph:
-    """A Graph on edges the caller has proven canonical, taken as they are.
+def from_canonical_keys(n: int, keys: list[int], name: str = "") -> Graph:
+    """A Graph on keys the caller has proven canonical, taking the list as it is.
 
-    edges must be (u, v) pairs with 0 <= u < v < n in strictly ascending
-    order; nothing is checked.  Input from outside the package goes
-    through Graph(n, edges), which checks and canonicalizes it.
+    keys must be the u·n + v of pairs 0 <= u < v < n in strictly
+    ascending order; nothing is checked.  Input from outside the package
+    goes through Graph(n, edges), which checks and canonicalizes it.
     """
     g = Graph.__new__(Graph)
-    g._n, g._edges, g._adj, g._closed_mask, g.name = n, edges, None, None, name
+    g._n, g._keys, g._adj, g._closed_mask, g.name = n, keys, None, None, name
     return g
 
 
@@ -201,9 +204,8 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
 
 
 class EdgeSource(Protocol):
-    """Order, size and edges: a Graph, sierpinski.EdgeKeys decoding its keys, or a
-    SierpinskiGraph reading its runs.  The writers and the digest need the edges
-    in canonical order, which the runs are not."""
+    """Order, size and edges: a Graph decoding its keys, or a SierpinskiGraph
+    reading its runs, which are not in canonical order."""
 
     @property
     def order(self) -> int: ...
@@ -215,7 +217,7 @@ class EdgeSource(Protocol):
     def edges(self) -> Iterable[tuple[int, int]]: ...
 
 
-def format_edge_list(g: EdgeSource) -> str:
+def format_edge_list(g: Graph) -> str:
     """The "n m" header, then one "u v" line per edge.
 
     Each slice of _SLICE edges is formatted by one %-operation and
@@ -227,13 +229,13 @@ def format_edge_list(g: EdgeSource) -> str:
     return out.getvalue()
 
 
-def edge_list_digest(g: EdgeSource) -> str:
+def edge_list_digest(g: Graph) -> str:
     """Short content hash of the edge list format_edge_list writes."""
     return hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:12]
 
 
 def to_dot(
-    g: EdgeSource,
+    g: Graph,
     graph_name: str = "G",
     colors: Optional[dict[int, str]] = None,
     labels: Optional[Iterable[str]] = None,
@@ -242,22 +244,19 @@ def to_dot(
 
     labels gives each vertex's label in vertex order (default: the id);
     it is consumed once and must cover exactly the vertices (ValueError
-    otherwise).  Without colors, node and edge lines are written a slice
-    at a time, as in format_edge_list; with colors, one line at a time.
+    otherwise).  colors fills the vertices it names.  Node and edge lines
+    are written a slice at a time, as in format_edge_list.
     """
     vertices = range(g.order)
-    nodes = zip(vertices, vertices if labels is None else labels, strict=True)
+    if colors:
+        fills = (f', style=filled, fillcolor="{colors[v]}"' if v in colors else "" for v in vertices)
+    else:
+        fills = repeat("", g.order)
+    nodes = zip(vertices, vertices if labels is None else labels, fills, strict=True)
     out = io.StringIO()
     write = out.write
     write(f"graph {graph_name} {{\n")
-    if colors:
-        for v, text in nodes:
-            attrs = f'label="{text}"'
-            if v in colors:
-                attrs += f', style=filled, fillcolor="{colors[v]}"'
-            write(f"  {v} [{attrs}];\n")
-    else:
-        _write_sliced(write, '  %s [label="%s"];\n', nodes)
+    _write_sliced(write, '  %s [label="%s"%s];\n', nodes)
     _write_sliced(write, "  %d -- %d;\n", g.edges)
     write("}\n")
     return out.getvalue()

@@ -5,10 +5,10 @@ each 0-vertex has a neighbor labeled 2.  Its weight is the label sum,
 and the minimum weight over all RDFs is the Roman domination number.
 
 is_roman_dominating reads only a graph's order and edges, so the
-constructions validate on S(G, t)'s edge runs and decode no Graph; so
-does to_dict, which names S(G, t) and digests its sorted edge keys.
-derived_sets and copy_weight_profile read neighbors and degrees, so
-copy_weight_profile decodes S(G, t)'s Graph.
+constructions validate on S(G, t)'s edge runs and make no Graph of it.
+to_dict with S(G, t) names it and digests its Graph, and derived_sets
+and copy_weight_profile read neighbors and degrees, so they read a
+Graph too.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class RomanFunction:
         doc: dict = {"weight": self.weight}
         if sierpinski is not None:
             doc["labels_by_word"] = dict(zip(sierpinski.word_labels(), self.labels, strict=True))
-            doc["graph"] = {"name": sierpinski.name, "sha256": sierpinski.digest()}
+            doc["graph"] = {"name": sierpinski.name, "sha256": sierpinski.graph.digest()}
         else:
             doc["labels"] = list(self.labels)
         return doc
@@ -192,7 +192,7 @@ def copy_weight_profile(f: RomanFunction, s: SierpinskiGraph) -> list[CopyProfil
     """Per-copy weight profiles for S(P_n, t), in prefix order."""
     n = s.base.order
     path_edges = tuple((i, i + 1) for i in range(n - 1))
-    if s.base.edges != path_edges:
+    if tuple(s.base.edges) != path_edges:
         raise ValueError("copy profiles are defined over a path base in vertex order")
     if s.depth < 2:
         raise ValueError("profiles need depth at least 2")

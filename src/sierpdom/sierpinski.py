@@ -14,16 +14,15 @@ keys u·N + v of its edges, N = nᵗ: a single range of step nʳ·(N + 1).
 Each run is certified to hold only pairs u < v < N, and the t·|E(G)|
 runs to number |E(G)|·(N - 1)/(n - 1) edges.
 
-build checks the vertex budget and returns S(G, t) as these runs: a
+build checks the vertex budget and returns S(G, t) in two views: a
 SierpinskiGraph, whose order, size and edges (read off each run as two
 ranges of ends, in no canonical order) are all that validation and the
-construction checks read, so no construction decodes a Graph.  Its
-edge_keys merges the runs with one list.sort and certifies the sorted
-keys to ascend strictly, which with the runs' checks proves them the
-canonical edge list Graph would make of them.  gen and construct --dot
-write those keys out without a Graph; graph, which the solvers and the
-copy checks read, is decoded from them on first read with no edge
-checked again, and kept.
+construction checks read, and its graph, which everything else reads:
+gen, construct --dot, the word-keyed labeling's digest, the solvers and
+the copy checks.  graph merges the runs' keys with one list.sort and
+certifies them to ascend strictly, which with the runs' checks proves
+them the canonical keys Graph would make of the edges; the sorted list
+becomes the Graph as it is, on first read, and is kept.
 
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word turns a word into its display
@@ -33,13 +32,12 @@ each word the value a table holds for its trailing letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
 from operator import lt
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
-from .graphs import Graph, edge_list_digest, from_canonical_edges
+from .graphs import Graph, from_canonical_keys
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -51,8 +49,9 @@ class SierpinskiGraph:
 
     It is an EdgeSource: order, size and edges come off the runs, the
     edges in run order, not in canonical order.  graph is the canonical
-    Graph, decoded from edge_keys on first read and then kept; a graph
-    given to the constructor is taken as it is, to check a changed copy.
+    Graph, made from the runs' certified keys on first read and then kept;
+    a graph given to the constructor is taken as it is, to check a changed
+    copy.
     """
 
     __slots__ = ("base", "depth", "order", "runs", "_graph")
@@ -79,19 +78,11 @@ class SierpinskiGraph:
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            self._graph = from_canonical_edges(self.order, tuple(self.edge_keys().edges), self.name)
+            keys = list(chain.from_iterable(self.runs))
+            keys.sort()  # each run ascends, and list.sort merges ascending runs
+            _certify(keys, self.order, self.size)
+            self._graph = from_canonical_keys(self.order, keys, self.name)
         return self._graph
-
-    def edge_keys(self) -> EdgeKeys:
-        """The runs' keys u·order + v, merged by one sort and certified."""
-        keys = list(chain.from_iterable(self.runs))
-        keys.sort()  # each run ascends, and list.sort merges ascending runs
-        _certify(keys, self.order, self.size)
-        return EdgeKeys(self.order, keys)
-
-    def digest(self) -> str:
-        """Graph.digest of graph, read off the keys."""
-        return edge_list_digest(self.edge_keys())
 
     def word_of(self, vid: int) -> Word:
         return word_of(vid, self.base.order, self.depth)
@@ -102,27 +93,6 @@ class SierpinskiGraph:
     def word_labels(self) -> Iterator[str]:
         """Every vertex's word_label, lazily and in id order."""
         return word_labels(self.base.order, self.depth)
-
-
-@dataclass(frozen=True)
-class EdgeKeys:
-    """The edges of S(G, t) as the certified sorted keys u·order + v.
-
-    It has the order, size and edges that format_edge_list and to_dot
-    read, so they write S(G, t) from the keys without a Graph; edges
-    decodes the keys afresh on every read, one pair at a time.
-    """
-
-    order: int
-    keys: list[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
-    @property
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return map(divmod, self.keys, repeat(self.order))
 
 
 def word_of(vid: int, n: int, length: int) -> Word:
@@ -173,9 +143,13 @@ def suffix_labels(table: Sequence[int], n: int, length: int) -> tuple[int, ...]:
     return tuple(table) * (n**length // len(table))
 
 
-def _check_order(base: Graph, depth: int, max_vertices: Optional[int]) -> None:
-    """Raise ValueError for depth < 1 or a base of fewer than 2 vertices, and
-    BudgetError when n**depth would exceed the budget (DEFAULT_VERTEX_BUDGET unless given)."""
+def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
+    """S(base, depth) as its certified edge runs; its graph is made on first read.
+
+    Raises ValueError for depth < 1 or a base of fewer than 2 vertices,
+    and BudgetError when the vertex count n**depth would exceed the
+    budget (DEFAULT_VERTEX_BUDGET unless given).
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if base.order < 2:
@@ -186,23 +160,7 @@ def _check_order(base: Graph, depth: int, max_vertices: Optional[int]) -> None:
         raise BudgetError(
             f"S({base.name or 'G'},{depth}) has {total} vertices, over the budget of {budget}"
         )
-
-
-def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
-    """S(base, depth) as its certified edge runs; its graph is decoded on first read.
-
-    Raises ValueError for depth < 1 or a base of fewer than 2 vertices,
-    and BudgetError when the vertex count n**depth would exceed the
-    budget (DEFAULT_VERTEX_BUDGET unless given).
-    """
-    _check_order(base, depth, max_vertices)
     return SierpinskiGraph(base, depth)
-
-
-def edge_keys(base: Graph, depth: int, max_vertices: Optional[int] = None) -> EdgeKeys:
-    """The edges of S(base, depth) as certified sorted keys u·nᵗ + v; raises as build does."""
-    _check_order(base, depth, max_vertices)
-    return SierpinskiGraph(base, depth).edge_keys()
 
 
 def _edge_runs(base: Graph, depth: int) -> list[range]:
@@ -247,8 +205,8 @@ def _pairs(keys: range, total: int) -> Iterator[tuple[int, int]]:
 def _certify(keys: list[int], total: int, expect: int) -> None:
     """Raise unless the sorted keys number expect, lie below total², and ascend strictly.
 
-    With the checks of _progression this proves the decoded keys the
-    canonical edge list: pairs u < v < total, sorted, none repeated.
+    With the checks of _progression this proves them the canonical keys of
+    a Graph of order total: pairs u < v < total, sorted, none repeated.
     """
     if len(keys) != expect:
         raise AssertionError(f"edge generation produced {len(keys)} edges, expected {expect}")

@@ -27,6 +27,7 @@ from sierpdom import (
     path_graph,
     to_dot,
 )
+from sierpdom import graphs
 from sierpdom.cli import _build_parser, main
 
 
@@ -240,13 +241,25 @@ def test_construct_builds_its_graph_once(capsys, monkeypatch, tmp_path, family, 
     assert dot.read_text().startswith("graph S {")
 
 
+def _count_graphs(monkeypatch) -> list:
+    """Record the order of every Graph that S(G, t) makes of its sorted keys."""
+    made = []
+
+    def count(*args):
+        made.append(args[0])
+        return graphs.from_canonical_keys(*args)
+
+    monkeypatch.setattr("sierpdom.sierpinski.from_canonical_keys", count)
+    return made
+
+
 @pytest.mark.parametrize("words", [False, True])
 @pytest.mark.parametrize(
     "family,n,t", [("path", 5, 3), ("cycle", 4, 3), ("cycle", 6, 3), ("complete", 3, 4), ("theorem", 4, 3)]
 )
 def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, family, n, t, words):
-    """Validation reads S(G, t)'s edge runs, and --words names it and digests its
-    edge keys, so only --dot decodes a Graph of S(G, t)."""
+    """Validation reads S(G, t)'s edge runs, so construct makes no Graph of
+    S(G, t) unless --words names it and digests that Graph, once."""
     args = ["--family", family, "--t", str(t)] + ["--words"] * words
     if family == "theorem":
         (tmp_path / "P4.txt").write_text(format_edge_list(path_graph(4)))
@@ -255,14 +268,12 @@ def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, f
     else:
         args += ["--n", str(n)]
 
-    def refuse(*_):
-        raise AssertionError("a Graph of S(G, t) was decoded")
-
-    monkeypatch.setattr("sierpdom.sierpinski.from_canonical_edges", refuse)
+    made = _count_graphs(monkeypatch)
     code, out, _ = run(capsys, "construct", *args)
     assert code == 0 and json.loads(out)["valid"] is True
+    assert made == [n**t] * words
     monkeypatch.undo()
-    if words:  # the name and digest of the Graph that build decodes
+    if words:  # the name and digest of the Graph that build makes
         bases = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}
         if family in bases:
             s = build(bases[family](n), t)
@@ -273,21 +284,21 @@ def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, f
 
 @pytest.mark.parametrize("family,n,t", [("complete", 3, 2), ("cycle", 4, 3)])
 def test_construct_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, family, n, t):
-    """--dot writes S(G, t) from its edge keys, in the canonical edge order."""
-
-    def refuse(*_):
-        raise AssertionError("a Graph of S(G, t) was decoded")
-
-    monkeypatch.setattr("sierpdom.sierpinski.from_canonical_edges", refuse)
-    dot = tmp_path / "s.dot"
-    code, _, _ = run(
-        capsys, "construct", "--family", family, "--n", str(n), "--t", str(t), "--dot", str(dot)
-    )
-    assert code == 0
-    monkeypatch.undo()
+    """--dot writes S(G, t)'s Graph in the canonical edge order, and with
+    --words too the digest reads the same Graph: one Graph either way."""
     base = {"cycle": cycle_graph, "complete": complete_graph}[family](n)
-    edge_lines = [line for line in dot.read_text().splitlines() if " -- " in line]
-    assert edge_lines == [f"  {u} -- {v};" for u, v in build(base, t).graph.edges]
+    want = [f"  {u} -- {v};" for u, v in build(base, t).graph.edges]
+    args = ["construct", "--family", family, "--n", str(n), "--t", str(t)]
+    for words in ([], ["--words"]):
+        dot = tmp_path / f"s{len(words)}.dot"
+        made = _count_graphs(monkeypatch)
+        code, out, _ = run(capsys, *args, "--dot", str(dot), *words)
+        assert code == 0 and made == [n**t]
+        monkeypatch.undo()
+        assert [line for line in dot.read_text().splitlines() if " -- " in line] == want
+        if words:
+            s = build(base, t)
+            assert json.loads(out)["function"]["graph"] == {"name": s.graph.name, "sha256": s.graph.digest()}
 
 
 def test_construct_residue_error(capsys):
@@ -407,7 +418,13 @@ def test_sweep_rejects_extra_prob_outside_the_unit_interval(capsys, prob):
 
 
 @pytest.mark.parametrize(
-    "command", [["solve", "--family", "complete", "--n", "3"], ["sweep", "--count", "2"]]
+    "command",
+    [
+        ["solve", "--family", "complete", "--n", "3"],
+        ["sweep", "--count", "2"],
+        ["verify", "--families", "perfect-codes", "--max-n", "4", "--max-t", "2"],
+        ["solve", "--family", "path", "--n", "3", "--oracle"],
+    ],
 )
 def test_nan_timeout_is_bad_input(capsys, command):
     code, out, err = run(capsys, *command, "--timeout", "nan")

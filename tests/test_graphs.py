@@ -39,7 +39,7 @@ def test_construction_basics():
     g = Graph(2, [(0, 1)])
     assert g.order == 2 and g.size == 1
     g = Graph(5, [(0, 1), (1, 0), (1, 2)])  # reversed duplicate collapses
-    assert g.edges == ((0, 1), (1, 2))
+    assert tuple(g.edges) == ((0, 1), (1, 2))
     assert Graph(1).size == 0
 
 
@@ -93,11 +93,11 @@ def test_construction_contract(case):
     n, raw = case
     g = Graph(n, raw)
     canon = {(min(u, v), max(u, v)) for u, v in raw}
-    assert g.edges == tuple(sorted(canon))
+    assert tuple(g.edges) == tuple(sorted(canon))
     for v in range(n):
         assert g.neighbors(v) == tuple(sorted({u for e in canon if v in e for u in e if u != v}))
     same = Graph(n, sorted(canon))
-    assert g == same and hash(g) == hash(same) == hash((n, g.edges))
+    assert g == same and hash(g) == hash(same)
     assert Graph(n, iter(raw)) == g
 
 
@@ -138,7 +138,7 @@ def edge_inputs(draw, max_n=8):
 @given(edge_inputs(), st.sampled_from(sorted(SHAPES)))
 def test_construction_matches_a_sorted_set_reference(case, shape):
     """Any container shape, reversed pairs, duplicates, self-loops and
-    out-of-range pairs: the same edges as the reference, stored as tuples,
+    out-of-range pairs: the same edges as the reference, read back as tuples,
     or the reference's error for the first bad pair in input order."""
     n, pairs = case
     want = _reference_edges(n, pairs)
@@ -150,7 +150,7 @@ def test_construction_matches_a_sorted_set_reference(case, shape):
         assert str(exc.value) == want
     else:
         g = Graph(n, edges)
-        assert g.edges == want
+        assert tuple(g.edges) == want
         assert all(type(e) is tuple for e in g.edges)
     if given_edges is not None:
         assert edges == given_edges  # the caller's list is never sorted or rewritten
@@ -242,7 +242,7 @@ def test_adjacent_matches_neighbor_lists(g):
 def _build_peak_bytes(t):
     tracemalloc.start()
     try:
-        build(path_graph(2), t).graph  # build holds only the runs; the Graph is decoded here
+        build(path_graph(2), t).graph  # build holds only the runs; the Graph is made here
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -266,9 +266,22 @@ def _gen_peak_bytes(tmp_path, t):
 
 
 def test_gen_memory_is_linear(tmp_path):
-    """gen streams from the edge keys: the same bound as build."""
+    """gen writes the Graph that build makes: the same bound as build."""
     small, large = _gen_peak_bytes(tmp_path, 12), _gen_peak_bytes(tmp_path, 14)
     assert large <= 6 * small
+
+
+def test_sierpinski_graph_holds_its_sorted_keys():
+    """The Graph of S(K4, 7) is one sorted list of int keys: at most 64 bytes
+    per edge under tracemalloc, where a tuple of pairs would hold about 127."""
+    base = complete_graph(4)
+    tracemalloc.start()
+    try:
+        g = build(base, 7).graph
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * g.size
 
 
 def test_distance_small_cases():

@@ -98,9 +98,9 @@ def _word_rule_edges(s):
 def _assert_word_rule(s):
     expected = _word_rule_edges(s)
     assert set(s.graph.edges) == expected
-    # build decodes its keys into the Graph as they are, so their order and
+    # build makes its Graph of its sorted keys as they are, so their order and
     # distinctness are what a sorting, deduplicating Graph(n, edges) would give
-    assert s.graph.edges == tuple(sorted(expected))
+    assert tuple(s.graph.edges) == tuple(sorted(expected))
     assert s.graph == Graph(s.order, s.graph.edges)
 
 
@@ -148,7 +148,7 @@ def test_edge_key_certification():
 
 
 def test_edge_runs_are_the_graph_random_bases():
-    """The runs' edges, sorted, are the decoded Graph's edge list, and their count its size,
+    """The runs' edges, sorted, are the Graph's edges, and their count its size,
     on seeded random bases of order 2-6, edgeless and disconnected ones included, t = 1-4."""
     bases = []
     for seed in range(60):

@@ -3,10 +3,11 @@ package imports only the standard library and itself, takes no private
 (_-prefixed) name from another of its modules, reads no
 environment variable (its settings are CLI flags), and has no assert
 statement (a certifying check is an explicit raise, which python -O
-keeps).  Only sierpinski.py reads from_canonical_edges, which checks
+keeps).  Only sierpinski.py reads from_canonical_keys, which checks
 nothing, so unchecked edges enter a Graph only as S(G, t)'s certified
-keys.  Every function the benchmark's tracer wraps by name exists, and
-build and gen run under the installed tracer."""
+keys, and only graphs.py reads a Graph's _keys, so the key format is
+known in one module.  Every function the benchmark's tracer wraps by
+name exists, and build and gen run under the installed tracer."""
 
 import ast
 import importlib
@@ -126,27 +127,49 @@ def test_no_assert_statements(path):
     assert _assert_statements(path.read_text()) == []
 
 
-def _canonical_edge_reads(source: str) -> list[int]:
-    """Lines that read the name from_canonical_edges, bare or as an attribute."""
+def _canonical_key_reads(source: str) -> list[int]:
+    """Lines that read the name from_canonical_keys, bare or as an attribute."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.Name) and node.id == "from_canonical_edges")
-        or (isinstance(node, ast.Attribute) and node.attr == "from_canonical_edges")
+        if (isinstance(node, ast.Name) and node.id == "from_canonical_keys")
+        or (isinstance(node, ast.Attribute) and node.attr == "from_canonical_keys")
     )
 
 
 def test_checker_finds_a_canonical_edge_read():
-    source = "from .graphs import from_canonical_edges\ng = from_canonical_edges(2, ((0, 1),))\n"
-    source += "make = graphs.from_canonical_edges\ndef from_canonical_edges(n, edges):\n    pass\n"
-    assert _canonical_edge_reads(source) == [2, 3]
+    source = "from .graphs import from_canonical_keys\ng = from_canonical_keys(2, [1])\n"
+    source += "make = graphs.from_canonical_keys\ndef from_canonical_keys(n, keys):\n    pass\n"
+    assert _canonical_key_reads(source) == [2, 3]
 
 
+# named for the unchecked constructor's earlier name, so the suite's test ids stay stable
 @pytest.mark.parametrize(
     "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "sierpinski.py"], ids=lambda p: p.name
 )
 def test_only_sierpinski_reads_from_canonical_edges(path):
-    assert _canonical_edge_reads(path.read_text()) == []
+    assert _canonical_key_reads(path.read_text()) == []
+
+
+def _key_reads(source: str) -> list[int]:
+    """Lines that read or write an attribute named _keys."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_keys"
+    )
+
+
+def test_checker_finds_a_key_read():
+    source = "keys = g._keys\n_keys = [0]\nh._keys = _keys\nm = len(s.graph._keys)\n"
+    assert _key_reads(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "graphs.py"], ids=lambda p: p.name
+)
+def test_only_graphs_reads_keys(path):
+    assert _key_reads(path.read_text()) == []
 
 
 def _load_tracing():
@@ -190,14 +213,14 @@ def test_benchmark_tracer_runs_build_and_gen(tmp_path, monkeypatch):
     assert [span[-2] for span in tracer.spans] == [None] * len(tracer.spans)  # no errors
     assert [(span[0], span[-1]) for span in tracer.spans if span[0] == "sierpinski.build"] == [
         ("sierpinski.build", 27)
-    ]
-    # build makes its Graph without Graph.__init__, and gen makes none
+    ] * 2
+    # gen writes the graph of S(G, t), which is made without Graph.__init__
     assert "graphs.init" not in {span[0] for span in tracer.spans}
 
 
 def test_benchmark_tracer_runs_constructions_and_construct_dot(tmp_path, monkeypatch):
-    # construct --dot writes the report's S(G, t) from its edge keys, and must not
-    # go through sierpinski.Graph, the name the tracer rebinds
+    # construct --dot writes the report's S(G, t) graph, and must not go through
+    # sierpinski.Graph, the name the tracer rebinds
     from sierpdom import cli, constructions
 
     tracing = _load_tracing()
