@@ -383,6 +383,14 @@ def _cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
+def _seconds(text: str) -> float:
+    """A --timeout value: any float but NaN, which no clock reading exceeds."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("must be a number of seconds, not NaN")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sierpdom", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -413,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = solve.add_mutually_exclusive_group()
     mode.add_argument("--domination", action="store_true")
     mode.add_argument("--oracle", action="store_true", help="exhaustive reference solver")
-    solve.add_argument("--timeout", type=float)
+    solve.add_argument("--timeout", type=_seconds)
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--out")
     add_budget(solve)
@@ -443,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--families", help="comma list: " + ",".join(_VERIFY))
     ver.add_argument("--max-n", type=int, default=6)
     ver.add_argument("--max-t", type=int, default=3)
-    ver.add_argument("--timeout", type=float, help="per-row solve limit in seconds")
+    ver.add_argument("--timeout", type=_seconds, help="per-row solve limit in seconds")
     ver.add_argument("--out", help="write JSON rows to FILE")
     add_budget(ver)
     ver.set_defaults(run=_cmd_verify)
@@ -455,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--extra-prob", type=float, default=0.2)
     sw.add_argument("--full", action="store_true", help="also check the product bounds on S(G, t)")
-    sw.add_argument("--timeout", type=float, help="per-solve limit in seconds")
+    sw.add_argument("--timeout", type=_seconds, help="per-solve limit in seconds")
     sw.add_argument("--out")
     add_budget(sw)
     sw.set_defaults(run=_cmd_sweep)
@@ -466,9 +474,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        timeout = getattr(args, "timeout", None)  # solve, verify and sweep take one
-        if timeout is not None and math.isnan(timeout):  # no clock reading exceeds NaN
-            raise ValueError("--timeout must be a number of seconds, not NaN")
         return args.run(args)
     except (ContractError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

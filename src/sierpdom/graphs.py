@@ -3,10 +3,10 @@
 A graph is its sorted edge keys: u·n + v for each edge {u, v} with
 u < v, ascending and without repeats, so two graphs compare equal exactly
 when they have the same order and edge set.  edges decodes the keys into
-(u, v) pairs with divmod, as a fresh iterator on every read, and size
-counts them.  Everything else is derived from the edges on first use and
-then cached: the sorted neighbor tuples that neighbors, degree and
-adjacent read, and the closed-neighborhood bitmasks that the exact
+(u, v) pairs with divmod, as a fresh iterator on every read that is
+spent once gone over, and size counts them.  Everything else is derived
+from the edges on first use and then cached: the sorted neighbor tuples
+that neighbors, degree and adjacent read, and the closed-neighborhood bitmasks that the exact
 searches read.  Each is one pass over the edges, and neither is built
 for the other, so a graph that is only built, serialized or validated
 holds neither.  The exact searches also take neighbor_lists, the same
@@ -76,7 +76,11 @@ class Graph:
 
     @property
     def edges(self) -> Iterator[tuple[int, int]]:
-        """The (u, v) pairs, u < v, in ascending order, decoded afresh on every read."""
+        """The (u, v) pairs, u < v, in ascending order, decoded afresh on every read.
+
+        Each read is a one-shot iterator: a caller that goes over the edges
+        twice keeps them as a tuple, or reads edges again.
+        """
         return map(divmod, self._keys, repeat(self._n))
 
     @property
@@ -135,7 +139,9 @@ class Graph:
         return self._n == other._n and self._keys == other._keys
 
     def __hash__(self) -> int:
-        return hash((self._n, *self._keys))
+        """Reads the order, the size and at most the first 64 keys, so hashing
+        S(G, t) copies no more of its key list than that; equal graphs hash equal."""
+        return hash((self._n, len(self._keys), *self._keys[:64]))
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""

@@ -259,7 +259,9 @@ def _count_graphs(monkeypatch) -> list:
 )
 def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, family, n, t, words):
     """Validation reads S(G, t)'s edge runs, so construct makes no Graph of
-    S(G, t) unless --words names it and digests that Graph, once."""
+    S(G, t) unless --words names it and digests that Graph, once.  The
+    name is kept from when no Graph was made at all, so the test ids stay
+    stable."""
     args = ["--family", family, "--t", str(t)] + ["--words"] * words
     if family == "theorem":
         (tmp_path / "P4.txt").write_text(format_edge_list(path_graph(4)))
@@ -285,7 +287,9 @@ def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, f
 @pytest.mark.parametrize("family,n,t", [("complete", 3, 2), ("cycle", 4, 3)])
 def test_construct_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, family, n, t):
     """--dot writes S(G, t)'s Graph in the canonical edge order, and with
-    --words too the digest reads the same Graph: one Graph either way."""
+    --words too the digest reads the same Graph: one Graph either way.  The
+    name is kept from when no Graph was made at all, so the test ids stay
+    stable."""
     base = {"cycle": cycle_graph, "complete": complete_graph}[family](n)
     want = [f"  {u} -- {v};" for u, v in build(base, t).graph.edges]
     args = ["construct", "--family", family, "--n", str(n), "--t", str(t)]
@@ -427,7 +431,7 @@ def test_sweep_rejects_extra_prob_outside_the_unit_interval(capsys, prob):
     ],
 )
 def test_nan_timeout_is_bad_input(capsys, command):
-    code, out, err = run(capsys, *command, "--timeout", "nan")
+    code, out, err = argparse_exit(capsys, *command, "--timeout", "nan")
     assert code == 2
     assert out == "" and "NaN" in err
 

@@ -314,7 +314,7 @@ def test_every_two_letter_block_holds_s_g_2(seed, t):
     base = random_connected_graph(rng.randint(2, 5), rng, 0.4)
     n = base.order
     edges = set(build(base, t).graph.edges)
-    block = build(base, 2).graph.edges
+    block = tuple(build(base, 2).graph.edges)  # read once per prefix, so kept as a tuple
     for prefix in range(n ** (t - 2)):
         off = prefix * n * n
         assert all((off + a, off + b) in edges for a, b in block)

@@ -143,7 +143,7 @@ def test_checker_finds_a_canonical_edge_read():
     assert _canonical_key_reads(source) == [2, 3]
 
 
-# named for the unchecked constructor's earlier name, so the suite's test ids stay stable
+# the id keeps an earlier name of from_canonical_keys, so it stays stable
 @pytest.mark.parametrize(
     "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "sierpinski.py"], ids=lambda p: p.name
 )
