@@ -14,10 +14,29 @@ Witnesses are canonicalized in a second phase: among minimum-weight
 labelings, maximize the number of 2s (equivalently minimize the number
 of 1s), then take the lexicographically smallest 2-set.  Searches are
 sequential, deterministic explicit-stack loops, so their depth is not
-bounded by the interpreter's recursion limit.  Each popped node is one
-deadline tick, and `Certificate.nodes` is the tick count.  The clock is
-read on every tick, and once per pick of the greedy that builds the
-first incumbent, so a time limit bounds the whole solve.
+bounded by the interpreter's recursion limit.  `Certificate.nodes`
+counts the nodes of the search trees, as deadline ticks: each node
+searched is one tick, and a subtree that the witness phase replays
+(below) adds in one call the ticks it took when it was first searched.
+The clock is read on every tick call, and once per pick of the greedy
+that builds the first incumbent, so a time limit bounds the whole solve.
+
+The witness phase replays the subtrees that failed.  Whether a node at
+index i, with left picks to make and the vertices covered covered, has
+a k-set below it, and how many nodes its subtree holds, depend only on
+(i, left, covered), the graph, k and the target: so do its tests and
+the histogram buckets hist[:top] that its bounds read (barred vertices
+sit at or above top).  The phase has no incumbent and returns at its
+first success, so every subtree that closes has failed.  A table kept
+for one call maps each closed subtree's state to its tick count, and a
+node that finds its state there, after its tests that need no counts,
+adds those ticks and is not expanded.  The search tree, node counts,
+witnesses and CLI output are the same as without the table.  The table
+stays within _FAILED_BYTES (8 MiB, about 36,000 entries at order 64)
+and is emptied when full; a depth-first search soon meets again the
+states near those it just closed.  Phase 1 and `gamma_exact` prune
+against an incumbent, so a subtree there depends on more than its
+state, and they keep no table.
 
 Two further lower bounds prune the searches.  The witness phase keeps
 suffix reach masks (everything some vertex at index >= i can cover) and
@@ -73,6 +92,12 @@ from .roman import RomanFunction, is_roman_dominating
 # every closed mask holds its own vertex's bit, so the masks of order n take at least
 # n**2/16 bytes: 256 MiB at this order
 MAX_SOLVE_ORDER = 65_536
+
+# the witness search's table of failed subtrees stays within _FAILED_BYTES; an entry
+# (a key tuple, its covered mask, a tick count and its dict slot) takes at most
+# _FAILED_ENTRY_BYTES plus n/8 for the n bits of the mask (measured with tracemalloc)
+_FAILED_BYTES = 8 << 20
+_FAILED_ENTRY_BYTES = 224
 
 
 @dataclass(frozen=True)
@@ -373,18 +398,28 @@ def _lex_min_two_set(
     """Lexicographically smallest k-subset covering at least target_cover.
 
     A node at index i bars every u < i, and its counts are relative to the
-    vertices still uncovered."""
+    vertices still uncovered.  failed maps the state (i, left, covered) of
+    each subtree that closed with no k-set to the ticks it took, written by
+    a close frame (counts None) pushed under the node's two children; it
+    holds at most room entries and is emptied when full."""
     masks, nb, top = closed.masks, closed.ids, closed.top
     n = g.order
     # reach[i]: all vertices some u >= i can cover; most[i]: the largest |N[u]| over u >= i
     reach = list(accumulate(reversed(masks), or_, initial=0))[::-1]
     most = list(accumulate(map(len, reversed(nb)), max, initial=0))[::-1]
     ticks = deadline.ticks
+    failed: dict[tuple[int, int, int], int] = {}
+    room = _FAILED_BYTES // (_FAILED_ENTRY_BYTES + n // 8)
     # i, left, covered, picked, then the counts, hist and covered of node i - 1:
     # most nodes are dropped before they read a count, so each makes its own only then
     stack = [(0, k, 0, None, closed.counts, closed.hist, 0)]
     while stack:
         i, left, covered, picked, counts, hist, before = stack.pop()
+        if counts is None:  # the close frame of a subtree that failed; picked is its first tick
+            if len(failed) >= room:
+                failed.clear()
+            failed[i, left, covered] = deadline.ticks - picked
+            continue
         deadline.tick()
         if left == 0:
             if covered.bit_count() >= target_cover:
@@ -399,11 +434,16 @@ def _lex_min_two_set(
         # left picks of the largest closed neighborhood from i on fall short
         if left * most[i] < need:
             continue
+        seen = failed.get((i, left, covered))
+        if seen is not None:  # searched before with no k-set: add the ticks it took then
+            deadline.tick(seen - 1)
+            continue
         if i:  # bar i - 1, and take it if it covered anything
             taken = i - 1 if covered != before else None
             counts, hist = _descend(nb, top, counts, hist, ~before, taken, (i - 1,))
         if _top_sum_below(hist, top, left, need):
             continue
+        stack.append((i, left, covered, deadline.ticks - 1, None, None, None))
         stack.append((i + 1, left, covered, picked, counts, hist, covered))
         stack.append((i + 1, left - 1, covered | masks[i], (picked, i), counts, hist, covered))
     return None, deadline.ticks - ticks

@@ -7,6 +7,9 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import accumulate
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,10 +39,12 @@ from sierpdom.solver import (
     _Closed,
     _Deadline,
     _check_order,
+    _descend,
     _dominators_short,
     _gamma_drops_early,
     _greedy_cover,
     _lex_min_two_set,
+    _picks,
     _roman_bound_reaches,
     _roman_drops_early,
     _roman_value,
@@ -342,6 +347,135 @@ def test_phase_split_is_pinned():
     twos, ticks = _lex_min_two_set(g, 10, 34, deadline, closed)
     assert twos is not None and ticks == 7_847
     assert deadline.ticks == 22_289
+
+
+def _reference_lex_min_two_set(g, k, target_cover, deadline, closed):
+    """The witness search with no table of failed subtrees, the reference for
+    its result and its ticks: every node of the tree is searched."""
+    masks, nb, top = closed.masks, closed.ids, closed.top
+    n = g.order
+    reach = list(accumulate(reversed(masks), or_, initial=0))[::-1]
+    most = list(accumulate(map(len, reversed(nb)), max, initial=0))[::-1]
+    ticks = deadline.ticks
+    stack = [(0, k, 0, None, closed.counts, closed.hist, 0)]
+    while stack:
+        i, left, covered, picked, counts, hist, before = stack.pop()
+        deadline.tick()
+        if left == 0:
+            if covered.bit_count() >= target_cover:
+                return sorted(_picks(picked)), deadline.ticks - ticks
+            continue
+        if n - i < left:
+            continue
+        if (covered | reach[i]).bit_count() < target_cover:
+            continue
+        need = target_cover - covered.bit_count()
+        if left * most[i] < need:
+            continue
+        if i:
+            taken = i - 1 if covered != before else None
+            counts, hist = _descend(nb, top, counts, hist, ~before, taken, (i - 1,))
+        if _top_sum_below(hist, top, left, need):
+            continue
+        stack.append((i + 1, left, covered, picked, counts, hist, covered))
+        stack.append((i + 1, left - 1, covered | masks[i], (picked, i), counts, hist, covered))
+    return None, deadline.ticks - ticks
+
+
+def _witness_attempts(g, closed):
+    """The (k, target) pairs gamma_r_exact passes to the witness search, in order."""
+    n = g.order
+    value = _roman_value(g, _Deadline(None), closed)[0]
+    attempts = []
+    for k in range(value // 2, -1, -1):
+        if value - 2 * k > n:
+            break
+        attempts.append((k, n - (value - 2 * k)))
+        if _reference_lex_min_two_set(g, *attempts[-1], _Deadline(None), closed)[0] is not None:
+            break
+    return attempts
+
+
+def _assert_same_as_reference(g, attempts, start=0):
+    """The witness search returns the reference's 2-set and ticks and leaves its
+    deadline at the same count, for every (k, target) in attempts."""
+    closed = _Closed(g)
+    for k, target in attempts:
+        want, got = _Deadline(None), _Deadline(None)
+        want.ticks = got.ticks = start
+        assert _lex_min_two_set(g, k, target, got, closed) == _reference_lex_min_two_set(
+            g, k, target, want, closed
+        )
+        assert got.ticks == want.ticks
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 14),
+    st.integers(0, 10**6),
+    st.sampled_from((0.15, 0.3, 0.5)),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=4),
+    st.integers(0, 1000),
+)
+def test_witness_search_replays_the_reference_tree(n, seed, p, connected, extra, start):
+    g = random_connected_graph(n, random.Random(seed), p) if connected else _random_graph(n, seed, p)
+    attempts = _witness_attempts(g, _Closed(g))
+    _assert_same_as_reference(g, attempts + [(k % (n + 1), t % (n + 2)) for k, t in extra], start)
+
+
+def test_replayed_subtrees_are_not_searched_again():
+    # S(C6, 2) at k = 11: 8,299 nodes, 4,563 of them making their counts with
+    # no table, in 742 distinct states
+    g = _sierpinski("C", 6, 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _descend(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_descend", counted)
+        assert _lex_min_two_set(g, 11, 36, _Deadline(None), _Closed(g)) == (None, 8_299)
+    assert len(calls) < 8_299 // 10
+
+
+@pytest.mark.parametrize("budget", [0, 3 * 300])
+def test_a_full_table_is_emptied_and_the_tree_kept(budget):
+    # a budget of 0 keeps one entry at a time, and 900 bytes three at these orders
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_FAILED_BYTES", budget)
+        for g in (_sierpinski("C", 6, 2), _sierpinski("P", 5, 2)):
+            _assert_same_as_reference(g, _witness_attempts(g, _Closed(g)))
+
+
+@pytest.mark.parametrize("budget", [solver._FAILED_BYTES, 1 << 18])
+def test_failed_table_stays_within_its_budget(budget):
+    # S(P7, 2)'s witness search takes 172,651 ticks and closes subtrees in about
+    # 9,000 states at once, so a 256 KiB budget is emptied many times over; the
+    # slack holds the stack, the count lists and the reach masks (13 KB with no table)
+    g = _sierpinski("P", 7, 2)
+    closed = _Closed(g)
+    deadline = _Deadline(None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_FAILED_BYTES", budget)
+        tracemalloc.start()
+        try:
+            for k in (16, 15, 14):  # γ_R = 32: no 16 or 15 2s cover enough, 14 do
+                twos = _lex_min_two_set(g, k, 49 - (32 - 2 * k), deadline, closed)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert twos is not None and deadline.ticks == 172_651
+    assert peak < budget + (1 << 16)
+
+
+def test_timeout_bounds_a_long_solve():
+    # replayed subtrees count their ticks through the deadline, which reads the clock
+    start = time.perf_counter()
+    with pytest.raises(SolveTimeout):
+        gamma_r_exact(_sierpinski("P", 8, 2), time_limit=0.5)
+    assert time.perf_counter() - start < 3
 
 
 def _reference_roman_lower(closed, n, undom, excluded):
