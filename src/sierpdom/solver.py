@@ -21,22 +21,28 @@ searched is one tick, and a subtree that the witness phase replays
 The clock is read on every tick call, and once per pick of the greedy
 that builds the first incumbent, so a time limit bounds the whole solve.
 
-The witness phase replays the subtrees that failed.  Whether a node at
-index i, with left picks to make and the vertices covered covered, has
-a k-set below it, and how many nodes its subtree holds, depend only on
-(i, left, covered), the graph, k and the target: so do its tests and
-the histogram buckets hist[:top] that its bounds read (barred vertices
-sit at or above top).  The phase has no incumbent and returns at its
-first success, so every subtree that closes has failed.  A table kept
-for one call maps each closed subtree's state to its tick count, and a
-node that finds its state there, after its tests that need no counts,
-adds those ticks and is not expanded.  The search tree, node counts,
-witnesses and CLI output are the same as without the table.  The table
-stays within _FAILED_BYTES (8 MiB, about 36,000 entries at order 64)
-and is emptied when full; a depth-first search soon meets again the
-states near those it just closed.  Phase 1 and `gamma_exact` prune
-against an incumbent, so a subtree there depends on more than its
-state, and they keep no table.
+The witness phase replays the subtrees that failed.  A node at index i,
+with left picks to make and the vertices covered covered, can only pick
+vertices u >= i, whose closed neighborhoods lie in reach[i] (everything
+some u >= i can cover).  Whether it has a k-set below it, and how many
+nodes its subtree holds, therefore depend only on the key (i, left,
+covered & reach[i], need), need being the target less |covered|: its
+tests read need and |reach[i]| - |covered & reach[i]|, the histogram
+buckets hist[:top] that its bounds read count |N[u] - covered| for
+u >= i (barred vertices sit at or above top), and both children's keys
+follow from it, as masks[i] lies in reach[i].  States that differ only
+in which finished vertices are covered share a key, and need carries
+the target, so one table serves every k that `gamma_r_exact` tries.
+The phase has no incumbent and returns at its first success, so every
+subtree that closes has failed.  The table maps each closed subtree's
+key to its tick count, and a node that finds its key there, after its
+tests that need no counts, adds those ticks and is not expanded.  The
+search tree, node counts, witnesses and CLI output are the same as
+without the table.  The table stays within _FAILED_BYTES (8 MiB, about
+30,000 entries at order 64) and is emptied when full; a depth-first
+search soon meets again the keys near those it just closed.  Phase 1
+and `gamma_exact` prune against an incumbent, so a subtree there
+depends on more than its state, and they keep no table.
 
 Two further lower bounds prune the searches.  The witness phase keeps
 suffix reach masks (everything some vertex at index >= i can cover) and
@@ -94,10 +100,12 @@ from .roman import RomanFunction, is_roman_dominating
 MAX_SOLVE_ORDER = 65_536
 
 # the witness search's table of failed subtrees stays within _FAILED_BYTES; an entry
-# (a key tuple, its covered mask, a tick count and its dict slot) takes at most
-# _FAILED_ENTRY_BYTES plus n/8 for the n bits of the mask (measured with tracemalloc)
+# (a key tuple of four ints, one a mask of up to n bits, a tick count and its dict
+# slot) takes at most _FAILED_ENTRY_BYTES plus n/7 for the mask, an int storing 30
+# bits in 4 bytes (tracemalloc read at most 252 bytes past n/7 for n = 16-16,384,
+# just after a dict resize)
 _FAILED_BYTES = 8 << 20
-_FAILED_ENTRY_BYTES = 224
+_FAILED_ENTRY_BYTES = 264
 
 
 @dataclass(frozen=True)
@@ -393,32 +401,42 @@ def _roman_value(g: Graph, deadline: _Deadline, closed: _Closed) -> tuple[int, i
 
 
 def _lex_min_two_set(
-    g: Graph, k: int, target_cover: int, deadline: _Deadline, closed: _Closed
+    g: Graph,
+    k: int,
+    target_cover: int,
+    deadline: _Deadline,
+    closed: _Closed,
+    failed: dict[tuple[int, int, int, int], int],
 ) -> tuple[Optional[list[int]], int]:
     """Lexicographically smallest k-subset covering at least target_cover.
 
     A node at index i bars every u < i, and its counts are relative to the
-    vertices still uncovered.  failed maps the state (i, left, covered) of
-    each subtree that closed with no k-set to the ticks it took, written by
-    a close frame (counts None) pushed under the node's two children; it
-    holds at most room entries and is emptied when full."""
+    vertices still uncovered.  It reads covered only through covered &
+    reach[i] and need = target_cover - |covered|: its tests and bounds read
+    need and the counts |N[u] - covered| of the vertices u >= i, whose N[u]
+    lie in reach[i], and masks[i] lies in reach[i] too, so both children's
+    states follow from that pair.  failed maps the key (i, left, covered &
+    reach[i], need) of each subtree that closed with no k-set to the ticks
+    it took, written by a close frame (counts None) pushed under the node's
+    two children.  need carries the target, so one table serves every call
+    on the same closed neighborhoods; it holds at most room entries and is
+    emptied when full."""
     masks, nb, top = closed.masks, closed.ids, closed.top
     n = g.order
     # reach[i]: all vertices some u >= i can cover; most[i]: the largest |N[u]| over u >= i
     reach = list(accumulate(reversed(masks), or_, initial=0))[::-1]
     most = list(accumulate(map(len, reversed(nb)), max, initial=0))[::-1]
     ticks = deadline.ticks
-    failed: dict[tuple[int, int, int], int] = {}
-    room = _FAILED_BYTES // (_FAILED_ENTRY_BYTES + n // 8)
+    room = _FAILED_BYTES // (_FAILED_ENTRY_BYTES + n // 7)
     # i, left, covered, picked, then the counts, hist and covered of node i - 1:
     # most nodes are dropped before they read a count, so each makes its own only then
     stack = [(0, k, 0, None, closed.counts, closed.hist, 0)]
     while stack:
         i, left, covered, picked, counts, hist, before = stack.pop()
-        if counts is None:  # the close frame of a subtree that failed; picked is its first tick
+        if counts is None:  # a close frame: i is the failed subtree's key, picked its first tick
             if len(failed) >= room:
                 failed.clear()
-            failed[i, left, covered] = deadline.ticks - picked
+            failed[i] = deadline.ticks - picked
             continue
         deadline.tick()
         if left == 0:
@@ -434,7 +452,8 @@ def _lex_min_two_set(
         # left picks of the largest closed neighborhood from i on fall short
         if left * most[i] < need:
             continue
-        seen = failed.get((i, left, covered))
+        key = (i, left, covered & reach[i], need)
+        seen = failed.get(key)
         if seen is not None:  # searched before with no k-set: add the ticks it took then
             deadline.tick(seen - 1)
             continue
@@ -443,7 +462,7 @@ def _lex_min_two_set(
             counts, hist = _descend(nb, top, counts, hist, ~before, taken, (i - 1,))
         if _top_sum_below(hist, top, left, need):
             continue
-        stack.append((i, left, covered, deadline.ticks - 1, None, None, None))
+        stack.append((key, None, None, deadline.ticks - 1, None, None, None))
         stack.append((i + 1, left, covered, picked, counts, hist, covered))
         stack.append((i + 1, left - 1, covered | masks[i], (picked, i), counts, hist, covered))
     return None, deadline.ticks - ticks
@@ -463,10 +482,11 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     closed = _Closed(g)
     value = _roman_value(g, deadline, closed)[0]
     twos: Optional[list[int]] = None
+    failed: dict[tuple[int, int, int, int], int] = {}  # one table for every k
     for k in range(value // 2, -1, -1):
         if value - 2 * k > n:
             break
-        twos = _lex_min_two_set(g, k, n - (value - 2 * k), deadline, closed)[0]
+        twos = _lex_min_two_set(g, k, n - (value - 2 * k), deadline, closed, failed)[0]
         if twos is not None:
             break
     if twos is None:

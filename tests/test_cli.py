@@ -129,6 +129,13 @@ def test_solve_beyond_the_recursion_limit(capsys):
     assert f.weight == 1000 and is_roman_dominating(f, path_graph(1500))
 
 
+def test_solve_s_c8_2_within_its_timeout(capsys):
+    # the witness phase used to outrun this limit (exit 3)
+    code, out, _ = run(capsys, "solve", "--family", "cycle", "--n", "8", "--depth", "2", "--timeout", "15")
+    assert code == 0
+    assert "S(C8,2): Roman domination number = 40" in out
+
+
 def test_solve_domination_with_depth(capsys):
     code, out, _ = run(
         capsys, "solve", "--family", "complete", "--n", "3", "--depth", "2", "--domination"

@@ -77,6 +77,12 @@ def test_solver_matches_milp(base, t):
     assert gamma_r_exact(g).value == milp_value(g, roman=True)
 
 
+def test_roman_solver_matches_milp_on_s_c8_2():
+    # γ of S(C8, 2) still outruns the branch and bound's time limits, so only γ_R is checked
+    g = build(cycle_graph(8), 2).graph
+    assert gamma_r_exact(g).value == milp_value(g, roman=True) == 40
+
+
 @pytest.mark.parametrize("n,t,value,lifted", [(7, 3, 222, 224), (5, 4, 421, 425)])
 def test_path_formula_is_only_an_upper_bound_above_depth_two(n, t, value, lifted):
     # above depth 2, n**(t-2) * gamma_R(S(P_n, 2)), the weight of an optimal

@@ -319,6 +319,7 @@ NODE_COUNTS = [
     (gamma_r_exact, "P", 5, 2, 3_227),
     (gamma_r_exact, "P", 6, 2, 1_936),
     (gamma_r_exact, "C", 5, 2, 2_599),
+    (gamma_r_exact, "C", 8, 2, 19_464_597),  # nearly all of them replayed subtrees
     (gamma_r_exact, "K", 3, 4, 590),
     (gamma_r_exact, "P", 1500, 1, 2_500),  # S(P1500, 1) is the path itself
     (gamma_r_exact, "P", 3100, 1, 9_300),
@@ -342,9 +343,9 @@ def test_phase_split_is_pinned():
     g = _sierpinski("C", 6, 2)
     deadline, closed = _Deadline(None), _Closed(g)
     assert _roman_value(g, deadline, closed) == (22, 6_143)
-    twos, ticks = _lex_min_two_set(g, 11, 36, deadline, closed)
+    twos, ticks = _lex_min_two_set(g, 11, 36, deadline, closed, {})
     assert (twos, ticks) == (None, 8_299)
-    twos, ticks = _lex_min_two_set(g, 10, 34, deadline, closed)
+    twos, ticks = _lex_min_two_set(g, 10, 34, deadline, closed, {})
     assert twos is not None and ticks == 7_847
     assert deadline.ticks == 22_289
 
@@ -396,14 +397,17 @@ def _witness_attempts(g, closed):
     return attempts
 
 
-def _assert_same_as_reference(g, attempts, start=0):
+def _assert_same_as_reference(g, attempts, start=0, failed=None):
     """The witness search returns the reference's 2-set and ticks and leaves its
-    deadline at the same count, for every (k, target) in attempts."""
+    deadline at the same count, for every (k, target) in attempts.  Every
+    attempt gets a fresh table, or with failed given they all share that one,
+    as the attempts of one solve do."""
     closed = _Closed(g)
     for k, target in attempts:
         want, got = _Deadline(None), _Deadline(None)
         want.ticks = got.ticks = start
-        assert _lex_min_two_set(g, k, target, got, closed) == _reference_lex_min_two_set(
+        table = {} if failed is None else failed
+        assert _lex_min_two_set(g, k, target, got, closed, table) == _reference_lex_min_two_set(
             g, k, target, want, closed
         )
         assert got.ticks == want.ticks
@@ -424,20 +428,58 @@ def test_witness_search_replays_the_reference_tree(n, seed, p, connected, extra,
     _assert_same_as_reference(g, attempts + [(k % (n + 1), t % (n + 2)) for k, t in extra], start)
 
 
-def test_replayed_subtrees_are_not_searched_again():
-    # S(C6, 2) at k = 11: 8,299 nodes, 4,563 of them making their counts with
-    # no table, in 742 distinct states
-    g = _sierpinski("C", 6, 2)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 14),
+    st.integers(0, 10**6),
+    st.sampled_from((0.15, 0.3, 0.5)),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=4),
+    st.integers(0, 1000),
+    st.randoms(use_true_random=False),
+)
+def test_one_table_serves_every_attempt(n, seed, p, connected, extra, start, rng):
+    # gamma_r_exact's attempts in its order, then those and random ones shuffled,
+    # all through one table: a key carries the target through need
+    g = random_connected_graph(n, random.Random(seed), p) if connected else _random_graph(n, seed, p)
+    attempts = _witness_attempts(g, _Closed(g))
+    more = attempts + [(k % (n + 1), t % (n + 2)) for k, t in extra]
+    rng.shuffle(more)
+    _assert_same_as_reference(g, attempts + more, start, failed={})
+
+
+def _descend_calls(g, attempts):
+    """The witness search's ticks per attempt, run through one table, and how
+    many nodes made their counts."""
     calls = []
 
     def counted(*args):
         calls.append(None)
         return _descend(*args)
 
+    closed, deadline, failed = _Closed(g), _Deadline(None), {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_descend", counted)
-        assert _lex_min_two_set(g, 11, 36, _Deadline(None), _Closed(g)) == (None, 8_299)
-    assert len(calls) < 8_299 // 10
+        results = [_lex_min_two_set(g, k, target, deadline, closed, failed) for k, target in attempts]
+    return results, len(calls)
+
+
+def test_replayed_subtrees_are_not_searched_again():
+    # S(C6, 2) at k = 11: 8,299 nodes, 4,563 of them making their counts with
+    # no table, in 742 distinct states
+    results, calls = _descend_calls(_sierpinski("C", 6, 2), [(11, 36)])
+    assert results == [(None, 8_299)]
+    assert calls < 8_299 // 10
+
+
+def test_witness_phase_of_s_p8_2_replays_across_attempts():
+    # γ_R(S(P8, 2)) = 43 (the MILP agrees); no 21 or 20 2s cover enough, 19 do.
+    # 932,279 nodes make their counts under a table keyed by the whole covered
+    # mask, one table per attempt; 3,023 under one table keyed by what a subtree reads
+    results, calls = _descend_calls(_sierpinski("P", 8, 2), [(k, 64 - (43 - 2 * k)) for k in (21, 20, 19)])
+    assert [ticks for _, ticks in results] == [1_708_071, 9_061_631, 5_103_280]
+    assert results[0][0] is None and results[1][0] is None and results[2][0] is not None
+    assert calls < 30_000
 
 
 @pytest.mark.parametrize("budget", [0, 3 * 300])
@@ -449,25 +491,29 @@ def test_a_full_table_is_emptied_and_the_tree_kept(budget):
             _assert_same_as_reference(g, _witness_attempts(g, _Closed(g)))
 
 
-@pytest.mark.parametrize("budget", [solver._FAILED_BYTES, 1 << 18])
+@pytest.mark.parametrize("budget", [solver._FAILED_BYTES, 1 << 18, 1 << 14])
 def test_failed_table_stays_within_its_budget(budget):
-    # S(P7, 2)'s witness search takes 172,651 ticks and closes subtrees in about
-    # 9,000 states at once, so a 256 KiB budget is emptied many times over; the
+    # S(P7, 2)'s witness search takes 172,651 ticks over three attempts that share
+    # one table, as in gamma_r_exact, and records 969 failed subtrees: a 256 KiB
+    # budget (967 keys) is emptied once, and 16 KiB (60 keys) many times over; the
     # slack holds the stack, the count lists and the reach masks (13 KB with no table)
     g = _sierpinski("P", 7, 2)
     closed = _Closed(g)
     deadline = _Deadline(None)
+    failed = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_FAILED_BYTES", budget)
         tracemalloc.start()
         try:
             for k in (16, 15, 14):  # γ_R = 32: no 16 or 15 2s cover enough, 14 do
-                twos = _lex_min_two_set(g, k, 49 - (32 - 2 * k), deadline, closed)[0]
+                twos = _lex_min_two_set(g, k, 49 - (32 - 2 * k), deadline, closed, failed)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert twos is not None and deadline.ticks == 172_651
     assert peak < budget + (1 << 16)
+    # the table of 969 keys fits in the slack, so only its size shows a missed emptying
+    assert len(failed) <= budget // (solver._FAILED_ENTRY_BYTES + g.order // 7)
 
 
 def test_timeout_bounds_a_long_solve():
@@ -695,6 +741,20 @@ def test_witnesses_are_pinned(fam, n, t, gamma, gamma_sha, roman, roman_sha):
     assert (dom.value, sha(sorted(dom.witness))) == (gamma, gamma_sha)
     rom = gamma_r_exact(g)
     assert (rom.value, sha(list(rom.witness.labels))) == (roman, roman_sha)
+
+
+def test_roman_witness_of_s_c8_2_is_pinned():
+    # γ of S(C8, 2) still outruns a 15 s limit, so only γ_R's witness is pinned;
+    # the digest is the one the solve gave before its witness phase shared one
+    # table across attempts (13 s then), and the limit keeps the solve under 3 s
+    g = _sierpinski("C", 8, 2)
+    rom = gamma_r_exact(g, time_limit=3)
+    labels = list(rom.witness.labels)
+    assert (rom.value, rom.nodes) == (40, 19_464_597)
+    assert is_roman_dominating(rom.witness, g)
+    assert hashlib.sha256(json.dumps(labels).encode()).hexdigest() == (
+        "1852eed1bfef87eefa7177536135b62aa863a5077ed64d4cbeff601c56f8e3dc"
+    )
 
 
 def test_searches_leave_no_reference_cycles():
