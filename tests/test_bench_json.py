@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_json.py"
-UNITS = {"setup_s": "s", "ops_per_s": "1/s", "latency_p50_s": "s", "latency_p90_s": "s", "peak_rss_mb": "MB"}
+ROOT = Path(__file__).resolve().parent.parent
+PATH = ROOT / "tools" / "bench_json.py"
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+UNITS = {m["name"]: m["unit"] for m in END_TO_END}
+BETTER = {m["name"]: m["better"] for m in END_TO_END}
 
 
 def _load():
@@ -28,7 +31,7 @@ def _line(ops_per_s, p50=0.0002, failed=0, correct=True, **other):
 
 
 def test_summary_has_median_and_inclusive_quartiles():
-    side = bench_json.summarize([_line(v) for v in (400.0, 440.0, 420.0, 500.0, 410.0)])
+    side = bench_json.summarize([_line(v) for v in (400.0, 440.0, 420.0, 500.0, 410.0)], BETTER)
     ops = side["metrics"]["ops_per_s"]
     assert (ops["median"], ops["q1"], ops["q3"]) == (420.0, 410.0, 440.0)
     assert ops["values"] == [400.0, 440.0, 420.0, 500.0, 410.0]  # run order, for pairing
@@ -42,20 +45,20 @@ def test_summary_has_median_and_inclusive_quartiles():
 
 
 def test_one_run_is_its_own_quartiles():
-    ops = bench_json.summarize([_line(450.0)])["metrics"]["ops_per_s"]
+    ops = bench_json.summarize([_line(450.0)], BETTER)["metrics"]["ops_per_s"]
     assert (ops["median"], ops["q1"], ops["q3"]) == (450.0, 450.0, 450.0)
 
 
 def test_failures_and_incorrect_runs_are_kept():
-    side = bench_json.summarize([_line(400.0, failed=3), _line(410.0, correct=False)])
+    side = bench_json.summarize([_line(400.0, failed=3), _line(410.0, correct=False)], BETTER)
     assert side["failed"] == [3, 0]
     assert not side["correct"]
 
 
 def test_change_wins_count_pairs_by_direction():
-    parent = bench_json.summarize([_line(400.0, p50=2e-4), _line(420.0, p50=2e-4), _line(410.0, p50=3e-4)])
-    change = bench_json.summarize([_line(450.0, p50=1e-4), _line(420.0, p50=2e-4), _line(400.0, p50=2e-4)])
-    wins = bench_json.change_wins(parent, change)
+    parent = bench_json.summarize([_line(400.0, p50=2e-4), _line(420.0, p50=2e-4), _line(410.0, p50=3e-4)], BETTER)
+    change = bench_json.summarize([_line(450.0, p50=1e-4), _line(420.0, p50=2e-4), _line(400.0, p50=2e-4)], BETTER)
+    wins = bench_json.change_wins(parent, change, BETTER)
     assert wins["ops_per_s"] == 1  # higher is better; the tie counts for neither side
     assert wins["latency_p50_s"] == 2  # lower is better
     assert wins["peak_rss_mb"] == 0
@@ -65,4 +68,4 @@ def test_summary_needs_every_end_to_end_metric():
     doc = json.loads(_line(400.0))
     del doc["metrics"]["peak_rss_mb"]
     with pytest.raises(KeyError):
-        bench_json.summarize([json.dumps(doc)])
+        bench_json.summarize([json.dumps(doc)], BETTER)

@@ -750,7 +750,7 @@ def test_roman_witness_of_s_c8_2_is_pinned():
     g = _sierpinski("C", 8, 2)
     rom = gamma_r_exact(g, time_limit=3)
     labels = list(rom.witness.labels)
-    assert (rom.value, rom.nodes) == (40, 19_464_597)
+    assert rom.value == 40  # its node count is pinned once, in NODE_COUNTS
     assert is_roman_dominating(rom.witness, g)
     assert hashlib.sha256(json.dumps(labels).encode()).hexdigest() == (
         "1852eed1bfef87eefa7177536135b62aa863a5077ed64d4cbeff601c56f8e3dc"

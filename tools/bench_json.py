@@ -1,15 +1,17 @@
 """Record a parent-versus-change benchmark comparison as a BENCH_*.json file.
 
     python3 tools/bench_json.py --parent REV --change REV --pairs N \
-        --seeds 3,7 --seconds 30 --out BENCH_X.json [--workloads families,sweep,large]
+        --seeds 3,7 --out BENCH_X.json
 
 Run from a git checkout.  Each revision is exported with `git archive`
-into its own fresh directory, and `perfbench/run.py` runs there, so both
-sides use their own committed benchmark and package.  For each workload
+into its own fresh directory, and the benchmark command runs there, so
+both sides use their own committed benchmark and package.  The change's
+BENCHMARK.json names the command, the workloads, the run length and the
+end-to-end metrics with the direction that is better.  For each workload
 the script runs N pairs, one run of each side per pair, alternating which
 side runs first; pair i uses seed i modulo the seed list.  It reads the
-JSON object that run.py prints last and writes, per workload and side,
-every end-to-end metric's median, quartiles and run values, the ops
+JSON object that the command prints last and writes, per workload and
+side, every end-to-end metric's median, quartiles and run values, the ops
 attempted and failed and whether every run was correct, plus how many
 pairs the change won on each metric (ties count for neither side).  The
 record also names the Python version, the CPU, the seeds and both
@@ -27,16 +29,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("families", "sweep", "large")
-# the end-to-end metrics of BENCHMARK.json, with the direction that is better
-BETTER = {
-    "setup_s": "lower",
-    "ops_per_s": "higher",
-    "latency_p50_s": "lower",
-    "latency_p90_s": "lower",
-    "peak_rss_mb": "lower",
-}
-
 
 def quartiles(values: list[float]) -> dict:
     """Median and inclusive quartiles of values (one value is its own quartiles)."""
@@ -47,11 +39,14 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
-def summarize(lines: list[str]) -> dict:
-    """One side's runs, each the last stdout line of perfbench/run.py, in run order."""
+def summarize(lines: list[str], better: dict[str, str]) -> dict:
+    """One side's runs, each the benchmark's last stdout line, in run order.
+
+    better maps each end-to-end metric to "lower" or "higher".
+    """
     runs = [json.loads(line) for line in lines]
     metrics = {}
-    for name in BETTER:
+    for name in better:
         metrics[name] = quartiles([r["metrics"][name]["value"] for r in runs])
         metrics[name]["unit"] = runs[0]["metrics"][name]["unit"]
     return {
@@ -62,12 +57,12 @@ def summarize(lines: list[str]) -> dict:
     }
 
 
-def change_wins(parent: dict, change: dict) -> dict:
+def change_wins(parent: dict, change: dict, better: dict[str, str]) -> dict:
     """Per metric, the pairs in which the change read better than the parent."""
     wins = {}
-    for name, better in BETTER.items():
+    for name, direction in better.items():
         pairs = zip(parent["metrics"][name]["values"], change["metrics"][name]["values"])
-        if better == "lower":
+        if direction == "lower":
             wins[name] = sum(c < p for p, c in pairs)
         else:
             wins[name] = sum(c > p for p, c in pairs)
@@ -86,9 +81,8 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> str:
+    cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return proc.stdout.strip().splitlines()[-1]
 
@@ -110,41 +104,40 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", required=True, help="git revision of the change")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seeds", required=True, help="comma-separated workload seeds, cycled over the pairs")
-    ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    workloads = args.workloads.split(",")
 
     with tempfile.TemporaryDirectory(prefix="bench-json-") as tmp:
         dirs = {side: Path(tmp) / side for side in ("parent", "change")}
         commits = {side: export(getattr(args, side), dirs[side]) for side in dirs}
+        spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        seconds = spec["run_seconds"]
         record = {
             "python": platform.python_version(),
             "cpu": cpu_model(),
             "seeds": seeds,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "pairs": args.pairs,
             "commits": commits,
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             lines = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 seed = seeds[i % len(seeds)]
                 for side in order:
-                    lines[side].append(run_once(dirs[side], workload, seed, args.seconds))
+                    lines[side].append(run_once(dirs[side], spec["command"], workload, seed, seconds))
                     print(f"{workload} pair {i + 1}/{args.pairs} {side} done", file=sys.stderr, flush=True)
-            sides = {side: summarize(lines[side]) for side in lines}
-            wins = change_wins(sides["parent"], sides["change"])
+            sides = {side: summarize(lines[side], better) for side in lines}
+            wins = change_wins(sides["parent"], sides["change"], better)
             record["workloads"][workload] = {**sides, "change_wins": wins}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
