@@ -14,7 +14,8 @@ is verified; so is a sweep --count below 1, --max-n below 2, or
 Each input has one way in: the base graph is --family with --n or --base
 FILE, never both (solve --depth D solves S(base, D)); the theorem
 construction's labeling is --function FILE, as RomanFunction.to_json
-writes it, and no other family takes one; and the vertex budget is --budget.
+writes it, and no other family takes one; solve --oracle takes no
+--timeout; and the vertex budget is --budget.
 
 Exit codes: 0 success, 1 a verified property failed (construct: the
 labeling it prints does not validate), 2 bad input, 3 budget or timeout,
@@ -124,6 +125,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.oracle and args.timeout is not None:
+        raise ValueError("--oracle takes no --timeout: the exhaustive solver has no time limit")
     g, s = _load_base(args), None
     if args.depth is not None and args.depth != 1:
         s = build(g, args.depth, args.budget)  # rejects a depth below 1

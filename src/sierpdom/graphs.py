@@ -4,14 +4,12 @@ A graph is its sorted edge keys: u·n + v for each edge {u, v} with
 u < v, ascending and without repeats, so two graphs compare equal exactly
 when they have the same order and edge set.  edges decodes the keys into
 (u, v) pairs with divmod, as a fresh iterator on every read that is
-spent once gone over, and size counts them.  Everything else is derived
-from the edges on first use and then cached: the sorted neighbor tuples
-that neighbors, degree and adjacent read, and the closed-neighborhood bitmasks that the exact
-searches read.  Each is one pass over the edges, and neither is built
-for the other, so a graph that is only built, serialized or validated
-holds neither.  The exact searches also take neighbor_lists, the same
-lists uncached, to make their own.  This module is the one place that
-reads the keys.
+spent once gone over, and size counts them.  The one thing derived and
+cached is the sorted neighbor tuples that neighbors, degree and
+adjacent read, built in one pass over the edges on first use, so a
+graph that is only built, serialized or validated never holds them.
+The exact searches make their own closed neighborhoods from the edges.
+This module is the one place that reads the keys.
 
 Graph(n, edges) is the way in for any input: one pass over the edges in
 input order checks each for vertices of type int exactly (a bool or a
@@ -28,10 +26,11 @@ read from input.
 
 An EdgeSource is what reads only a graph's order, size and edges: a
 Graph, or a SierpinskiGraph, whose edges come off its runs in no
-canonical order.  The edge-list and DOT writers and edge_list_digest
-take a Graph; they format a slice of lines per %-operation and write the
-slices to one buffer.  Validation (roman.is_roman_dominating) takes
-either.
+canonical order.  The edge-list and DOT writers take a Graph; they
+format a slice of lines per %-operation and write the slices to one
+buffer, and digest hashes the edge list.  Validation
+(roman.is_roman_dominating) takes either; is_dominating_set, too, reads
+the edges in one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Iterable, Iterator, Optional, Protocol
 class Graph:
     """Finite undirected simple graph on vertices 0..n-1, with an optional name."""
 
-    __slots__ = ("_n", "_keys", "_adj", "_closed_mask", "name")
+    __slots__ = ("_n", "_keys", "_adj", "name")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
         if n < 1:
@@ -62,7 +61,6 @@ class Graph:
         self._n = n
         self._keys = sorted(canon)
         self._adj: Optional[tuple[tuple[int, ...], ...]] = None
-        self._closed_mask: Optional[tuple[int, ...]] = None
         self.name = name
 
     @property
@@ -88,32 +86,17 @@ class Graph:
         return range(self._n)
 
     @property
-    def closed_masks(self) -> tuple[int, ...]:
-        """Closed neighborhoods (vertex included) as bitmasks, built on first use."""
-        if self._closed_mask is None:
-            masks = [1 << v for v in range(self._n)]
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self._closed_mask = tuple(masks)
-        return self._closed_mask
-
-    @property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, built on first use."""
         if self._adj is None:
-            self._adj = tuple(map(tuple, self.neighbor_lists()))
+            adj = [[] for _ in range(self._n)]
+            # the edges ascend, so adj[v] receives its smaller neighbors u, from the edges
+            # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            self._adj = tuple(map(tuple, adj))
         return self._adj
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Sorted neighbor lists, new on every call and not cached."""
-        adj = [[] for _ in range(self._n)]
-        # the edges ascend, so adj[v] receives its smaller neighbors u, from the edges
-        # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
@@ -130,8 +113,8 @@ class Graph:
         return u != v and v not in adj[u] and not set(adj[u]).isdisjoint(adj[v])
 
     def digest(self) -> str:
-        """Short content hash of the canonical edge list."""
-        return edge_list_digest(self)
+        """Short content hash of the edge list format_edge_list writes."""
+        return hashlib.sha256(format_edge_list(self).encode()).hexdigest()[:12]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -156,7 +139,7 @@ def from_canonical_keys(n: int, keys: list[int], name: str = "") -> Graph:
     goes through Graph(n, edges), which checks and canonicalizes it.
     """
     g = Graph.__new__(Graph)
-    g._n, g._keys, g._adj, g._closed_mask, g.name = n, keys, None, None, name
+    g._n, g._keys, g._adj, g.name = n, keys, None, name
     return g
 
 
@@ -174,12 +157,19 @@ def is_connected(g: Graph) -> bool:
 
 def is_dominating_set(g: Graph, vertices: Iterable[int]) -> bool:
     """True when every vertex lies in a closed neighborhood of the set."""
-    covered = 0
+    n = g.order
+    dominated = bytearray(n)
     for v in vertices:
-        if not 0 <= v < g.order:
-            raise ValueError(f"vertex {v} not in graph of order {g.order}")
-        covered |= g.closed_masks[v]
-    return covered == (1 << g.order) - 1
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} not in graph of order {n}")
+        dominated[v] = 1
+    chosen = bytes(dominated)
+    for u, v in g.edges:
+        if chosen[u]:
+            dominated[v] = 1
+        elif chosen[v]:  # a chosen u is dominated already
+            dominated[u] = 1
+    return 0 not in dominated
 
 
 def is_spanning_subgraph(h: Graph, g: Graph) -> bool:
@@ -233,11 +223,6 @@ def format_edge_list(g: Graph) -> str:
     out.write(f"{g.order} {g.size}\n")
     _write_sliced(out.write, "%d %d\n", g.edges)
     return out.getvalue()
-
-
-def edge_list_digest(g: Graph) -> str:
-    """Short content hash of the edge list format_edge_list writes."""
-    return hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:12]
 
 
 def to_dot(

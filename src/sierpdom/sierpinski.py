@@ -49,19 +49,17 @@ class SierpinskiGraph:
 
     It is an EdgeSource: order, size and edges come off the runs, the
     edges in run order, not in canonical order.  graph is the canonical
-    Graph, made from the runs' certified keys on first read and then kept;
-    a graph given to the constructor is taken as it is, to check a changed
-    copy.
+    Graph, made from the runs' certified keys on first read and then kept.
     """
 
     __slots__ = ("base", "depth", "order", "runs", "_graph")
 
-    def __init__(self, base: Graph, depth: int, graph: Optional[Graph] = None):
+    def __init__(self, base: Graph, depth: int):
         self.base = base
         self.depth = depth
         self.order = base.order**depth
         self.runs = _edge_runs(base, depth)
-        self._graph = graph
+        self._graph: Optional[Graph] = None
 
     @property
     def name(self) -> str:

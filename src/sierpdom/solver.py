@@ -74,9 +74,10 @@ makes its counts from its parent's only once the tests that need none
 (a leaf, the weight, the witness phase's reach and size tests) have
 kept it.
 
-A solve builds each closed neighborhood once, as a bitmask and as a
-list of ascending ids, and shares them with both phases and every k of
-the witness phase.  The masks take at least n**2/16 bytes, so both
+A solve builds each closed neighborhood once, in one pass over the
+edges, as a bitmask and as a list of ascending ids, and shares them with
+both phases and every k of the witness phase.  The certificate checks
+read the edges afresh.  The masks take at least n**2/16 bytes, so both
 searches refuse an order above MAX_SOLVE_ORDER before building them.
 """
 
@@ -162,16 +163,24 @@ def _picks(link):
 class _Closed:
     """A graph's closed neighborhoods, built once per solve and read by every search.
 
-    masks and ids hold N[v] as a bitmask and as a list of ascending ids.  counts
-    and hist are the root's cover counts |N[v]| and their histogram (see
-    _descend), top is one more than the largest count, and levels holds one
-    mask per vertex degree, highest degree first."""
+    masks and ids hold N[v] as a bitmask and as a list of ascending ids, the
+    order in which _branch breaks ties.  counts and hist are the root's cover
+    counts |N[v]| and their histogram (see _descend), top is one more than the
+    largest count, and levels holds one mask per vertex degree, highest first."""
 
     __slots__ = ("masks", "ids", "top", "counts", "hist", "levels")
 
     def __init__(self, g: Graph):
-        self.masks = g.closed_masks
-        self.ids = ids = g.neighbor_lists()
+        n = g.order
+        self.masks = masks = [1 << v for v in range(n)]
+        self.ids = ids = [[] for _ in range(n)]
+        # the edges ascend, so ids[v] receives its smaller neighbors u, from the edges
+        # (u, v) in order of u, before the edges (v, w) add its larger ones in order of w
+        for u, v in g.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            ids[u].append(v)
+            ids[v].append(u)
         for v, nb in enumerate(ids):
             insort(nb, v)  # nb ascends, so v goes in at its place
         self.counts = sizes = list(map(len, ids))
@@ -366,10 +375,10 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     return Certificate("domination", best_size, witness, deadline.ticks, time.perf_counter() - start)
 
 
-def _roman_value(g: Graph, deadline: _Deadline, closed: _Closed) -> tuple[int, int]:
+def _roman_value(deadline: _Deadline, closed: _Closed) -> tuple[int, int]:
     """Phase 1: the optimal weight, by branch and bound over 2-sets."""
     masks, nb, top, levels = closed.masks, closed.ids, closed.top, closed.levels
-    n = g.order
+    n = len(masks)
     best = min(2 * len(_greedy_cover(nb, deadline)), n)
     ticks = deadline.ticks
 
@@ -401,7 +410,6 @@ def _roman_value(g: Graph, deadline: _Deadline, closed: _Closed) -> tuple[int, i
 
 
 def _lex_min_two_set(
-    g: Graph,
     k: int,
     target_cover: int,
     deadline: _Deadline,
@@ -422,7 +430,7 @@ def _lex_min_two_set(
     on the same closed neighborhoods; it holds at most room entries and is
     emptied when full."""
     masks, nb, top = closed.masks, closed.ids, closed.top
-    n = g.order
+    n = len(masks)
     # reach[i]: all vertices some u >= i can cover; most[i]: the largest |N[u]| over u >= i
     reach = list(accumulate(reversed(masks), or_, initial=0))[::-1]
     most = list(accumulate(map(len, reversed(nb)), max, initial=0))[::-1]
@@ -480,20 +488,20 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     deadline = _Deadline(time_limit)
     n = g.order
     closed = _Closed(g)
-    value = _roman_value(g, deadline, closed)[0]
+    value = _roman_value(deadline, closed)[0]
     twos: Optional[list[int]] = None
     failed: dict[tuple[int, int, int, int], int] = {}  # one table for every k
     for k in range(value // 2, -1, -1):
         if value - 2 * k > n:
             break
-        twos = _lex_min_two_set(g, k, n - (value - 2 * k), deadline, closed, failed)[0]
+        twos = _lex_min_two_set(k, n - (value - 2 * k), deadline, closed, failed)[0]
         if twos is not None:
             break
     if twos is None:
         raise AssertionError("no witness at the proven optimum")
     covered = 0
     for u in twos:
-        covered |= g.closed_masks[u]
+        covered |= closed.masks[u]
     f = RomanFunction.from_sets(n, ones=_bits(((1 << n) - 1) & ~covered), twos=twos)
     if not is_roman_dominating(f, g) or f.weight != value:
         raise AssertionError("Roman witness failed its certificate check")
@@ -510,7 +518,7 @@ def brute_force_gamma_r(g: Graph) -> Certificate:
         raise BudgetError(f"brute force capped at order 22, got {g.order}")
     start = time.perf_counter()
     n = g.order
-    closed = g.closed_masks
+    closed = _Closed(g).masks
     full = (1 << n) - 1
     size = 1 << n
     cover = [0] * size

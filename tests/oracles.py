@@ -1,7 +1,9 @@
 """Independent reference implementations used to pin expected values.
 
 Deliberately naive: full enumeration everywhere, no shared code with the
-package's solver beyond the Graph accessors.
+package's solver beyond the Graph accessors.  The closed-neighborhood
+bitmasks are the oracles' own, built from g.neighbors by
+masks_from_neighbors, not the solver's.
 """
 
 from __future__ import annotations
@@ -11,9 +13,15 @@ from itertools import combinations, product
 from sierpdom import Graph
 
 
+def masks_from_neighbors(g: Graph) -> list[int]:
+    """N[v] as a bitmask for every vertex v, from v and g.neighbors(v)."""
+    return [sum(1 << u for u in (v, *g.neighbors(v))) for v in g.vertices]
+
+
 def roman_min_enumerated(g: Graph) -> int:
     """Minimum RDF weight by trying all 3^n labelings."""
     n = g.order
+    masks = masks_from_neighbors(g)
     best = 2 * n
     for labels in product((0, 1, 2), repeat=n):
         w = sum(labels)
@@ -23,7 +31,7 @@ def roman_min_enumerated(g: Graph) -> int:
         for v, x in enumerate(labels):
             if x == 2:
                 twos |= 1 << v
-        if all(g.closed_masks[v] & twos for v, x in enumerate(labels) if x == 0):
+        if all(masks[v] & twos for v, x in enumerate(labels) if x == 0):
             best = w
     return best
 
@@ -31,6 +39,7 @@ def roman_min_enumerated(g: Graph) -> int:
 def roman_min_canonical(g: Graph) -> tuple[int, ...]:
     """Canonical optimal labels: min weight, then max 2s, then lex-min 2-set."""
     n = g.order
+    masks = masks_from_neighbors(g)
     best_key = None
     best = None
     for labels in product((0, 1, 2), repeat=n):
@@ -38,7 +47,7 @@ def roman_min_canonical(g: Graph) -> tuple[int, ...]:
         for v, x in enumerate(labels):
             if x == 2:
                 twos |= 1 << v
-        if not all(g.closed_masks[v] & twos for v, x in enumerate(labels) if x == 0):
+        if not all(masks[v] & twos for v, x in enumerate(labels) if x == 0):
             continue
         two_set = tuple(v for v, x in enumerate(labels) if x == 2)
         one_set = tuple(v for v, x in enumerate(labels) if x == 1)
@@ -51,12 +60,13 @@ def roman_min_canonical(g: Graph) -> tuple[int, ...]:
 def domination_min_subsets(g: Graph) -> int:
     """Minimum dominating set size by growing subset enumeration."""
     n = g.order
+    masks = masks_from_neighbors(g)
     full = (1 << n) - 1
     for k in range(n + 1):
         for sub in combinations(range(n), k):
             covered = 0
             for v in sub:
-                covered |= g.closed_masks[v]
+                covered |= masks[v]
             if covered == full:
                 return k
     raise AssertionError("unreachable")
@@ -65,6 +75,7 @@ def domination_min_subsets(g: Graph) -> int:
 def min_completion_weight(g: Graph) -> int:
     """min over all 2-sets S of 2|S| + |V - N[S]|, by full 2^n enumeration."""
     n = g.order
+    masks = masks_from_neighbors(g)
     full = (1 << n) - 1
     best = n
     for mask in range(1 << n):
@@ -72,7 +83,7 @@ def min_completion_weight(g: Graph) -> int:
         m = mask
         while m:
             low = m & -m
-            covered |= g.closed_masks[low.bit_length() - 1]
+            covered |= masks[low.bit_length() - 1]
             m ^= low
         best = min(best, 2 * mask.bit_count() + (full & ~covered).bit_count())
     return best
@@ -110,6 +121,7 @@ def perfect_codes_enumerated(g: Graph) -> list[frozenset[int]]:
     """Every 1-perfect code (closed neighborhoods partitioning V), by an exact
     cover that always covers the lowest uncovered vertex, so each code is
     listed once."""
+    masks = masks_from_neighbors(g)
     full = (1 << g.order) - 1
     codes = []
 
@@ -120,8 +132,8 @@ def perfect_codes_enumerated(g: Graph) -> list[frozenset[int]]:
         rest = full & ~covered
         v = (rest & -rest).bit_length() - 1
         for u in range(g.order):
-            if g.closed_masks[v] >> u & 1 and not g.closed_masks[u] & covered:
-                extend(covered | g.closed_masks[u], chosen + [u])
+            if masks[v] >> u & 1 and not masks[u] & covered:
+                extend(covered | masks[u], chosen + [u])
 
     extend(0, [])
     return codes

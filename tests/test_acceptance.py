@@ -32,7 +32,7 @@ from sierpdom import (
     theorem_upper_bound_construction,
     universal_vertex_value,
 )
-from oracles import roman_min_enumerated
+from oracles import masks_from_neighbors, roman_min_enumerated
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -142,9 +142,10 @@ def test_criterion_8_perfect_codes():
         elapsed = time.perf_counter() - started
         ok = ok and len(code) == expect and elapsed <= 10.0
         g = build(complete_graph(n), t).graph
+        masks = masks_from_neighbors(g)
         seen = 0
         for v in code:
-            cm = g.closed_masks[v]
+            cm = masks[v]
             ok = ok and not (cm & seen)
             seen |= cm
         ok = ok and seen == (1 << g.order) - 1

@@ -371,6 +371,21 @@ def test_solve_modes_are_exclusive(capsys, monkeypatch):
     assert "[--domination | --oracle]" in err
 
 
+def test_solve_oracle_refuses_a_timeout(capsys, tmp_path):
+    # --oracle used to drop --timeout and exit 0, where the default solver times out
+    base = tmp_path / "P3.txt"
+    base.write_text(format_edge_list(path_graph(3)))
+    solve = ["solve", "--base", str(base), "--depth", "2"]
+    for timeout in ("0", "1"):
+        code, out, err = run(capsys, *solve, "--oracle", "--timeout", timeout)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--oracle" in err and "--timeout" in err
+    code, out, err = run(capsys, *solve, "--timeout", "0")
+    assert (code, out) == (3, "")
+    assert run(capsys, *solve, "--oracle")[0] == 0
+
+
 def test_verify_perfect_codes(capsys, tmp_path):
     rows_file = tmp_path / "rows.jsonl"
     code, out, _ = run(

@@ -33,7 +33,7 @@ from sierpdom import (
     star_graph,
     theorem_upper_bound_construction,
 )
-from oracles import perfect_codes_enumerated
+from oracles import masks_from_neighbors, perfect_codes_enumerated
 
 
 def k33():
@@ -278,9 +278,10 @@ def test_perfect_code_is_an_exact_cover(n, t):
     s = build(complete_graph(n), t)
     code = perfect_code_knt(n, t)
     assert len(code) == gamma_knt(n, t)
+    masks = masks_from_neighbors(s.graph)
     seen = 0
     for v in code:
-        cm = s.graph.closed_masks[v]
+        cm = masks[v]
         assert not (cm & seen)
         seen |= cm
     assert seen == (1 << s.order) - 1

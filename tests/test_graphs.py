@@ -24,6 +24,7 @@ from sierpdom import (
     to_dot,
 )
 from sierpdom.cli import main
+from sierpdom.solver import _Closed
 from oracles import shortest_path_by_enumeration
 
 
@@ -181,24 +182,23 @@ def test_construction_rejects_vertices_that_are_not_ints(edges, message):
 
 
 @given(raw_edge_lists(), st.booleans())
-def test_derived_views_match_the_edge_list(case, masks_first):
-    """Masks, neighbor tuples and neighbor lists agree with the edges,
-    whichever is built first."""
+def test_derived_views_match_the_edge_list(case, closed_first):
+    """Neighbor tuples agree with the edges, and the solver's closed
+    neighborhoods with the neighbor tuples, whichever is built first."""
     n, raw = case
     g = Graph(n, raw)
     canon = {(min(u, v), max(u, v)) for u, v in raw}
     want = [sorted({u for e in canon if v in e for u in e if u != v}) for v in range(n)]
-    if masks_first:
-        masks = g.closed_masks
+    if closed_first:
+        closed = _Closed(g)
     views = [(g.neighbors(v), g.degree(v), [g.adjacent(v, u) for u in range(n)]) for v in range(n)]
-    if not masks_first:
-        masks = g.closed_masks
+    if not closed_first:
+        closed = _Closed(g)
     for v in range(n):
         adjacent = [(min(u, v), max(u, v)) in canon for u in range(n)]
         assert views[v] == (tuple(want[v]), len(want[v]), adjacent)
-        assert masks[v] == sum(1 << u for u in [v, *want[v]])
-    lists = g.neighbor_lists()
-    assert lists == want and lists[0] is not g.neighbor_lists()[0]
+        assert closed.masks[v] == sum(1 << u for u in (v, *g.neighbors(v)))
+        assert closed.ids[v] == sorted((v, *g.neighbors(v)))
 
 
 def test_build_serialize_validate_never_builds_neighbor_tuples():
@@ -211,7 +211,7 @@ def test_build_serialize_validate_never_builds_neighbor_tuples():
     to_dot(g, labels=s.word_labels())
     rep = complete_graph_construction(4, 6)
     assert is_roman_dominating(rep.function, g)
-    assert g._adj is None and g._closed_mask is None
+    assert g._adj is None
     assert rep.sierpinski.graph._adj is None
 
 
@@ -225,14 +225,16 @@ def test_neighborhoods():
     assert c5.neighbors(0) == (1, 4)
 
 
-def test_bitmasks_match_neighbor_lists():
+def test_closed_neighborhoods_match_neighbors():
     g = cycle_graph(6)
+    closed = _Closed(g)
     for v in g.vertices:
-        assert g.closed_masks[v] == sum(1 << u for u in g.neighbors(v) + (v,))
+        assert closed.masks[v] == sum(1 << u for u in g.neighbors(v) + (v,))
+        assert closed.ids[v] == sorted(g.neighbors(v) + (v,))
 
 
 @given(small_graphs())
-def test_adjacent_matches_neighbor_lists(g):
+def test_adjacent_matches_neighbors(g):
     for u in g.vertices:
         assert g.adjacent(u, u) is False
         for v in g.vertices:
@@ -316,6 +318,20 @@ def test_dominating_set_checks():
     assert not is_dominating_set(p5, ())  # order >= 1 always
     with pytest.raises(ValueError):
         is_dominating_set(p5, {9})
+
+
+@given(small_graphs(), st.data())
+def test_dominating_set_matches_the_definition(g, data):
+    """Every vertex is in the set or next to it, on any graph: small_graphs
+    draws edgeless and disconnected ones too.  A vertex out of range,
+    wherever it stands among the others, is a ValueError."""
+    chosen = data.draw(st.lists(st.integers(0, g.order - 1)))
+    want = all(v in chosen or not set(g.neighbors(v)).isdisjoint(chosen) for v in g.vertices)
+    assert is_dominating_set(g, chosen) == want
+    bad = data.draw(st.integers(max_value=-1) | st.integers(min_value=g.order))
+    at = data.draw(st.integers(0, len(chosen)))
+    with pytest.raises(ValueError, match=f"vertex {bad} not in graph of order {g.order}"):
+        is_dominating_set(g, chosen[:at] + [bad] + chosen[at:])
 
 
 def test_spanning_subgraph():

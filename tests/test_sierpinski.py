@@ -1,6 +1,7 @@
 """Sierpinski graph construction: word coding, copies, invariants."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from sierpdom import (
     star_graph,
 )
 from sierpdom.sierpinski import (
-    SierpinskiGraph,
     _certify,
     _progression,
     format_word,
@@ -223,11 +223,13 @@ def test_boundary_property_random_bases(n, t, seed):
 def test_boundary_property_rejects_a_changed_copy_join(t, add, drop):
     """01 -- 11 and 011 -- 111 join copies 0 and 1 next to their extreme
     vertices but are not the word rule's one edge 01..1 -- 10..0; without
-    01 -- 10 the copies 0 and 1 of S(P3, 2) are not joined at all."""
+    01 -- 10 the copies 0 and 1 of S(P3, 2) are not joined at all.  The
+    changed copy is a stand-in with the base, depth and graph the check reads."""
     s = build(path_graph(3), t)
     assert check_boundary_adjacency(s)
     edges = [e for e in s.graph.edges if e != drop] + ([add] if add else [])
-    assert not check_boundary_adjacency(SierpinskiGraph(s.base, t, Graph(s.order, edges)))
+    changed = SimpleNamespace(base=s.base, depth=t, graph=Graph(s.order, edges))
+    assert not check_boundary_adjacency(changed)
 
 
 def test_connector_vertex_degrees():

@@ -52,6 +52,7 @@ from sierpdom.solver import (
 )
 from oracles import (
     domination_min_subsets,
+    masks_from_neighbors,
     min_completion_weight,
     roman_min_canonical,
     roman_min_enumerated,
@@ -209,10 +210,17 @@ def test_solver_refuses_orders_whose_masks_outgrow_memory():
     with pytest.raises(BudgetError):
         _check_order(g)  # raises on its own, so a missing guard fails here, not in a solve
     _check_order(path_graph(65_536))
-    for solve in (gamma_exact, gamma_r_exact):
-        with pytest.raises(BudgetError):
-            solve(g)
-    assert g._closed_mask is None
+
+    def closed(h):
+        if h.order > solver.MAX_SOLVE_ORDER:
+            pytest.fail(f"closed neighborhoods built for order {h.order}")
+        return _Closed(h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_Closed", closed)
+        for solve in (gamma_exact, gamma_r_exact):
+            with pytest.raises(BudgetError):
+                solve(g)
 
 
 def test_timeout_raises():
@@ -342,10 +350,10 @@ def test_phase_split_is_pinned():
     # eleven 2s covering all 36 vertices and the witness among ten 2s
     g = _sierpinski("C", 6, 2)
     deadline, closed = _Deadline(None), _Closed(g)
-    assert _roman_value(g, deadline, closed) == (22, 6_143)
-    twos, ticks = _lex_min_two_set(g, 11, 36, deadline, closed, {})
+    assert _roman_value(deadline, closed) == (22, 6_143)
+    twos, ticks = _lex_min_two_set(11, 36, deadline, closed, {})
     assert (twos, ticks) == (None, 8_299)
-    twos, ticks = _lex_min_two_set(g, 10, 34, deadline, closed, {})
+    twos, ticks = _lex_min_two_set(10, 34, deadline, closed, {})
     assert twos is not None and ticks == 7_847
     assert deadline.ticks == 22_289
 
@@ -386,7 +394,7 @@ def _reference_lex_min_two_set(g, k, target_cover, deadline, closed):
 def _witness_attempts(g, closed):
     """The (k, target) pairs gamma_r_exact passes to the witness search, in order."""
     n = g.order
-    value = _roman_value(g, _Deadline(None), closed)[0]
+    value = _roman_value(_Deadline(None), closed)[0]
     attempts = []
     for k in range(value // 2, -1, -1):
         if value - 2 * k > n:
@@ -407,7 +415,7 @@ def _assert_same_as_reference(g, attempts, start=0, failed=None):
         want, got = _Deadline(None), _Deadline(None)
         want.ticks = got.ticks = start
         table = {} if failed is None else failed
-        assert _lex_min_two_set(g, k, target, got, closed, table) == _reference_lex_min_two_set(
+        assert _lex_min_two_set(k, target, got, closed, table) == _reference_lex_min_two_set(
             g, k, target, want, closed
         )
         assert got.ticks == want.ticks
@@ -460,7 +468,7 @@ def _descend_calls(g, attempts):
     closed, deadline, failed = _Closed(g), _Deadline(None), {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_descend", counted)
-        results = [_lex_min_two_set(g, k, target, deadline, closed, failed) for k, target in attempts]
+        results = [_lex_min_two_set(k, target, deadline, closed, failed) for k, target in attempts]
     return results, len(calls)
 
 
@@ -506,7 +514,7 @@ def test_failed_table_stays_within_its_budget(budget):
         tracemalloc.start()
         try:
             for k in (16, 15, 14):  # γ_R = 32: no 16 or 15 2s cover enough, 14 do
-                twos = _lex_min_two_set(g, k, 49 - (32 - 2 * k), deadline, closed, failed)[0]
+                twos = _lex_min_two_set(k, 49 - (32 - 2 * k), deadline, closed, failed)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -596,7 +604,7 @@ def _count_hist(closed, undom, barred):
 @given(_node_states)
 def test_roman_prune_decision_matches_lower_bound(state):
     n, seed, extra, undom, excluded, gap = state
-    closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
+    closed = masks_from_neighbors(random_connected_graph(n, random.Random(seed), extra))
     want = _reference_roman_lower(closed, n, undom, excluded) >= gap
     hist, top = _count_hist(closed, undom, excluded)
     ucount = undom.bit_count()
@@ -609,7 +617,7 @@ def test_roman_prune_decision_matches_lower_bound(state):
 @given(_node_states)
 def test_domination_prune_decision_matches_min_picks(state):
     n, seed, extra, undom, excluded, gap = state
-    closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
+    closed = masks_from_neighbors(random_connected_graph(n, random.Random(seed), extra))
     need = _reference_min_picks(closed, n, undom, excluded)
     hist, top = _count_hist(closed, undom, excluded)
     want = need is None or need >= gap
@@ -622,7 +630,7 @@ def test_domination_prune_decision_matches_min_picks(state):
 @given(_node_states, st.data())
 def test_witness_prune_decision_matches_gains_test(state, data):
     n, seed, extra, _, covered, _ = state
-    closed = random_connected_graph(n, random.Random(seed), extra).closed_masks
+    closed = masks_from_neighbors(random_connected_graph(n, random.Random(seed), extra))
     i = data.draw(st.integers(0, n - 1))
     left = data.draw(st.integers(1, n - i))
     target = data.draw(st.integers(0, n + 1))
@@ -644,7 +652,7 @@ def _solve_checking_counts(g):
     that they are |N[u] & undom| for each u it has not barred, that its
     histogram counts them, and that its parent's lists stay as they were.
     Returns how many nodes were checked."""
-    masks = g.closed_masks
+    masks = masks_from_neighbors(g)
     descend = solver._descend
     nodes = []
 
@@ -687,7 +695,7 @@ def test_count_check_sees_nodes():
 
 def _reference_greedy(g):
     """Each pick from scratch: most undominated vertices in N[u], lowest id on ties."""
-    closed = g.closed_masks
+    closed = masks_from_neighbors(g)
     undom = (1 << g.order) - 1
     picks = []
     while undom:
