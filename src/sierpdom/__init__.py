@@ -36,7 +36,6 @@ from .graphs import (
     Graph,
     format_edge_list,
     is_connected,
-    is_dominating_set,
     is_spanning_subgraph,
     parse_edge_list,
     to_dot,
@@ -47,6 +46,7 @@ from .roman import (
     RomanFunction,
     copy_weight_profile,
     derived_sets,
+    is_dominating_set,
     is_roman_dominating,
 )
 from .sierpinski import (

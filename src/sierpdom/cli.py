@@ -10,7 +10,8 @@ choices.  verify --families must name families from its table, and
 --max-n/--max-t bound the base order and depth of every row; an unknown
 name, or limits that leave no rows, is bad input (exit 2) and nothing
 is verified; so is a sweep --count below 1, --max-n below 2, or
---full below --t 2, and a --timeout of NaN for solve, verify or sweep.
+--full below --t 2, a formula --t below 1 (whatever the name), and a
+--timeout of NaN for solve, verify or sweep.
 Each input has one way in: the base graph is --family with --n or --base
 FILE, never both (solve --depth D solves S(base, D)); the theorem
 construction's labeling is --function FILE, as RomanFunction.to_json
@@ -31,7 +32,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -58,21 +58,6 @@ _FAMILIES = {
 }
 
 _ROMAN_COLORS = {0: "white", 1: "lightgrey", 2: "black"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the arguments that shaped a run, embedded in its output."""
-
-    command: str
-    seed: Optional[int] = None
-    budget: int = DEFAULT_VERTEX_BUDGET
-
-    def to_dict(self) -> dict:
-        d = {"command": self.command, "budget": self.budget}
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
 
 
 def _read_graph(path: str) -> Graph:
@@ -112,7 +97,7 @@ def _cmd_gen(args) -> int:
     _emit(text, args.out)
     if args.meta:
         meta = {
-            "config": RunConfig("gen", budget=args.budget).to_dict(),
+            "config": {"command": "gen", "budget": args.budget},
             "base_order": n,
             "base_size": base.size,
             "depth": t,
@@ -190,6 +175,8 @@ def _cmd_construct(args) -> int:
 
 
 def _gamma_r_path_cycle(n: int, t: int) -> int:
+    if t < 1:
+        raise ValueError("depth must be at least 1")
     return formulas.gamma_r_path_cycle(n)  # the same for every depth t
 
 
@@ -370,7 +357,7 @@ def _cmd_sweep(args) -> int:
         failures += 0 if ok else 1
         rows.append(
             {
-                "config": RunConfig("sweep", seed=args.seed, budget=args.budget).to_dict(),
+                "config": {"command": "sweep", "seed": args.seed, "budget": args.budget},
                 "index": i,
                 "order": n,
                 "edges": g.size,

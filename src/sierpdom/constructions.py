@@ -4,15 +4,17 @@ Every construction fills a table of labels by trailing letters and
 leaves through _certified, which repeats the table under every prefix,
 validates the result on the built S(G, t) and reports its weight next to
 the predicted one; the report keeps that S(G, t), so nothing downstream
-builds it again.  Validation and the perfect-code and packing checks
-read S(G, t)'s certified edge runs, so no construction makes its Graph;
-only construct --dot and the word-keyed report's digest read it.  A
-weight off the prediction is a program fault and raises AssertionError;
-a labeling that does not dominate is reported with valid false.  The
-general-base construction lifts an optimal base labeling onto the
-two-letter words and sheds weight there in four rewrite steps; the path
-and cycle constructions place labels by two-letter patterns, the
-complete-base one labels whole words.
+builds it again.  Validation and the one perfect-code check
+(_is_perfect_code) read S(G, t)'s certified edge runs, so no
+construction makes its Graph; only construct --dot and the word-keyed
+report's digest read it.  A weight off the prediction is a program fault
+and raises AssertionError; a labeling that does not dominate is reported
+with valid false.  The general-base construction lifts an optimal base
+labeling onto the two-letter words and sheds weight there in four
+rewrite steps, and shares with the product bound one check that the
+linked 1s form a matching (_linked_pairs); the path and cycle
+constructions place labels by two-letter patterns, the complete-base
+one labels whole words.
 
 Both labelings of S(K_n, t) come off one letter rule.  The words under
 one prefix form a block in state E (every extreme vertex in the code),
@@ -102,20 +104,31 @@ def bound_value(f: RomanFunction, base: Graph, t: int) -> int:
     """The product upper bound read off one base labeling.
 
     n**(t-2) * (n*w(f) - |twos| - |linked positive| - remote ones
-    + |linked ones| / 2); the linked 1s must pair up evenly.
+    + matched pairs of linked 1s); the linked 1s must form a matching
+    (ContractError otherwise).
     """
     if t < 2:
         raise ValueError("bound needs depth at least 2")
     ds = derived_sets(f, base)
-    if len(ds.linked_ones) % 2:
-        raise AssertionError("linked 1-vertices do not pair up; labeling cannot be minimal")
-    return _product_bound(f, ds, base.order, t, ds.remote_one_count)
+    pairs = len(_linked_pairs(ds, base))
+    return _product_bound(f, ds, base.order, t, pairs, ds.remote_one_count)
 
 
-def _product_bound(f: RomanFunction, ds: DerivedSets, n: int, t: int, remote: int) -> int:
-    return n ** (t - 2) * (
-        n * f.weight - len(f.twos) - len(ds.linked_positive) - remote + len(ds.linked_ones) // 2
-    )
+def _linked_pairs(ds: DerivedSets, base: Graph) -> list[tuple[int, int]]:
+    """The base edges that join linked 1s, which must match them up in pairs.
+
+    Every linked 1 has a linked neighbor, so the linked 1s form a perfect
+    matching exactly when these edges number half of them.
+    """
+    linked = ds.linked_ones
+    pairs = [(a, b) for a, b in base.edges if a in linked and b in linked]
+    if 2 * len(pairs) != len(linked):
+        raise ContractError("linked 1s do not form a matching; labeling cannot be minimal")
+    return pairs
+
+
+def _product_bound(f: RomanFunction, ds: DerivedSets, n: int, t: int, pairs: int, remote: int) -> int:
+    return n ** (t - 2) * (n * f.weight - len(f.twos) - len(ds.linked_positive) - remote + pairs)
 
 
 def theorem_upper_bound_construction(
@@ -175,12 +188,7 @@ def theorem_upper_bound_construction(
     put(((v, v) for v in ds.linked_twos), 0)
     commit("step2", bool(ds.linked_twos))
 
-    linked = ds.linked_ones
-    if linked and any(
-        sum(1 for u in base.neighbors(v) if u in linked) > 1 for v in linked
-    ):
-        raise ContractError("linked 1s do not form a matching; labeling cannot be minimal")
-    matched = [(a, b) for a, b in base.edges if a in linked and b in linked]
+    matched = _linked_pairs(ds, base)
     put([p for a, b in matched for p in ((a, a), (b, a))], 0)
     put(matched, 2)
     commit("step3", bool(matched))
@@ -217,7 +225,7 @@ def theorem_upper_bound_construction(
                 notes.append("step4-skipped: pattern families overlap or miscount")
     commit("step4", applied)
 
-    predicted = _product_bound(f, ds, n, t, ds.remote_one_count if applied else 0)
+    predicted = _product_bound(f, ds, n, t, len(matched), ds.remote_one_count if applied else 0)
     return _certified(s, table, predicted, steps, step_weights=tuple(weights), notes=tuple(notes))
 
 
@@ -254,13 +262,13 @@ def _certified(s: SierpinskiGraph, table, predicted: int, steps, **fields) -> Co
     )
 
 
-def _twos_per_closed_neighborhood(labels, g: EdgeSource) -> list[int]:
-    """How many 2s each vertex's closed neighborhood holds, in one pass over the edges."""
+def _is_perfect_code(labels, g: EdgeSource) -> bool:
+    """Whether every closed neighborhood holds exactly one 2, in one pass over the edges."""
     seen = [x == 2 for x in labels]
     for u, v in g.edges:
         seen[u] += labels[v] == 2
         seen[v] += labels[u] == 2
-    return seen
+    return set(seen) == {1}
 
 
 def _pair_table(n: int, twos, ones) -> list[int]:
@@ -314,8 +322,8 @@ def path_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Con
 def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> ConstructionReport:
     """Labelings of S(C_n, t) by cycle residue.
 
-    n = 3k + 1: 2s on a 2-packing of trailing pairs (i, i + 1 + 3k'),
-    giving an exact cover by closed neighborhoods (checked).
+    n = 3k + 1: 2s on the trailing pairs (i, i + 1 + 3k'), a perfect code
+    (checked: one 2 in every closed neighborhood).
     n = 3k + 2: 2s on the same family plus 1s on pairs (i, i - 2).
     n = 3k: no bespoke pattern is known; falls back to the product bound
     from an optimal base labeling and reports the known bracket.
@@ -348,13 +356,8 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
             raise AssertionError("1-pattern collides with the 2-pattern")
         steps = ("packing-blocks", "shift-ones")
     rep = _certified(s, _pair_table(n, pair_twos, pair_ones), bracket.exact, steps)
-    if n % 3 == 1:
-        # 2s in each closed neighborhood: more than one breaks the packing, none the cover
-        twos_seen = _twos_per_closed_neighborhood(rep.function.labels, s)
-        if max(twos_seen) > 1:
-            raise AssertionError("2-set is not a 2-packing")
-        if min(twos_seen) == 0:
-            raise AssertionError("2-set does not cover the graph")
+    if n % 3 == 1 and not _is_perfect_code(rep.function.labels, s):
+        raise AssertionError("2-set is not a perfect code")
     return rep
 
 
@@ -387,7 +390,7 @@ def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> froz
         raise ValueError("need n >= 2 and t >= 1")
     s = build(complete_graph(n), t, max_vertices)
     labels = _rule_labels(n, t, 2 if t % 2 else 0, 0)  # from O(0) at odd depth, E at even
-    if set(_twos_per_closed_neighborhood(labels, s)) != {1}:
+    if not _is_perfect_code(labels, s):
         raise AssertionError(f"letter-rule code of S(K{n},{t}) is not a perfect code")
     code = frozenset(v for v, x in enumerate(labels) if x)
     if len(code) != gamma_knt(n, t):

@@ -29,8 +29,8 @@ Graph, or a SierpinskiGraph, whose edges come off its runs in no
 canonical order.  The edge-list and DOT writers take a Graph; they
 format a slice of lines per %-operation and write the slices to one
 buffer, and digest hashes the edge list.  Validation
-(roman.is_roman_dominating) takes either; is_dominating_set, too, reads
-the edges in one pass.
+(roman.is_roman_dominating) takes either.  This module holds storage,
+queries and I/O; the labeling checks, domination included, are in roman.
 """
 
 from __future__ import annotations
@@ -153,23 +153,6 @@ def is_connected(g: Graph) -> bool:
                 seen |= 1 << y
                 stack.append(y)
     return seen == (1 << g.order) - 1
-
-
-def is_dominating_set(g: Graph, vertices: Iterable[int]) -> bool:
-    """True when every vertex lies in a closed neighborhood of the set."""
-    n = g.order
-    dominated = bytearray(n)
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} not in graph of order {n}")
-        dominated[v] = 1
-    chosen = bytes(dominated)
-    for u, v in g.edges:
-        if chosen[u]:
-            dominated[v] = 1
-        elif chosen[v]:  # a chosen u is dominated already
-            dominated[u] = 1
-    return 0 not in dominated
 
 
 def is_spanning_subgraph(h: Graph, g: Graph) -> bool:

@@ -6,6 +6,9 @@ and the minimum weight over all RDFs is the Roman domination number.
 
 is_roman_dominating reads only a graph's order and edges, so the
 constructions validate on S(G, t)'s edge runs and make no Graph of it.
+It is the one check of the condition: is_dominating_set asks it of the
+labeling with 2 on the set and 0 elsewhere, which is Roman dominating
+exactly when the set dominates.
 to_dict with S(G, t) names it and digests its Graph, and derived_sets
 and copy_weight_profile read neighbors and degrees, so they read a
 Graph too.
@@ -115,6 +118,18 @@ def is_roman_dominating(f: RomanFunction, g: EdgeSource) -> bool:
         elif labels[v] == 2:  # when both are 2, both are settled already
             settled[u] = 1
     return 0 not in settled
+
+
+def is_dominating_set(g: Graph, vertices: Iterable[int]) -> bool:
+    """True when every vertex lies in a closed neighborhood of the set: the
+    Roman condition on the labeling with 2 on the set and 0 elsewhere."""
+    n = g.order
+    labels = [0] * n
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} not in graph of order {n}")
+        labels[v] = 2
+    return is_roman_dominating(RomanFunction(tuple(labels)), g)
 
 
 @dataclass(frozen=True)

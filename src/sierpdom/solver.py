@@ -93,8 +93,8 @@ from operator import or_
 from typing import Optional, Union
 
 from .errors import BudgetError, SolveTimeout
-from .graphs import Graph, is_dominating_set
-from .roman import RomanFunction, is_roman_dominating
+from .graphs import Graph
+from .roman import RomanFunction, is_dominating_set, is_roman_dominating
 
 # every closed mask holds its own vertex's bit, so the masks of order n take at least
 # n**2/16 bytes: 256 MiB at this order
@@ -511,14 +511,15 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
 def brute_force_gamma_r(g: Graph) -> Certificate:
     """Exhaustive check of every 2-set; same contract as gamma_r_exact.
 
-    Kept simple on purpose as an independent reference; refuses orders
-    above 22.
+    Kept simple on purpose as an independent reference: it makes its
+    closed-neighborhood masks from g.neighbors, not from _Closed, which
+    the searches read.  Refuses orders above 22.
     """
     if g.order > 22:
         raise BudgetError(f"brute force capped at order 22, got {g.order}")
     start = time.perf_counter()
     n = g.order
-    closed = _Closed(g).masks
+    closed = [sum((1 << u for u in g.neighbors(v)), 1 << v) for v in range(n)]
     full = (1 << n) - 1
     size = 1 << n
     cover = [0] * size

@@ -351,6 +351,14 @@ def test_formula_rejects_bad_arguments(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("t", ["0", "-3"])
+def test_formula_path_cycle_refuses_a_depth_below_one(capsys, t):
+    # every other formula name refuses such a depth; path-cycle used to print it
+    code, out, err = run(capsys, "formula", "--name", "path-cycle", "--n", "5", "--t", t)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_formula_path_above_depth_two_is_rejected(capsys):
     # the lifted depth-2 value, 224 for S(P7, 3), is only an upper bound
     code, out, err = run(capsys, "formula", "--name", "path", "--n", "7", "--t", "3")

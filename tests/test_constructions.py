@@ -68,8 +68,28 @@ def test_bound_value_examples():
 
 def test_bound_value_rejects_odd_linked_ones():
     f = RomanFunction((1, 1, 1))  # a 1-triangle cannot pair up
-    with pytest.raises(AssertionError):
+    with pytest.raises(ContractError):
         bound_value(f, complete_graph(3), 2)
+    # four linked 1s on P4 pair up by count, but the middle two have two linked neighbors
+    with pytest.raises(ContractError, match="matching"):
+        bound_value(RomanFunction((1, 1, 1, 1)), path_graph(4), 2)
+
+
+def test_cycle_construction_refuses_a_broken_perfect_code(monkeypatch):
+    """S(C7, 2)'s 2s must form a perfect code: one 2 moved to a 0 keeps the
+    weight, so only the perfect-code check can catch it."""
+    from sierpdom import constructions
+
+    real = constructions._pair_table
+
+    def moved(n, twos, ones):
+        table = real(n, twos, ones)
+        table[table.index(2)], table[table.index(0)] = 0, 2
+        return table
+
+    monkeypatch.setattr(constructions, "_pair_table", moved)
+    with pytest.raises(AssertionError, match="perfect code"):
+        cycle_construction(7, 2)
 
 
 def test_bound_value_deeper_products():

@@ -190,6 +190,18 @@ def test_brute_force_agrees_with_solver(n, seed):
     assert a.witness == b.witness
 
 
+def test_brute_force_reads_no_search_data(monkeypatch):
+    """The reference makes its own masks: with the searches' closed
+    neighborhoods missing the first edge, it still finds the true optimum."""
+
+    def closed(g):
+        return _Closed(Graph(g.order, list(g.edges)[1:]))
+
+    monkeypatch.setattr(solver, "_Closed", closed)
+    for g in (star_graph(5), path_graph(5), cycle_graph(6), complete_graph(4)):
+        assert brute_force_gamma_r(g).value == roman_min_enumerated(g)
+
+
 def test_brute_force_order_cap():
     with pytest.raises(BudgetError):
         brute_force_gamma_r(Graph(23))
