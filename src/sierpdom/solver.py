@@ -512,8 +512,8 @@ def brute_force_gamma_r(g: Graph) -> Certificate:
     """Exhaustive check of every 2-set; same contract as gamma_r_exact.
 
     Kept simple on purpose as an independent reference: it makes its
-    closed-neighborhood masks from g.neighbors, not from _Closed, which
-    the searches read.  Refuses orders above 22.
+    closed-neighborhood masks from g.neighbors and reads none of the
+    searches' data.  Refuses orders above 22.
     """
     if g.order > 22:
         raise BudgetError(f"brute force capped at order 22, got {g.order}")
