@@ -16,10 +16,12 @@ of 1s), then take the lexicographically smallest 2-set.  Searches are
 sequential, deterministic explicit-stack loops, so their depth is not
 bounded by the interpreter's recursion limit.  `Certificate.nodes`
 counts the nodes of the search trees, as deadline ticks: each node
-searched is one tick, and a subtree that the witness phase replays
-(below) adds in one call the ticks it took when it was first searched.
-The clock is read on every tick call, and once per pick of the greedy
-that builds the first incumbent, so a time limit bounds the whole solve.
+searched is one tick, a subtree that the witness phase replays (below)
+adds in one call the ticks it took when it was first searched, and the
+children that phase 1 drops at their parent (below) add one tick each
+in one call.  The clock is read on every tick call, and once per pick of
+the greedy that builds the first incumbent, so a time limit bounds the
+whole solve.
 
 The witness phase replays the subtrees that failed.  A node at index i,
 with left picks to make and the vertices covered covered, can only pick
@@ -59,13 +61,21 @@ Bounds are evaluated as decisions.  Each prune asks whether a bound
 reaches the gap to the incumbent (or the cover still missing) and stops
 as soon as the answer is known.  A change to how a bound is evaluated
 may make a node cheaper but must never alter a prune: node counts,
-witnesses and CLI output are pinned to the search trees.
+witnesses and CLI output are pinned to the search trees.  Phase 1 also
+decides each child at its parent, on counts that bound the child's own
+(the parent's, less the vertices the child bars and takes) and the gap
+the child would have then.  The incumbent only falls until the child is
+popped, so a child whose bound reaches that gap, or a leaf that would not
+improve the incumbent, is dropped at its pop too; it is never pushed and
+counts as one node, in a bulk tick.  The tree is the one that pushing
+every child gives.
 
 Every node carries cover counts: |N[u] & undom| for each vertex u it
 may still pick (in the witness phase, the vertices still uncovered
 stand for undom), plus a histogram of those counts.  A child copies its
 parent's two lists at C level and updates only the closed neighborhoods
 of what it changes: the vertices it newly dominates, settles or bars.
+A phase-1 child that its parent drops copies nothing.
 Its cost follows those neighborhoods, not the order of the graph.  A
 count is at most the largest closed neighborhood, so each bound reads
 the histogram from the top in O(Δ) steps; phase 1's best excess over
@@ -140,7 +150,9 @@ class _Deadline:
         self.ticks = 0
 
     def tick(self, nodes: int = 1):
-        """Count search nodes (0 for work outside the search) and read the clock."""
+        """Count search nodes and read the clock: 0 nodes for work outside the
+        search, 1 per node popped, and more in one call for the nodes of a
+        replayed subtree or for the children phase 1 drops at their parent."""
         self.ticks += nodes
         if self.at is not None and time.perf_counter() > self.at:
             raise SolveTimeout("exact solve exceeded its time limit")
@@ -289,6 +301,38 @@ def _roman_bound_reaches(hist: list[int], top: int, ucount: int, gap: int) -> bo
     return True
 
 
+def _roman_cuts(
+    counts: list[int], hist: list[int], top: int, cands: list[int], ucount: int, gap: int
+) -> tuple[bool, int]:
+    """Which children of an expanded phase-1 node (counts, hist, ucount, gap)
+    are dropped at the node itself: whether its settle child is, and how many
+    take children, a prefix of cands, it keeps.  hist is left as it was.
+
+    A child's counts are at most the node's, less the vertices it bars and
+    takes.  With cands out of hist, hist bounds the settle child's counts (it
+    bars them all); putting cands[j + 1:] back bounds take child j's (it bars
+    cands[:j], and cands[j] covers nothing more).  A child whose bound
+    reaches its gap on these counts (for a leaf: whose weight does not
+    improve the incumbent) is dropped at its pop too, as the incumbent only
+    falls until then.  Along cands the counts fall, so ucount less the cover
+    rises and hist shrinks: the take children dropped form a suffix."""
+    for u in cands:
+        hist[counts[u]] -= 1
+    left = ucount - 1
+    settle_cut = _roman_drops_early(left, gap - 1) or _roman_bound_reaches(hist, top, left, gap - 1)
+    keep, gap = len(cands), gap - 2  # every take child adds 2
+    while keep:
+        u = cands[keep - 1]
+        left = ucount - counts[u]
+        if not _roman_drops_early(left, gap) and not _roman_bound_reaches(hist, top, left, gap):
+            break
+        keep -= 1
+        hist[counts[u]] += 1
+    for j in range(keep):
+        hist[counts[cands[j]]] += 1
+    return settle_cut, keep
+
+
 def _greedy_cover(nb, deadline: _Deadline) -> list[int]:
     """Deterministic greedy dominating set, used as the initial incumbent.
 
@@ -401,11 +445,16 @@ def _roman_value(deadline: _Deadline, closed: _Closed) -> tuple[int, int]:
         if _roman_bound_reaches(hist, top, ucount, gap):
             continue
         v, cands = _branch(levels, nb, counts, top, undom)
-        # settle v with label 1; a cheapest completion never puts a 2 next to it
-        stack.append((undom & ~(1 << v), weight + 1, counts, hist, undom, None, nb[v]))
-        for j in range(len(cands) - 1, -1, -1):
+        settle_cut, keep = _roman_cuts(counts, hist, top, cands, ucount, gap)
+        if not settle_cut:
+            # settle v with label 1; a cheapest completion never puts a 2 next to it
+            stack.append((undom & ~(1 << v), weight + 1, counts, hist, undom, None, nb[v]))
+        for j in range(keep - 1, -1, -1):
             u = cands[j]
             stack.append((undom & ~masks[u], weight + 2, counts, hist, undom, u, cands[:j]))
+        cut = settle_cut + len(cands) - keep
+        if cut:
+            deadline.tick(cut)  # one node per child cut, as if each were popped
     return best, deadline.ticks - ticks
 
 

@@ -8,7 +8,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PATH = ROOT / "tools" / "bench_json.py"
-END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = SPEC["end_to_end"]
+PER_LAYER = [m["name"] for m in SPEC["per_layer"]]
 UNITS = {m["name"]: m["unit"] for m in END_TO_END}
 BETTER = {m["name"]: m["better"] for m in END_TO_END}
 
@@ -69,3 +71,15 @@ def test_summary_needs_every_end_to_end_metric():
     del doc["metrics"]["peak_rss_mb"]
     with pytest.raises(KeyError):
         bench_json.summarize([json.dumps(doc)], BETTER)
+
+
+def test_traced_run_keeps_the_named_layers_it_reports():
+    # a --trace 1 line: solver.phase2_* absent (its span could not be wrapped),
+    # and one metric that BENCHMARK.json does not name
+    reported = {"solver.phase1_s": (0.0435, "s"), "solver.phase1_nodes": (61430, "count"),
+                "trace.overhead_s": (0.002, "s"), "solver.unnamed_s": (1.0, "s")}
+    metrics = {k: {"value": v, "unit": u} for k, (v, u) in reported.items()}
+    line = json.dumps({"correct": True, "attempted": 500, "failed": 0, "metrics": metrics})
+    got = bench_json.layers(line, PER_LAYER)
+    assert list(got) == ["solver.phase1_s", "solver.phase1_nodes", "trace.overhead_s"]  # per_layer order
+    assert got["solver.phase1_nodes"] == {"value": 61430, "unit": "count"}

@@ -38,6 +38,7 @@ from sierpdom import solver
 from sierpdom.solver import (
     _Closed,
     _Deadline,
+    _branch,
     _check_order,
     _descend,
     _dominators_short,
@@ -46,6 +47,7 @@ from sierpdom.solver import (
     _lex_min_two_set,
     _picks,
     _roman_bound_reaches,
+    _roman_cuts,
     _roman_drops_early,
     _roman_value,
     _top_sum_below,
@@ -370,6 +372,73 @@ def test_phase_split_is_pinned():
     assert deadline.ticks == 22_289
 
 
+def _reference_roman_value(deadline, closed):
+    """Phase 1 with every child pushed and decided at its pop, the reference
+    for its value and its ticks."""
+    masks, nb, top, levels = closed.masks, closed.ids, closed.top, closed.levels
+    n = len(masks)
+    best = min(2 * len(_greedy_cover(nb, deadline)), n)
+    ticks = deadline.ticks
+    full = (1 << n) - 1
+    stack = [(full, 0, closed.counts, closed.hist, full, None, ())]
+    while stack:
+        undom, weight, counts, hist, before, taken, barred = stack.pop()
+        deadline.tick()
+        if not undom:
+            if weight < best:
+                best = weight
+            continue
+        gap = best - weight
+        ucount = undom.bit_count()
+        if _roman_drops_early(ucount, gap):
+            continue
+        counts, hist = _descend(nb, top, counts, hist, before, taken, barred)
+        if _roman_bound_reaches(hist, top, ucount, gap):
+            continue
+        v, cands = _branch(levels, nb, counts, top, undom)
+        stack.append((undom & ~(1 << v), weight + 1, counts, hist, undom, None, nb[v]))
+        for j in range(len(cands) - 1, -1, -1):
+            u = cands[j]
+            stack.append((undom & ~masks[u], weight + 2, counts, hist, undom, u, cands[:j]))
+    return best, deadline.ticks - ticks
+
+
+_ROMAN_SIERPINSKI = [(fam, n, t) for solve, fam, n, t, _ in NODE_COUNTS if solve is gamma_r_exact and t > 1]
+
+
+@pytest.mark.parametrize(
+    "fam,n,t", _ROMAN_SIERPINSKI, ids=[f"S({f}{n},{t})" for f, n, t in _ROMAN_SIERPINSKI]
+)
+def test_value_search_on_sierpinski_graphs_is_the_reference_tree(fam, n, t):
+    closed = _Closed(_sierpinski(fam, n, t))
+    assert _roman_value(_Deadline(None), closed) == _reference_roman_value(_Deadline(None), closed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10**6), st.sampled_from((0.0, 0.15, 0.3, 0.5)), st.booleans())
+def test_value_search_is_the_reference_tree(n, seed, p, connected):
+    # p = 0 gives a tree when connected and an edgeless graph otherwise
+    g = random_connected_graph(n, random.Random(seed), p) if connected else _random_graph(n, seed, p)
+    closed = _Closed(g)
+    assert _roman_value(_Deadline(None), closed) == _reference_roman_value(_Deadline(None), closed)
+
+
+def test_value_search_cuts_children_at_their_parent():
+    # S(C6, 2): 3,436 of the 6,143 phase-1 nodes are decided at their parent
+    cuts = [0, 0]
+
+    def counted(counts, hist, top, cands, ucount, gap):
+        settle_cut, keep = _roman_cuts(counts, hist, top, cands, ucount, gap)
+        cuts[0] += settle_cut
+        cuts[1] += len(cands) - keep
+        return settle_cut, keep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_roman_cuts", counted)
+        assert _roman_value(_Deadline(None), _Closed(_sierpinski("C", 6, 2))) == (22, 6_143)
+    assert cuts == [1_070, 2_366]
+
+
 def _reference_lex_min_two_set(g, k, target_cover, deadline, closed):
     """The witness search with no table of failed subtrees, the reference for
     its result and its ticks: every node of the tree is searched."""
@@ -623,6 +692,31 @@ def test_roman_prune_decision_matches_lower_bound(state):
     assert _roman_bound_reaches(hist, top, ucount, gap) == want
     if _roman_drops_early(ucount, gap):  # the search's shortcut before it makes the counts
         assert want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_states)
+def test_children_cut_at_their_parent_are_dropped_at_their_pop(state):
+    # a child cut at its parent has a lower bound that reaches its gap there,
+    # so also at its pop, when the incumbent is no higher; a cut leaf never
+    # improves the incumbent
+    n, seed, extra, undom, excluded, gap = state
+    g = random_connected_graph(n, random.Random(seed), extra)
+    closed, masks = _Closed(g), masks_from_neighbors(g)
+    hist, top = _count_hist(masks, undom, excluded)
+    counts = [(m & undom).bit_count() + (top if excluded >> u & 1 else 0) for u, m in enumerate(masks)]
+    v, cands = _branch(closed.levels, closed.ids, counts, top, undom)
+    before = list(hist)
+    settle_cut, keep = _roman_cuts(counts, hist, top, cands, undom.bit_count(), gap)
+    assert hist == before
+    children = [(undom & ~(1 << v), excluded | masks[v], gap - 1, settle_cut)]  # settling v bars N[v]
+    for j, u in enumerate(cands):
+        barred = sum(1 << x for x in cands[:j])
+        children.append((undom & ~masks[u], excluded | barred, gap - 2, j >= keep))
+    for child_undom, child_excluded, child_gap, cut in children:
+        if cut:
+            assert _reference_roman_lower(masks, n, child_undom, child_excluded) >= child_gap
+            assert child_undom or child_gap <= 0
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,9 +13,12 @@ side runs first; pair i uses seed i modulo the seed list.  It reads the
 JSON object that the command prints last and writes, per workload and
 side, every end-to-end metric's median, quartiles and run values, the ops
 attempted and failed and whether every run was correct, plus how many
-pairs the change won on each metric (ties count for neither side).  The
-record also names the Python version, the CPU, the seeds and both
-commits.  Standard library only.
+pairs the change won on each metric (ties count for neither side).
+After the pairs, each side runs the workload once more with --trace 1,
+on the first seed, and the record keeps the per-layer metrics that
+BENCHMARK.json names under per_layer, leaving out those the run reports
+absent.  The record also names the Python version, the CPU, the seeds
+and both commits.  Standard library only.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ def summarize(lines: list[str], better: dict[str, str]) -> dict:
     }
 
 
+def layers(line: str, names: list[str]) -> dict:
+    """A traced run's per-layer metrics, value and unit, for each of names it reports."""
+    metrics = json.loads(line)["metrics"]
+    return {name: metrics[name] for name in names if name in metrics}
+
+
 def change_wins(parent: dict, change: dict, better: dict[str, str]) -> dict:
     """Per metric, the pairs in which the change read better than the parent."""
     wins = {}
@@ -81,8 +90,11 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> str:
+def run_once(
+    checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0
+) -> str:
     cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    cmd += ["--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return proc.stdout.strip().splitlines()[-1]
 
@@ -113,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         commits = {side: export(getattr(args, side), dirs[side]) for side in dirs}
         spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        per_layer = [m["name"] for m in spec["per_layer"]]
         seconds = spec["run_seconds"]
         record = {
             "python": platform.python_version(),
@@ -133,7 +146,12 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {i + 1}/{args.pairs} {side} done", file=sys.stderr, flush=True)
             sides = {side: summarize(lines[side], better) for side in lines}
             wins = change_wins(sides["parent"], sides["change"], better)
-            record["workloads"][workload] = {**sides, "change_wins": wins}
+            trace = {"seed": seeds[0]}
+            for side in lines:
+                line = run_once(dirs[side], spec["command"], workload, seeds[0], seconds, trace=1)
+                trace[side] = layers(line, per_layer)
+                print(f"{workload} traced {side} done", file=sys.stderr, flush=True)
+            record["workloads"][workload] = {**sides, "change_wins": wins, "trace": trace}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
