@@ -5,7 +5,7 @@ leaves through _certified, which repeats the table under every prefix,
 validates the result on the built S(G, t) and reports its weight next to
 the predicted one; the report keeps that S(G, t), so nothing downstream
 builds it again.  Validation and the one perfect-code check
-(_is_perfect_code) read S(G, t)'s certified edge runs, so no
+(_is_perfect_code) read S(G, t)'s certified edge runs as bitmasks, so no
 construction makes its Graph; only construct --dot and the word-keyed
 report's digest read it.  A weight off the prediction is a program fault
 and raises AssertionError; a labeling that does not dominate is reported
@@ -45,8 +45,8 @@ from .formulas import (
     gamma_r_sierpinski_path,
 )
 from .generators import complete_graph, cycle_graph, path_graph
-from .graphs import EdgeSource, Graph
-from .roman import DerivedSets, RomanFunction, derived_sets, is_roman_dominating
+from .graphs import Graph
+from .roman import DerivedSets, RomanFunction, derived_sets, is_roman_dominating, label_mask
 from .sierpinski import (
     SierpinskiGraph,
     build,
@@ -262,13 +262,18 @@ def _certified(s: SierpinskiGraph, table, predicted: int, steps, **fields) -> Co
     )
 
 
-def _is_perfect_code(labels, g: EdgeSource) -> bool:
-    """Whether every closed neighborhood holds exactly one 2, in one pass over the edges."""
-    seen = [x == 2 for x in labels]
-    for u, v in g.edges:
-        seen[u] += labels[v] == 2
-        seen[v] += labels[u] == 2
-    return set(seen) == {1}
+def _is_perfect_code(labels, s: SierpinskiGraph) -> bool:
+    """Whether every closed neighborhood holds exactly one 2, read off s's runs as bitmasks.
+
+    seen holds the vertices with a 2 in their closed neighborhood so far,
+    dup those with two; each run reaches a vertex along at most one edge.
+    """
+    twos = label_mask(labels, 2)
+    seen, dup = twos, 0
+    for hit in s.reach(twos):
+        dup |= seen & hit
+        seen |= hit
+    return dup == 0 and seen == (1 << s.order) - 1
 
 
 def _pair_table(n: int, twos, ones) -> list[int]:

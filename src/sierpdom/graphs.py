@@ -1,15 +1,17 @@
 """Immutable simple graphs on vertices 0..n-1.
 
-A graph is its sorted edge keys: u·n + v for each edge {u, v} with
+A graph is its sorted edge keys: u << 32 | v for each edge {u, v} with
 u < v, ascending and without repeats, so two graphs compare equal exactly
-when they have the same order and edge set.  edges decodes the keys into
-(u, v) pairs with divmod, as a fresh iterator on every read that is
-spent once gone over, and size counts them.  The one thing derived and
-cached is the sorted neighbor tuples that neighbors, degree and
-adjacent read, built in one pass over the edges on first use, so a
-graph that is only built, serialized or validated never holds them.
-The exact searches make their own closed neighborhoods from the edges.
-This module is the one place that reads the keys.
+when they have the same order and edge set, and a graph of order above
+2³² is refused.  edges reads the keys as pairs of 32-bit halves (_ends),
+as a fresh iterator on every read that is spent once gone over, and
+size counts them.  The one thing derived and cached is the sorted
+neighbor tuples that neighbors, degree and adjacent read, built in one
+pass over the edges on first use, so a graph that is only built,
+serialized or validated never holds them.  The exact searches make
+their own closed neighborhoods from the edges.  This module is the one
+place that knows the key format: edge_key_range gives the keys of a run
+of edges for a caller that makes them itself.
 
 Graph(n, edges) is the way in for any input: one pass over the edges in
 input order checks each for vertices of type int exactly (a bool or a
@@ -18,7 +20,7 @@ range, then for a self-loop, and adds its key to a set, which one sort
 turns into the key list.  A ValueError names the first invalid edge, as
 given.  Appending neighbors from the ascending edges fills every
 neighbor tuple in ascending order, so no per-vertex sort is needed.
-from_canonical_keys skips the checks for a caller that has already
+from_canonical_keys skips the edge checks for a caller that has already
 proven its keys canonical.  Only a SierpinskiGraph calls it, with the
 keys it merges from its certified edge runs, so S(G, t) skips the
 checks however large it is, and they run on base graphs and on graphs
@@ -27,17 +29,20 @@ read from input.
 An EdgeSource is what reads only a graph's order, size and edges: a
 Graph, or a SierpinskiGraph, whose edges come off its runs in no
 canonical order.  The edge-list and DOT writers take a Graph; they
-format a slice of lines per %-operation and write the slices to one
-buffer, and digest hashes the edge list.  Validation
-(roman.is_roman_dominating) takes either.  This module holds storage,
-queries and I/O; the labeling checks, domination included, are in roman.
+decode a slice of keys at a time into one array of ends and format the
+slice's lines by one %-operation, writing the slices to one buffer, and
+digest hashes the edge list.  Validation (roman.is_roman_dominating)
+takes either.  This module holds storage, queries and I/O; the labeling
+checks, domination included, are in roman.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-from itertools import chain, islice, repeat
+import sys
+from array import array
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Protocol
 
 
@@ -47,8 +52,7 @@ class Graph:
     __slots__ = ("_n", "_keys", "_adj", "name")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str = ""):
-        if n < 1:
-            raise ValueError("graph order must be at least 1")
+        _check_order(n)
         canon = set()
         for u, v in edges:  # in input order, so a ValueError names the first bad edge as given
             if type(u) is not int or type(v) is not int:
@@ -57,7 +61,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} not allowed")
-            canon.add(u * n + v if u < v else v * n + u)
+            canon.add(u << 32 | v if u < v else v << 32 | u)
         self._n = n
         self._keys = sorted(canon)
         self._adj: Optional[tuple[tuple[int, ...], ...]] = None
@@ -79,7 +83,8 @@ class Graph:
         Each read is a one-shot iterator: a caller that goes over the edges
         twice keeps them as a tuple, or reads edges again.
         """
-        return map(divmod, self._keys, repeat(self._n))
+        ends = iter(_ends(self._keys))
+        return zip(ends, ends)
 
     @property
     def vertices(self) -> range:
@@ -134,13 +139,48 @@ class Graph:
 def from_canonical_keys(n: int, keys: list[int], name: str = "") -> Graph:
     """A Graph on keys the caller has proven canonical, taking the list as it is.
 
-    keys must be the u·n + v of pairs 0 <= u < v < n in strictly
-    ascending order; nothing is checked.  Input from outside the package
-    goes through Graph(n, edges), which checks and canonicalizes it.
+    keys must be the keys (edge_key_range) of pairs 0 <= u < v < n in
+    strictly ascending order; only the order is checked.  Input from
+    outside the package goes through Graph(n, edges), which checks and
+    canonicalizes it.
     """
+    _check_order(n)
     g = Graph.__new__(Graph)
     g._n, g._keys, g._adj, g.name = n, keys, None, name
     return g
+
+
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError("graph order must be at least 1")
+    if n > 1 << 32:
+        raise ValueError(f"graph order {n} is above 2**32, the most an edge key holds")
+
+
+def edge_key_range(u: int, v: int, stride: int, order: int) -> range:
+    """The keys of the edges (u + k·stride, v + k·stride) for k = 0, 1, ...
+    while u + k·stride < order, ascending: the keys Graph makes of them.
+
+    The caller proves u < v and every v + k·stride below the order.  The
+    range's stop lies above the key of every edge of vertices below order.
+    """
+    return range(u << 32 | v, order << 32, stride * _BOTH_HALVES)
+
+
+_BOTH_HALVES = 1 << 32 | 1  # times stride: u and v both grow by stride
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _ends(keys: list[int]) -> array:
+    """u0, v0, u1, v1, ... of the keys: each 64-bit key read as its two 32-bit
+    halves, the high half first, with no Python object made per key."""
+    halves = array("Q", keys)
+    if _LITTLE_ENDIAN:
+        halves.byteswap()  # to big-endian bytes, so u's half comes first
+    ends = array("I", halves.tobytes())
+    if _LITTLE_ENDIAN:
+        ends.byteswap()  # each half back to native order
+    return ends
 
 
 def is_connected(g: Graph) -> bool:
@@ -199,12 +239,12 @@ class EdgeSource(Protocol):
 def format_edge_list(g: Graph) -> str:
     """The "n m" header, then one "u v" line per edge.
 
-    Each slice of _SLICE edges is formatted by one %-operation and
-    written to one buffer, so the text is held once and a slice's lines
-    at most once more."""
+    Each slice of _SLICE keys is decoded into one array of ends, formatted
+    by one %-operation and written to one buffer, so the text is held once
+    and a slice's lines at most once more."""
     out = io.StringIO()
     out.write(f"{g.order} {g.size}\n")
-    _write_sliced(out.write, "%d %d\n", g.edges)
+    _write_edges(out.write, "%d %d\n", g._keys)
     return out.getvalue()
 
 
@@ -219,28 +259,39 @@ def to_dot(
     labels gives each vertex's label in vertex order (default: the id);
     it is consumed once and must cover exactly the vertices (ValueError
     otherwise).  colors fills the vertices it names.  Node and edge lines
-    are written a slice at a time, as in format_edge_list.
+    are written a slice at a time, as in format_edge_list: a slice's
+    node lines take their ids, labels and fills from one flat list
+    filled by three slice assignments.
     """
-    vertices = range(g.order)
-    if colors:
-        fills = (f', style=filled, fillcolor="{colors[v]}"' if v in colors else "" for v in vertices)
-    else:
-        fills = repeat("", g.order)
-    nodes = zip(vertices, vertices if labels is None else labels, fills, strict=True)
+    n = g.order
+    colors = colors or {}
+    fill_of = {_ABSENT: ""}
+    fill_of.update((c, f', style=filled, fillcolor="{c}"') for c in set(colors.values()))
+    fills = map(fill_of.__getitem__, map(colors.get, range(n), repeat(_ABSENT)))
+    labels = iter(range(n) if labels is None else labels)
     out = io.StringIO()
     write = out.write
     write(f"graph {graph_name} {{\n")
-    _write_sliced(write, '  %s [label="%s"%s];\n', nodes)
-    _write_sliced(write, "  %d -- %d;\n", g.edges)
+    for lo in range(0, n, _SLICE):
+        count = min(_SLICE, n - lo)
+        part = [None] * (3 * count)
+        part[::3] = range(lo, lo + count)
+        part[1::3] = islice(labels, count)  # ValueError when the labels run out
+        part[2::3] = islice(fills, count)
+        write('  %s [label="%s"%s];\n' * count % tuple(part))
+    if next(labels, _ABSENT) is not _ABSENT:
+        raise ValueError(f"more labels than the {n} vertices")
+    _write_edges(write, "  %d -- %d;\n", g._keys)
     write("}\n")
     return out.getvalue()
 
 
 _SLICE = 1024
+_ABSENT = object()  # a color or label no caller passes
 
 
-def _write_sliced(write, line: str, pairs: Iterable[tuple]) -> None:
-    """Write line % pair for every pair, _SLICE pairs per write."""
-    pairs = iter(pairs)
-    while part := list(islice(pairs, _SLICE)):
-        write(line * len(part) % tuple(chain.from_iterable(part)))
+def _write_edges(write, line: str, keys: list[int]) -> None:
+    """Write line % (u, v) for every edge key, _SLICE keys per write."""
+    for lo in range(0, len(keys), _SLICE):
+        ends = _ends(keys[lo : lo + _SLICE])
+        write(line * (len(ends) // 2) % tuple(ends))

@@ -4,27 +4,31 @@ A Roman dominating function (RDF) labels every vertex 0, 1 or 2 so that
 each 0-vertex has a neighbor labeled 2.  Its weight is the label sum,
 and the minimum weight over all RDFs is the Roman domination number.
 
-is_roman_dominating reads only a graph's order and edges, so the
-constructions validate on S(G, t)'s edge runs and make no Graph of it.
-It is the one check of the condition: is_dominating_set asks it of the
-labeling with 2 on the set and 0 elsewhere, which is Roman dominating
-exactly when the set dominates.
-to_dict with S(G, t) names it and digests its Graph, and derived_sets
-and copy_weight_profile read neighbors and degrees, so they read a
-Graph too.
+is_roman_dominating is the one check of the condition: is_dominating_set
+asks it of the labeling with 2 on the set and 0 elsewhere, which is
+Roman dominating exactly when the set dominates.  On a Graph it goes
+over the edges once.  On S(G, t) it reads the certified edge runs as
+bitmasks (label_mask, SierpinskiGraph.reach), a few shifts per level and
+base edge rather than a step per edge, so the constructions and
+copy_weight_profile validate on the runs and make no Graph of S(G, t)
+for it.  to_dict with S(G, t) names it and digests its Graph, and
+derived_sets and copy_weight_profile read neighbors and degrees, so
+they read a Graph too.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError
 from .graphs import EdgeSource, Graph
 from .sierpinski import SierpinskiGraph, prefix_vertices, word_of
 
 _LABELS = frozenset((0, 1, 2))
+# bytes.translate tables from labels to binary digits: label >= 1, label >= 2
+_AT_LEAST = {1: bytes.maketrans(b"\0\1\2", b"011"), 2: bytes.maketrans(b"\0\1\2", b"001")}
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,26 @@ class RomanFunction:
         return f
 
 
+def label_mask(labels: Sequence[int], least: int) -> int:
+    """The vertices labeled least or more (least 1 or 2) as a bitmask, bit v for vertex v."""
+    try:
+        digits = bytes(labels)
+    except TypeError:  # a label that equals 0, 1 or 2 without being an int, such as 2.0
+        digits = bytes(map(int, labels))
+    return int(digits[::-1].translate(_AT_LEAST[least]), 2)
+
+
 def is_roman_dominating(f: RomanFunction, g: EdgeSource) -> bool:
     """Check the defining condition: every 0-vertex sees a 2."""
     if f.order != g.order:
         raise ValueError(f"labeling covers {f.order} vertices, graph has {g.order}")
     labels = f.labels
+    if isinstance(g, SierpinskiGraph):
+        # a vertex needs nothing more when it is labeled 1 or 2, or a run joins it to a 2
+        settled = label_mask(labels, 1)
+        for hit in g.reach(label_mask(labels, 2)):
+            settled |= hit
+        return settled == (1 << g.order) - 1
     # nonzero once the vertex needs nothing more: labeled 1 or 2, or next to a 2
     settled = bytearray(labels)
     for u, v in g.edges:
@@ -211,7 +230,7 @@ def copy_weight_profile(f: RomanFunction, s: SierpinskiGraph) -> list[CopyProfil
         raise ValueError("copy profiles are defined over a path base in vertex order")
     if s.depth < 2:
         raise ValueError("profiles need depth at least 2")
-    if not is_roman_dominating(f, s.graph):
+    if not is_roman_dominating(f, s):
         raise ContractError("labeling is not Roman dominating on this graph")
     profiles = []
     for pid in range(n ** (s.depth - 1)):

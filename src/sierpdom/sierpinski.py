@@ -9,20 +9,23 @@ itself.
 
 In ids, the level-r edges of base edge {a, b} are one run, the pairs
 (a·rep + b·run, b·rep + a·run) + k·nʳ for k < nᵗ⁻ʳ, where rep = nʳ⁻¹ and
-run is the value of the word 11..1 of length r-1.  A run is held as the
-keys u·N + v of its edges, N = nᵗ: a single range of step nʳ·(N + 1).
-Each run is certified to hold only pairs u < v < N, and the t·|E(G)|
-runs to number |E(G)|·(N - 1)/(n - 1) edges.
+run is the value of the word 11..1 of length r-1.  A run is held as
+(u0, v0, stride): its first edge and the stride nʳ.  Each run is
+certified to hold only pairs u < v < N = nᵗ, with v0 below the stride
+and the stride dividing N, and the t·|E(G)| runs to number
+|E(G)|·(N - 1)/(n - 1) edges.
 
 build checks the vertex budget and returns S(G, t) in two views: a
-SierpinskiGraph, whose order, size and edges (read off each run as two
-ranges of ends, in no canonical order) are all that validation and the
+SierpinskiGraph, whose order, size, edges (read off each run as two
+ranges of ends, in no canonical order) and reach (each run's edges
+applied to a vertex bitmask by shifts) are all that validation and the
 construction checks read, and its graph, which everything else reads:
 gen, construct --dot, the word-keyed labeling's digest, the solvers and
-the copy checks.  graph merges the runs' keys with one list.sort and
-certifies them to ascend strictly, which with the runs' checks proves
-them the canonical keys Graph would make of the edges; the sorted list
-becomes the Graph as it is, on first read, and is kept.
+the copy checks.  graph takes each run's keys from
+graphs.edge_key_range, merges them with one list.sort and certifies
+them to ascend strictly, which with the runs' checks proves them the
+canonical keys Graph would make of the edges; the sorted list becomes
+the Graph as it is, on first read, and is kept.
 
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word turns a word into its display
@@ -32,12 +35,12 @@ each word the value a table holds for its trailing letters.
 
 from __future__ import annotations
 
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, product
 from operator import lt
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
-from .graphs import Graph, from_canonical_keys
+from .graphs import Graph, edge_key_range, from_canonical_keys
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -48,8 +51,9 @@ class SierpinskiGraph:
     """S(G, t) as its certified edge runs, with its base graph and word coding.
 
     It is an EdgeSource: order, size and edges come off the runs, the
-    edges in run order, not in canonical order.  graph is the canonical
-    Graph, made from the runs' certified keys on first read and then kept.
+    edges in run order, not in canonical order, and reach applies the
+    runs to a vertex bitmask.  graph is the canonical Graph, made from
+    the runs' certified keys on first read and then kept.
     """
 
     __slots__ = ("base", "depth", "order", "runs", "_graph")
@@ -67,20 +71,47 @@ class SierpinskiGraph:
 
     @property
     def size(self) -> int:
-        return sum(map(len, self.runs))
+        """|E(G)|·(nᵗ - 1)/(n - 1), the count _edge_runs certified the runs to hold."""
+        return self.base.size * (self.order - 1) // (self.base.order - 1)
 
     @property
     def edges(self) -> Iterator[tuple[int, int]]:
-        return chain.from_iterable(map(_pairs, self.runs, repeat(self.order)))
+        # _progression proved v0 < stride, so both ranges hold order/stride ends
+        total = self.order
+        return chain.from_iterable(
+            zip(range(u0, total, stride), range(v0, total, stride)) for u0, v0, stride in self.runs
+        )
 
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            keys = list(chain.from_iterable(self.runs))
+            total = self.order
+            keys = list(
+                chain.from_iterable(
+                    edge_key_range(u0, v0, stride, total) for u0, v0, stride in self.runs
+                )
+            )
             keys.sort()  # each run ascends, and list.sort merges ascending runs
-            _certify(keys, self.order, self.size)
-            self._graph = from_canonical_keys(self.order, keys, self.name)
+            _certify(keys, total, self.size)
+            self._graph = from_canonical_keys(total, keys, self.name)
         return self._graph
+
+    def reach(self, marks: int) -> Iterator[int]:
+        """Per run, the vertices that one of its edges joins to a vertex in marks.
+
+        marks and each result are bitmasks, bit v for vertex v.  With ends
+        a bit at every multiple of the stride below the order, the run's
+        u ends are ends << u0 and its v ends ends << v0: a marked u end
+        reaches the v end d = v0 - u0 bits up, a marked v end the u end d
+        bits down.  _progression proved 0 <= u0 < v0 < stride and that the
+        stride divides the order, so the shifts stay on the run's ends.
+        """
+        total, stride_of_ends, ends = self.order, 0, 0
+        for u0, v0, stride in self.runs:
+            if stride != stride_of_ends:  # the runs come level by level, one stride each
+                stride_of_ends, ends = stride, int("1".rjust(stride, "0") * (total // stride), 2)
+            d = v0 - u0
+            yield (marks & ends << u0) << d | (marks & ends << v0) >> d
 
     def word_of(self, vid: int) -> Word:
         return word_of(vid, self.base.order, self.depth)
@@ -161,54 +192,47 @@ def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> Sierpi
     return SierpinskiGraph(base, depth)
 
 
-def _edge_runs(base: Graph, depth: int) -> list[range]:
-    """The key ranges of the t·|E(G)| runs, level by level, each certified by
+def _edge_runs(base: Graph, depth: int) -> list[tuple[int, int, int]]:
+    """The t·|E(G)| runs (u0, v0, stride), level by level, each certified by
     _progression; raises unless they number |E(G)|·(nᵗ - 1)/(n - 1) edges."""
     n = base.order
     total = n**depth
+    edges = tuple(base.edges)
     runs = []
     for r in range(1, depth + 1):
         rep = n ** (r - 1)
         # a letter d repeated r-1 times has numeric value d * run
         run = (rep - 1) // (n - 1)
-        for a, b in base.edges:
+        for a, b in edges:
             runs.append(_progression(a * rep + b * run, b * rep + a * run, rep * n, total))
     expect = base.size * (total - 1) // (n - 1)
-    if sum(map(len, runs)) != expect:
-        raise AssertionError(f"edge runs hold {sum(map(len, runs))} edges, expected {expect}")
+    held = sum(total // stride for _, _, stride in runs)
+    if held != expect:
+        raise AssertionError(f"edge runs hold {held} edges, expected {expect}")
     return runs
 
 
-def _progression(u0: int, v0: int, stride: int, total: int) -> range:
-    """Keys of the edges (u0 + k·stride, v0 + k·stride), k = 0 .. total/stride - 1.
+def _progression(u0: int, v0: int, stride: int, total: int) -> tuple[int, int, int]:
+    """The run of edges (u0 + k·stride, v0 + k·stride), k = 0 .. total/stride - 1.
 
-    Raises unless 0 <= u0 < v0 and the last v is below total, which makes
-    every key decode by divmod(key, total) to a pair u < v < total.
+    Raises unless 0 <= u0 < v0 < stride and stride divides total, which
+    puts every pair of the run at u < v < total.
     """
-    if not 0 <= u0 < v0 or v0 + total - stride >= total:
+    if not 0 <= u0 < v0 < stride or total % stride:
         raise AssertionError(f"edges ({u0}, {v0}) + k·{stride} leave 0 <= u < v < {total}")
-    step = stride * (total + 1)  # u and v both grow by stride
-    start = u0 * total + v0
-    return range(start, start + total // stride * step, step)
-
-
-def _pairs(keys: range, total: int) -> Iterator[tuple[int, int]]:
-    """The edges of one run, read off its key range as two ranges of ends."""
-    u0, v0 = divmod(keys.start, total)
-    stride = keys.step // (total + 1)
-    # _progression proved v0 < stride, so each range holds total/stride ends
-    return zip(range(u0, total, stride), range(v0, total, stride))
+    return u0, v0, stride
 
 
 def _certify(keys: list[int], total: int, expect: int) -> None:
-    """Raise unless the sorted keys number expect, lie below total², and ascend strictly.
+    """Raise unless the sorted keys number expect, belong to vertices below
+    total, and ascend strictly.
 
     With the checks of _progression this proves them the canonical keys of
     a Graph of order total: pairs u < v < total, sorted, none repeated.
     """
     if len(keys) != expect:
         raise AssertionError(f"edge generation produced {len(keys)} edges, expected {expect}")
-    if keys and (keys[0] < 0 or keys[-1] >= total * total):
+    if keys and (keys[0] < 0 or keys[-1] >= edge_key_range(0, 1, 1, total).stop):
         raise AssertionError(f"edge key out of range for order {total}")
     if not all(map(lt, keys, islice(keys, 1, None))):
         raise AssertionError("edge keys repeat or descend")

@@ -523,6 +523,16 @@ def test_base_graph_named_twice_is_rejected(capsys, tmp_path, command):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_base_order_past_the_edge_key_is_bad_input(capsys, tmp_path, command):
+    # an edge key holds two 32-bit vertices, so the order is refused as the file is read
+    base = tmp_path / "huge.txt"
+    base.write_text(f"{2**33} 1\n0 {2**33 - 1}\n")
+    code, out, err = run(capsys, command, "--base", str(base))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "2**32" in err
+
+
 def test_construct_order_named_twice_is_rejected(capsys, tmp_path):
     base = tmp_path / "P3.txt"
     base.write_text("3 2\n0 1\n1 2\n")

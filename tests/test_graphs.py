@@ -53,6 +53,18 @@ def test_construction_rejects_bad_input():
         Graph(3, [(1, 1)])
 
 
+def test_order_is_bounded_by_the_edge_key():
+    """An edge key holds two 32-bit vertices: order 2**32 is the largest a
+    graph may have, and its top vertex decodes and writes back exactly."""
+    with pytest.raises(ValueError, match=r"graph order 8589934592 is above 2\*\*32"):
+        Graph(2**33, [(0, 2**33 - 1)])
+    with pytest.raises(ValueError, match=r"above 2\*\*32"):
+        Graph(2**32 + 1)
+    g = Graph(2**32, [(2**32 - 1, 0), (1, 2**32 - 1)])
+    assert list(g.edges) == [(0, 2**32 - 1), (1, 2**32 - 1)]
+    assert format_edge_list(g) == "4294967296 2\n0 4294967295\n1 4294967295\n"
+
+
 BAD_EDGE_CASES = [
     ([(0, 1), (5, 0), (1, 1)], "edge (5, 0) out of range for order 3"),
     ([(0, 1), (1, 1), (5, 0)], "self-loop at vertex 1 not allowed"),

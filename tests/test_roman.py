@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sierpdom import (
     ContractError,
+    Graph,
     RomanFunction,
     build,
     complete_graph,
@@ -16,9 +17,11 @@ from sierpdom import (
     gamma_r_exact,
     is_roman_dominating,
     path_graph,
+    perfect_code_knt,
     random_connected_graph,
     star_graph,
 )
+from sierpdom.constructions import _is_perfect_code
 from oracles import is_rdf_by_definition
 
 
@@ -205,3 +208,63 @@ def test_star_has_trivial_roman_structure():
     ds = derived_sets(f, g)
     assert ds.linked_positive == frozenset()
     assert ds.junction_twos == frozenset()
+
+
+def _per_edge_perfect_code(labels, g):
+    """Reference: one pass over the edges counts the 2s in each closed neighborhood."""
+    count = [x == 2 for x in labels]
+    for u, v in g.edges:
+        count[u] += labels[v] == 2
+        count[v] += labels[u] == 2
+    return set(count) == {1}
+
+
+def _near_misses(labels, rng):
+    """labels, then labels with one of its 2s turned to 0, when it has a 2."""
+    yield labels
+    twos = [v for v, x in enumerate(labels) if x == 2]
+    if twos:
+        miss = list(labels)
+        miss[rng.choice(twos)] = 0
+        yield miss
+
+
+def test_run_bitmask_checks_match_the_per_edge_checks():
+    """On S(G, t) the Roman and perfect-code checks read the edge runs as
+    bitmasks; on seeded random bases of order 2-6 (edgeless and disconnected
+    among them) and the two-digit-letter base of order 11, t = 1-4, they agree
+    with the per-edge checks on the decoded graph, for random labelings,
+    dominating ones, perfect codes, and each with one 2 turned to 0; a
+    labeling of floats equal to 0, 1 and 2 reads as its ints."""
+    rng = random.Random(27)
+    bases = []
+    for _ in range(40):
+        n, p = rng.randint(2, 6), rng.choice((0.0, 0.25, 0.5, 0.9))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        bases.append((Graph(n, edges), rng.randint(1, 4)))
+    bases += [(Graph(11, [(i, (i + 1) % 11) for i in range(11)] + [(0, 5)]), t) for t in (1, 2, 3, 4)]
+    bases += [(complete_graph(n), t) for n, t in ((3, 3), (4, 2), (4, 3), (5, 1))]
+    seen = set()
+    for base, t in bases:
+        s = build(base, t)
+        g = s.graph
+        assert g.order == s.order
+        labelings = [[rng.choice((0, 0, 1, 2)) for _ in range(s.order)] for _ in range(3)]
+        dominating = list(labelings[0])
+        for v in g.vertices:  # every 0 without a neighboring 2 becomes a 1
+            if dominating[v] == 0 and all(dominating[u] != 2 for u in g.neighbors(v)):
+                dominating[v] = 1
+        labelings.append(dominating)
+        if base.size == base.order * (base.order - 1) // 2:  # a complete base has a perfect code
+            code = perfect_code_knt(base.order, t)
+            labelings.append([2 if v in code else 0 for v in g.vertices])
+        for labels in labelings:
+            for case in _near_misses(labels, rng):
+                f = RomanFunction(tuple(case))
+                roman = is_roman_dominating(f, s)
+                assert roman == is_roman_dominating(f, g) == is_rdf_by_definition(g, case)
+                assert is_roman_dominating(RomanFunction(tuple(map(float, case))), s) == roman
+                code = _is_perfect_code(case, s)
+                assert code == _per_edge_perfect_code(case, g)
+                seen.add((roman, code))
+    assert {(True, True), (True, False), (False, False)} <= seen

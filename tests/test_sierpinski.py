@@ -20,6 +20,7 @@ from sierpdom import (
     random_connected_graph,
     star_graph,
 )
+from sierpdom.graphs import edge_key_range, from_canonical_keys
 from sierpdom.sierpinski import (
     _certify,
     _progression,
@@ -127,9 +128,14 @@ def test_adjacency_matches_word_rule_random_bases(n, t, seed):
     _assert_word_rule(build(base, t))
 
 
+def _key(u, v):
+    return edge_key_range(u, v, 1, u + 1)[0]  # the run of the one edge (u, v)
+
+
 def test_edge_progressions_are_certified():
     # order 4, stride 2: the edges (u0 + 2k, v0 + 2k) for k = 0, 1
-    assert [divmod(key, 4) for key in _progression(0, 1, 2, 4)] == [(0, 1), (2, 3)]
+    run = _progression(0, 1, 2, 4)
+    assert list(from_canonical_keys(4, list(edge_key_range(*run, 4))).edges) == [(0, 1), (2, 3)]
     for u0, v0 in ((1, 1), (1, 0)):  # u0 >= v0
         with pytest.raises(AssertionError):
             _progression(u0, v0, 2, 4)
@@ -138,10 +144,12 @@ def test_edge_progressions_are_certified():
 
 
 def test_edge_key_certification():
-    good = [1, 2, 7, 11]  # order 4: (0, 1), (0, 2), (1, 3), (2, 3)
+    good = [_key(0, 1), _key(0, 2), _key(1, 3), _key(2, 3)]  # order 4
     assert _certify(good, 4, 4) is None
-    for keys in ([1, 2, 2, 7], [1, 7, 2, 11], [1, 2, 7, 16], [-1, 2, 7, 11]):
-        with pytest.raises(AssertionError):  # a repeat, a descent, a key past order², one below 0
+    repeat, descent = [*good[:2], good[1], good[3]], [good[0], good[2], good[1], good[3]]
+    past, below = [*good[:3], _key(4, 0)], [-1, *good[1:]]
+    for keys in (repeat, descent, past, below):
+        with pytest.raises(AssertionError):  # a repeat, a descent, a key past the order, one below 0
             _certify(keys, 4, 4)
     with pytest.raises(AssertionError):
         _certify(good, 4, 5)  # one edge short
