@@ -32,6 +32,7 @@ import math
 import os
 import random
 import sys
+from contextlib import nullcontext
 from functools import partial
 from typing import Optional
 
@@ -78,23 +79,25 @@ def _load_base(args) -> Graph:
     return _FAMILIES[args.family](args.n)
 
 
+def _output(path: Optional[str]):
+    """For a with block: the file at path opened for writing, or stdout, left open."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _cmd_gen(args) -> int:
     base = _load_base(args)
     n, t = base.order, args.t
     g = build(base, t, args.budget).graph
-    if args.format == "dot":
-        text = to_dot(g, graph_name="S", labels=word_labels(n, t))
-    else:
-        text = format_edge_list(g)
-    _emit(text, args.out)
+    with _output(args.out) as fh:  # opened only once the build has succeeded
+        if args.format == "dot":
+            to_dot(g, graph_name="S", labels=word_labels(n, t), out=fh)
+        else:
+            format_edge_list(g, out=fh)
     if args.meta:
         meta = {
             "config": {"command": "gen", "budget": args.budget},
@@ -169,7 +172,7 @@ def _cmd_construct(args) -> int:
         s = report.sierpinski  # the S(G, t) the labeling was validated on
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(s.graph, graph_name="S", colors=colors, labels=s.word_labels()))
+            to_dot(s.graph, graph_name="S", colors=colors, labels=s.word_labels(), out=fh)
     _emit(report.to_json(words=args.words) + "\n", args.out)
     return 0 if report.valid else 1
 

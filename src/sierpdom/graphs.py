@@ -30,8 +30,11 @@ An EdgeSource is what reads only a graph's order, size and edges: a
 Graph, or a SierpinskiGraph, whose edges come off its runs in no
 canonical order.  The edge-list and DOT writers take a Graph; they
 decode a slice of keys at a time into one array of ends and format the
-slice's lines by one %-operation, writing the slices to one buffer, and
-digest hashes the edge list.  Validation (roman.is_roman_dominating)
+slice's lines by one %-operation, writing each slice to the text stream
+the caller passes as it is made, or to a buffer whose text they return,
+so a caller with a stream never holds the whole text.  digest feeds the
+same slices to sha256 and so never holds the edge list either.
+Validation (roman.is_roman_dominating)
 takes either.  This module holds storage, queries and I/O; the labeling
 checks, domination included, are in roman.
 """
@@ -43,7 +46,7 @@ import io
 import sys
 from array import array
 from itertools import islice, repeat
-from typing import Iterable, Iterator, Optional, Protocol
+from typing import Iterable, Iterator, Optional, Protocol, TextIO
 
 
 class Graph:
@@ -118,8 +121,10 @@ class Graph:
         return u != v and v not in adj[u] and not set(adj[u]).isdisjoint(adj[v])
 
     def digest(self) -> str:
-        """Short content hash of the edge list format_edge_list writes."""
-        return hashlib.sha256(format_edge_list(self).encode()).hexdigest()[:12]
+        """Short content hash of the edge list format_edge_list writes, hashed a slice at a time."""
+        sink = _Sha256Sink()
+        format_edge_list(self, out=sink)
+        return sink.sha.hexdigest()[:12]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -236,16 +241,17 @@ class EdgeSource(Protocol):
     def edges(self) -> Iterable[tuple[int, int]]: ...
 
 
-def format_edge_list(g: Graph) -> str:
-    """The "n m" header, then one "u v" line per edge.
+def format_edge_list(g: Graph, out: Optional[TextIO] = None) -> Optional[str]:
+    """The "n m" header, then one "u v" line per edge, written to out, or
+    returned as a str without one.
 
     Each slice of _SLICE keys is decoded into one array of ends, formatted
-    by one %-operation and written to one buffer, so the text is held once
-    and a slice's lines at most once more."""
-    out = io.StringIO()
-    out.write(f"{g.order} {g.size}\n")
-    _write_edges(out.write, "%d %d\n", g._keys)
-    return out.getvalue()
+    by one %-operation and written as it is made, so out receives the text
+    without its ever being held whole."""
+    buf = io.StringIO() if out is None else out
+    buf.write(f"{g.order} {g.size}\n")
+    _write_edges(buf.write, "%d %d\n", g._keys)
+    return buf.getvalue() if out is None else None
 
 
 def to_dot(
@@ -253,15 +259,18 @@ def to_dot(
     graph_name: str = "G",
     colors: Optional[dict[int, str]] = None,
     labels: Optional[Iterable[str]] = None,
-) -> str:
-    """Render as Graphviz DOT, one node per vertex.
+    out: Optional[TextIO] = None,
+) -> Optional[str]:
+    """Render as Graphviz DOT, one node per vertex, written to out, or
+    returned as a str without one.
 
     labels gives each vertex's label in vertex order (default: the id);
     it is consumed once and must cover exactly the vertices (ValueError
-    otherwise).  colors fills the vertices it names.  Node and edge lines
-    are written a slice at a time, as in format_edge_list: a slice's
-    node lines take their ids, labels and fills from one flat list
-    filled by three slice assignments.
+    otherwise, with the lines before it already written to out).  colors
+    fills the vertices it names.  Node and edge lines are written a slice
+    at a time, as in format_edge_list: a slice's node lines take their
+    ids, labels and fills from one flat list filled by three slice
+    assignments.
     """
     n = g.order
     colors = colors or {}
@@ -269,8 +278,8 @@ def to_dot(
     fill_of.update((c, f', style=filled, fillcolor="{c}"') for c in set(colors.values()))
     fills = map(fill_of.__getitem__, map(colors.get, range(n), repeat(_ABSENT)))
     labels = iter(range(n) if labels is None else labels)
-    out = io.StringIO()
-    write = out.write
+    buf = io.StringIO() if out is None else out
+    write = buf.write
     write(f"graph {graph_name} {{\n")
     for lo in range(0, n, _SLICE):
         count = min(_SLICE, n - lo)
@@ -283,11 +292,23 @@ def to_dot(
         raise ValueError(f"more labels than the {n} vertices")
     _write_edges(write, "  %d -- %d;\n", g._keys)
     write("}\n")
-    return out.getvalue()
+    return buf.getvalue() if out is None else None
 
 
 _SLICE = 1024
 _ABSENT = object()  # a color or label no caller passes
+
+
+class _Sha256Sink:
+    """A text stream that hashes what is written to it instead of keeping it."""
+
+    __slots__ = ("sha",)
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode())
 
 
 def _write_edges(write, line: str, keys: list[int]) -> None:

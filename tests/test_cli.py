@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,69 @@ def test_gen_streams_the_bytes_of_the_built_graph(tmp_path, seed):
             "size": s.graph.size,
             "extreme_vertices": [s.word_label(v) for v in extreme_vertices(s)],
         }
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+@pytest.mark.parametrize("meta", [[], ["--meta", "-"]])
+def test_gen_to_stdout_prints_the_writer_bytes(capsys, fmt, meta):
+    """Without --out, gen prints what the writer makes of the built graph,
+    across slice boundaries, then the meta line when --meta is -."""
+    s = build(complete_graph(4), 5)  # 1024 vertices, 2046 edges
+    if fmt == "dot":
+        text = to_dot(s.graph, graph_name="S", labels=s.word_labels())
+    else:
+        text = format_edge_list(s.graph)
+    if meta:
+        text += json.dumps(
+            {
+                "config": {"command": "gen", "budget": DEFAULT_VERTEX_BUDGET},
+                "base_order": 4,
+                "base_size": 6,
+                "depth": 5,
+                "order": s.order,
+                "size": s.graph.size,
+                "extreme_vertices": [s.word_label(v) for v in extreme_vertices(s)],
+            },
+            sort_keys=True,
+        ) + "\n"
+    argv = ["gen", "--family", "complete", "--n", "4", "--t", "5", "--format", fmt, *meta]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == text
+
+
+@pytest.mark.parametrize(
+    "flag,argv,exit_code",
+    [
+        ("--out", ["gen", "--family", "path", "--n", "3", "--t", "3", "--budget", "26"], 3),
+        ("--out", ["gen", "--family", "path", "--n", "3", "--t", "0", "--format", "dot"], 2),
+        ("--out", ["gen", "--family", "path", "--t", "2"], 2),
+        ("--dot", ["construct", "--family", "complete", "--n", "3", "--t", "3", "--budget", "26"], 3),
+        ("--dot", ["construct", "--family", "path", "--n", "5", "--t", "0"], 2),
+        ("--dot", ["construct", "--family", "complete", "--n", "1", "--t", "2"], 2),
+    ],
+)
+def test_early_failure_leaves_the_output_file_untouched(capsys, tmp_path, flag, argv, exit_code):
+    """A budget error or bad input is raised before the output file is opened."""
+    target = tmp_path / "kept"
+    target.write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, *argv, flag, str(target))
+    assert code == exit_code and "error:" in err and out == ""
+    assert target.read_bytes() == b"earlier output\n"
+
+
+def test_construct_dot_peak_holds_no_dot_text(tmp_path):
+    """construct --dot on S(K4, 7) (16,384 vertices) writes its DOT a slice at
+    a time: the traced peak stays below 4.5 MiB."""
+    argv = ["construct", "--family", "complete", "--n", "4", "--t", "7"]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--dot", str(tmp_path / "s.dot"), "--out", str(tmp_path / "r.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4.5 * 2**20
 
 
 def test_gen_needs_a_base(capsys):

@@ -1,5 +1,6 @@
 """Graph core: construction, queries, predicates, serialization."""
 
+import hashlib
 import io
 import random
 import tracemalloc
@@ -283,6 +284,59 @@ def test_gen_memory_is_linear(tmp_path):
     """gen writes the Graph that build makes: the same bound as build."""
     small, large = _gen_peak_bytes(tmp_path, 12), _gen_peak_bytes(tmp_path, 14)
     assert large <= 6 * small
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+def test_gen_peak_is_the_graph_plus_one_slice(tmp_path, fmt):
+    """gen writes S(K6, 6) to its file a slice at a time: its traced peak stays
+    within 1 MiB of the Graph it writes, below the 1.54 MB edge list and the
+    3.49 MB DOT that holding the text would add."""
+    tracemalloc.start()
+    try:
+        g = build(complete_graph(6), 6).graph
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del g
+    argv = ["gen", "--family", "complete", "--n", "6", "--t", "6", "--format", fmt]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "s")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 2**20
+
+
+def test_digest_peak_holds_no_edge_list():
+    """digest of S(K6, 6) hashes its 1.54 MB edge list a slice at a time,
+    with a traced peak below 0.5 MiB."""
+    g = build(complete_graph(6), 6).graph
+    tracemalloc.start()
+    try:
+        g.digest()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (7, 12), (1500, 3000), (2100, 2100)])
+def test_writers_stream_the_text_they_return(n, m):
+    """Given a stream, each writer writes exactly the text it returns without
+    one and returns None; digest hashes that edge list."""
+    rng = random.Random(n * 7919 + m)
+    g = Graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
+    colors = {v: rng.choice(["red", "blue"]) for v in rng.sample(range(n), n // 3)}
+    for write in (
+        format_edge_list,
+        to_dot,
+        lambda g, **out: to_dot(g, "H", colors=colors, labels=map(str, g.vertices), **out),
+    ):
+        stream = io.StringIO()
+        assert write(g, out=stream) is None
+        assert stream.getvalue() == write(g)
+    assert g.digest() == hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:12]
 
 
 def test_sierpinski_graph_holds_its_sorted_keys():
