@@ -5,11 +5,11 @@ leaves through _certified, which repeats the table under every prefix,
 validates the result on the built S(G, t) and reports its weight next to
 the predicted one; the report keeps that S(G, t), so nothing downstream
 builds it again.  Validation and the one perfect-code check
-(_is_perfect_code) read S(G, t)'s certified edge runs as bitmasks, so no
-construction makes its Graph; only construct --dot and the word-keyed
-report's digest read it.  A weight off the prediction is a program fault
-and raises AssertionError; a labeling that does not dominate is reported
-with valid false.  The general-base construction lifts an optimal base
+(_is_perfect_code) read SierpinskiGraph.cover, so no construction makes
+its Graph; only construct --dot and the word-keyed report's digest read
+it.  A weight off the prediction is a program fault and raises
+AssertionError; a labeling that does not dominate is reported with valid
+false.  The general-base construction lifts an optimal base
 labeling onto the two-letter words and sheds weight there in four
 rewrite steps, and shares with the product bound one check that the
 linked 1s form a matching (_linked_pairs); the path and cycle
@@ -263,17 +263,9 @@ def _certified(s: SierpinskiGraph, table, predicted: int, steps, **fields) -> Co
 
 
 def _is_perfect_code(labels, s: SierpinskiGraph) -> bool:
-    """Whether every closed neighborhood holds exactly one 2, read off s's runs as bitmasks.
-
-    seen holds the vertices with a 2 in their closed neighborhood so far,
-    dup those with two; each run reaches a vertex along at most one edge.
-    """
-    twos = label_mask(labels, 2)
-    seen, dup = twos, 0
-    for hit in s.reach(twos):
-        dup |= seen & hit
-        seen |= hit
-    return dup == 0 and seen == (1 << s.order) - 1
+    """Whether every closed neighborhood of s holds exactly one 2."""
+    once, twice = s.cover(label_mask(labels, 2))
+    return twice == 0 and once == (1 << s.order) - 1
 
 
 def _pair_table(n: int, twos, ones) -> list[int]:

@@ -26,17 +26,13 @@ keys it merges from its certified edge runs, so S(G, t) skips the
 checks however large it is, and they run on base graphs and on graphs
 read from input.
 
-An EdgeSource is what reads only a graph's order, size and edges: a
-Graph, or a SierpinskiGraph, whose edges come off its runs in no
-canonical order.  The edge-list and DOT writers take a Graph; they
-decode a slice of keys at a time into one array of ends and format the
-slice's lines by one %-operation, writing each slice to the text stream
-the caller passes as it is made, or to a buffer whose text they return,
-so a caller with a stream never holds the whole text.  digest feeds the
-same slices to sha256 and so never holds the edge list either.
-Validation (roman.is_roman_dominating)
-takes either.  This module holds storage, queries and I/O; the labeling
-checks, domination included, are in roman.
+The edge-list and DOT writers decode a slice of keys at a time into one
+array of ends and format the slice's lines by one %-operation, writing
+each slice to the text stream the caller passes as it is made, or to a
+buffer whose text they return, so a caller with a stream never holds the
+whole text.  digest feeds the same slices to sha256 and so never holds
+the edge list either.  This module holds storage, queries and I/O; the
+labeling checks, domination included, are in roman.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import io
 import sys
 from array import array
 from itertools import islice, repeat
-from typing import Iterable, Iterator, Optional, Protocol, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 
 class Graph:
@@ -227,20 +223,6 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
     return Graph(n, edges, name=name)
 
 
-class EdgeSource(Protocol):
-    """Order, size and edges: a Graph decoding its keys, or a SierpinskiGraph
-    reading its runs, which are not in canonical order."""
-
-    @property
-    def order(self) -> int: ...
-
-    @property
-    def size(self) -> int: ...
-
-    @property
-    def edges(self) -> Iterable[tuple[int, int]]: ...
-
-
 def format_edge_list(g: Graph, out: Optional[TextIO] = None) -> Optional[str]:
     """The "n m" header, then one "u v" line per edge, written to out, or
     returned as a str without one.
@@ -285,7 +267,10 @@ def to_dot(
         count = min(_SLICE, n - lo)
         part = [None] * (3 * count)
         part[::3] = range(lo, lo + count)
-        part[1::3] = islice(labels, count)  # ValueError when the labels run out
+        names = tuple(islice(labels, count))
+        if len(names) < count:
+            raise ValueError(f"fewer labels than the {n} vertices")
+        part[1::3] = names
         part[2::3] = islice(fills, count)
         write('  %s [label="%s"%s];\n' * count % tuple(part))
     if next(labels, _ABSENT) is not _ABSENT:

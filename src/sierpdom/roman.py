@@ -7,8 +7,8 @@ and the minimum weight over all RDFs is the Roman domination number.
 is_roman_dominating is the one check of the condition: is_dominating_set
 asks it of the labeling with 2 on the set and 0 elsewhere, which is
 Roman dominating exactly when the set dominates.  On a Graph it goes
-over the edges once.  On S(G, t) it reads the certified edge runs as
-bitmasks (label_mask, SierpinskiGraph.reach), a few shifts per level and
+over the edges once.  On S(G, t) it asks SierpinskiGraph.cover for the
+closed neighbourhoods of the 2s (label_mask), a few shifts per level and
 base edge rather than a step per edge, so the constructions and
 copy_weight_profile validate on the runs and make no Graph of S(G, t)
 for it.  to_dict with S(G, t) names it and digests its Graph, and
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError
-from .graphs import EdgeSource, Graph
+from .graphs import Graph
 from .sierpinski import SierpinskiGraph, prefix_vertices, word_of
 
 _LABELS = frozenset((0, 1, 2))
@@ -118,17 +118,14 @@ def label_mask(labels: Sequence[int], least: int) -> int:
     return int(digits[::-1].translate(_AT_LEAST[least]), 2)
 
 
-def is_roman_dominating(f: RomanFunction, g: EdgeSource) -> bool:
+def is_roman_dominating(f: RomanFunction, g: Graph | SierpinskiGraph) -> bool:
     """Check the defining condition: every 0-vertex sees a 2."""
     if f.order != g.order:
         raise ValueError(f"labeling covers {f.order} vertices, graph has {g.order}")
     labels = f.labels
     if isinstance(g, SierpinskiGraph):
-        # a vertex needs nothing more when it is labeled 1 or 2, or a run joins it to a 2
-        settled = label_mask(labels, 1)
-        for hit in g.reach(label_mask(labels, 2)):
-            settled |= hit
-        return settled == (1 << g.order) - 1
+        # a vertex needs nothing more when it is labeled 1 or 2, or is next to a 2
+        return label_mask(labels, 1) | g.cover(label_mask(labels, 2))[0] == (1 << g.order) - 1
     # nonzero once the vertex needs nothing more: labeled 1 or 2, or next to a 2
     settled = bytearray(labels)
     for u, v in g.edges:

@@ -12,20 +12,19 @@ In ids, the level-r edges of base edge {a, b} are one run, the pairs
 run is the value of the word 11..1 of length r-1.  A run is held as
 (u0, v0, stride): its first edge and the stride nʳ.  Each run is
 certified to hold only pairs u < v < N = nᵗ, with v0 below the stride
-and the stride dividing N, and the t·|E(G)| runs to number
-|E(G)|·(N - 1)/(n - 1) edges.
+and the stride dividing N, and the t·|E(G)| runs to hold size edges.
 
 build checks the vertex budget and returns S(G, t) in two views: a
-SierpinskiGraph, whose order, size, edges (read off each run as two
-ranges of ends, in no canonical order) and reach (each run's edges
-applied to a vertex bitmask by shifts) are all that validation and the
-construction checks read, and its graph, which everything else reads:
-gen, construct --dot, the word-keyed labeling's digest, the solvers and
-the copy checks.  graph takes each run's keys from
-graphs.edge_key_range, merges them with one list.sort and certifies
-them to ascend strictly, which with the runs' checks proves them the
-canonical keys Graph would make of the edges; the sorted list becomes
-the Graph as it is, on first read, and is kept.
+SierpinskiGraph, whose order, size and cover (the vertices whose closed
+neighbourhoods hold one, and two, vertices of a bitmask, read off the
+runs by shifts) are all that validation and the construction checks
+read, and its graph, which everything else reads: gen, construct --dot,
+the word-keyed labeling's digest, the solvers and the copy checks.
+graph takes each run's keys from graphs.edge_key_range, merges them
+with one list.sort and certifies them to ascend strictly, which with the
+runs' checks proves them the canonical keys Graph would make of the
+edges; the sorted list becomes the Graph as it is, on first read, and
+is kept.  No other module reads the runs.
 
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word turns a word into its display
@@ -50,19 +49,22 @@ Word = tuple[int, ...]
 class SierpinskiGraph:
     """S(G, t) as its certified edge runs, with its base graph and word coding.
 
-    It is an EdgeSource: order, size and edges come off the runs, the
-    edges in run order, not in canonical order, and reach applies the
-    runs to a vertex bitmask.  graph is the canonical Graph, made from
-    the runs' certified keys on first read and then kept.
+    order, size and cover come off the runs.  graph is the canonical
+    Graph, made from the runs' certified keys on first read and then kept.
+    Raises ValueError for depth < 1 or a base of fewer than 2 vertices.
     """
 
     __slots__ = ("base", "depth", "order", "runs", "_graph")
 
     def __init__(self, base: Graph, depth: int):
+        if depth < 1:
+            raise ValueError("depth must be at least 1")
+        if base.order < 2:
+            raise ValueError("base graph needs at least 2 vertices")
         self.base = base
         self.depth = depth
         self.order = base.order**depth
-        self.runs = _edge_runs(base, depth)
+        self.runs = _edge_runs(base, depth, self.size)
         self._graph: Optional[Graph] = None
 
     @property
@@ -73,14 +75,6 @@ class SierpinskiGraph:
     def size(self) -> int:
         """|E(G)|·(nᵗ - 1)/(n - 1), the count _edge_runs certified the runs to hold."""
         return self.base.size * (self.order - 1) // (self.base.order - 1)
-
-    @property
-    def edges(self) -> Iterator[tuple[int, int]]:
-        # _progression proved v0 < stride, so both ranges hold order/stride ends
-        total = self.order
-        return chain.from_iterable(
-            zip(range(u0, total, stride), range(v0, total, stride)) for u0, v0, stride in self.runs
-        )
 
     @property
     def graph(self) -> Graph:
@@ -96,22 +90,28 @@ class SierpinskiGraph:
             self._graph = from_canonical_keys(total, keys, self.name)
         return self._graph
 
-    def reach(self, marks: int) -> Iterator[int]:
-        """Per run, the vertices that one of its edges joins to a vertex in marks.
+    def cover(self, marks: int) -> tuple[int, int]:
+        """The vertices with at least one, and with at least two, vertices of
+        marks in their closed neighbourhood, as (once, twice).
 
-        marks and each result are bitmasks, bit v for vertex v.  With ends
-        a bit at every multiple of the stride below the order, the run's
-        u ends are ends << u0 and its v ends ends << v0: a marked u end
+        marks and both results are bitmasks, bit v for vertex v.  With ends
+        a bit at every multiple of the stride below the order, a run's u
+        ends are ends << u0 and its v ends ends << v0: a marked u end
         reaches the v end d = v0 - u0 bits up, a marked v end the u end d
         bits down.  _progression proved 0 <= u0 < v0 < stride and that the
-        stride divides the order, so the shifts stay on the run's ends.
+        stride divides the order, so the shifts stay on the run's ends and
+        a run reaches each vertex along at most one edge.
         """
         total, stride_of_ends, ends = self.order, 0, 0
+        once, twice = marks, 0
         for u0, v0, stride in self.runs:
             if stride != stride_of_ends:  # the runs come level by level, one stride each
                 stride_of_ends, ends = stride, int("1".rjust(stride, "0") * (total // stride), 2)
             d = v0 - u0
-            yield (marks & ends << u0) << d | (marks & ends << v0) >> d
+            hit = (marks & ends << u0) << d | (marks & ends << v0) >> d
+            twice |= once & hit
+            once |= hit
+        return once, twice
 
     def word_of(self, vid: int) -> Word:
         return word_of(vid, self.base.order, self.depth)
@@ -175,26 +175,25 @@ def suffix_labels(table: Sequence[int], n: int, length: int) -> tuple[int, ...]:
 def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
     """S(base, depth) as its certified edge runs; its graph is made on first read.
 
-    Raises ValueError for depth < 1 or a base of fewer than 2 vertices,
-    and BudgetError when the vertex count n**depth would exceed the
-    budget (DEFAULT_VERTEX_BUDGET unless given).
+    Raises BudgetError when the vertex count n**depth would exceed the
+    budget (DEFAULT_VERTEX_BUDGET unless given), and SierpinskiGraph's
+    ValueError for depth < 1 or a base of fewer than 2 vertices.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if base.order < 2:
-        raise ValueError("base graph needs at least 2 vertices")
-    total = base.order**depth
+    n = base.order
     budget = DEFAULT_VERTEX_BUDGET if max_vertices is None else max_vertices
-    if total > budget:
+    # only a valid S(G, t) meets the budget, so bad input is a ValueError at any
+    # budget; there n >= 2 gives n**depth >= 2**depth, so a depth of the budget's
+    # bit length is over it without the power, which can run to millions of digits
+    if n >= 2 and depth >= 1 and (depth >= budget.bit_length() or n**depth > budget):
         raise BudgetError(
-            f"S({base.name or 'G'},{depth}) has {total} vertices, over the budget of {budget}"
+            f"S({base.name or 'G'},{depth}) has {n}**{depth} vertices, over the budget of {budget}"
         )
     return SierpinskiGraph(base, depth)
 
 
-def _edge_runs(base: Graph, depth: int) -> list[tuple[int, int, int]]:
+def _edge_runs(base: Graph, depth: int, expect: int) -> list[tuple[int, int, int]]:
     """The t·|E(G)| runs (u0, v0, stride), level by level, each certified by
-    _progression; raises unless they number |E(G)|·(nᵗ - 1)/(n - 1) edges."""
+    _progression; raises unless they number expect edges."""
     n = base.order
     total = n**depth
     edges = tuple(base.edges)
@@ -205,7 +204,6 @@ def _edge_runs(base: Graph, depth: int) -> list[tuple[int, int, int]]:
         run = (rep - 1) // (n - 1)
         for a, b in edges:
             runs.append(_progression(a * rep + b * run, b * rep + a * run, rep * n, total))
-    expect = base.size * (total - 1) // (n - 1)
     held = sum(total // stride for _, _, stride in runs)
     if held != expect:
         raise AssertionError(f"edge runs hold {held} edges, expected {expect}")

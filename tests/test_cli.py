@@ -147,6 +147,24 @@ def test_early_failure_leaves_the_output_file_untouched(capsys, tmp_path, flag, 
     assert target.read_bytes() == b"earlier output\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "path", "--n", "3", "--t", "9100"],
+        ["solve", "--family", "path", "--n", "3", "--depth", "9100"],
+        ["construct", "--family", "complete", "--n", "3", "--t", "9100"],
+    ],
+)
+def test_depth_with_a_vertex_count_of_thousands_of_digits_exits_3(capsys, tmp_path, argv):
+    """The budget refuses S(P3, 9100) and S(K3, 9100) without formatting their
+    4,343-digit vertex counts, so the exit is 3, not 2, and no file is made."""
+    target = tmp_path / "F"
+    flag = {"gen": "--out", "solve": "--out", "construct": "--dot"}[argv[0]]
+    code, out, err = run(capsys, *argv, flag, str(target))
+    assert code == 3 and "budget" in err and len(err) < 200 and out == ""
+    assert not target.exists()
+
+
 def test_construct_dot_peak_holds_no_dot_text(tmp_path):
     """construct --dot on S(K4, 7) (16,384 vertices) writes its DOT a slice at
     a time: the traced peak stays below 4.5 MiB."""

@@ -499,6 +499,13 @@ def test_dot_rejects_a_label_count_that_does_not_match(count, colors):
         to_dot(g, colors=colors, labels=map(str, range(count)))
 
 
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 1499])
+def test_dot_names_too_few_labels(count):
+    g = Graph(1500, [(0, 1)])
+    with pytest.raises(ValueError, match="fewer labels than the 1500 vertices"):
+        to_dot(g, labels=map(str, range(count)))
+
+
 @pytest.mark.parametrize(
     "write", [format_edge_list, to_dot, lambda g: to_dot(g, labels=map(str, g.vertices))]
 )

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sierpdom import (
     BudgetError,
     Graph,
+    SierpinskiGraph,
     build,
     check_boundary_adjacency,
     complete_graph,
@@ -164,11 +165,40 @@ def test_edge_runs_are_the_graph_random_bases():
         n, t, p = rng.randint(2, 6), rng.randint(1, 4), rng.choice((0.0, 0.25, 0.5, 0.9))
         base = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         s = build(base, t)
-        assert sorted(s.edges) == list(s.graph.edges)
+        edges = [(u0 + k, v0 + k) for u0, v0, stride in s.runs for k in range(0, s.order, stride)]
+        assert sorted(edges) == list(s.graph.edges)
         assert s.size == s.graph.size
         bases.append(base)
     assert not all(map(is_connected, bases))
     assert any(base.size == 0 for base in bases)
+
+
+def test_cover_counts_the_marks_in_each_closed_neighbourhood():
+    """cover's once and twice are the vertices with at least one and at least
+    two marked vertices in N[v], counted off the decoded graph, for arbitrary
+    marks on seeded random bases of order 2-6 (edgeless and disconnected among
+    them) and the base of order 11, t = 1-4."""
+    rng = random.Random(29)
+    bases = []
+    for _ in range(40):
+        n, p = rng.randint(2, 6), rng.choice((0.0, 0.25, 0.5, 0.9))
+        bases.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    cases = [(base, rng.randint(1, 4)) for base in bases]
+    cases += [(Graph(11, [(i, (i + 1) % 11) for i in range(11)] + [(0, 5)]), t) for t in (1, 2, 3, 4)]
+    assert not all(map(is_connected, bases)) and any(base.size == 0 for base in bases)
+    seen = set()
+    for base, t in cases:
+        s = build(base, t)
+        g = s.graph
+        for density in (0.05, 0.3, 0.7):
+            marks = [v for v in g.vertices if rng.random() < density]
+            mask = sum(1 << v for v in marks)
+            counts = [(mask >> v & 1) + sum(mask >> u & 1 for u in g.neighbors(v)) for v in g.vertices]
+            once, twice = s.cover(mask)
+            assert once == sum(1 << v for v, c in enumerate(counts) if c >= 1)
+            assert twice == sum(1 << v for v, c in enumerate(counts) if c >= 2)
+            seen.add((once == (1 << s.order) - 1, twice != 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_budget_enforced():
@@ -178,11 +208,39 @@ def test_budget_enforced():
     assert s.order == 1000
 
 
+def test_budget_refuses_a_deep_graph_without_its_order():
+    """A depth whose vertex count has thousands of digits is refused with a
+    short message, not a ValueError from formatting the count."""
+    with pytest.raises(BudgetError) as err:
+        build(path_graph(3), 9100)
+    assert len(str(err.value)) < 200 and "3**9100" in str(err.value)
+    # the refusal by depth alone keeps the boundary: 2**10 fits a budget of 1024, 2**11 not 2047
+    assert build(path_graph(2), 10, max_vertices=1024).order == 1024
+    with pytest.raises(BudgetError):
+        build(path_graph(2), 11, max_vertices=2047)
+    assert build(path_graph(2), 17).order == 2**17
+    with pytest.raises(BudgetError):
+        build(path_graph(2), 18)
+
+
 def test_depth_and_base_validation():
     with pytest.raises(ValueError):
         build(path_graph(3), 0)
     with pytest.raises(ValueError):
         build(Graph(1), 2)
+
+
+@pytest.mark.parametrize(
+    "base,depth,message",
+    [(Graph(1), 2, "at least 2 vertices"), (path_graph(3), -1, "at least 1"), (path_graph(3), 0, "at least 1")],
+)
+def test_sierpinski_graph_checks_its_arguments(base, depth, message):
+    """SierpinskiGraph itself refuses a base of one vertex and a depth below 1,
+    as build does, at any budget."""
+    with pytest.raises(ValueError, match=message):
+        SierpinskiGraph(base, depth)
+    with pytest.raises(ValueError, match=message):
+        build(base, depth, max_vertices=0)
 
 
 def test_extreme_vertices_are_constant_words_with_base_degree():

@@ -6,7 +6,8 @@ statement (a certifying check is an explicit raise, which python -O
 keeps).  Only sierpinski.py reads from_canonical_keys, which checks
 nothing, so unchecked edges enter a Graph only as S(G, t)'s certified
 keys, and only graphs.py reads a Graph's _keys, so the key format is
-known in one module.  Every function the benchmark's tracer wraps by
+known in one module.  Only sierpinski.py reads S(G, t)'s runs, so one
+module knows how to apply them.  Every function the benchmark's tracer wraps by
 name exists, and build and gen run under the installed tracer."""
 
 import ast
@@ -170,6 +171,27 @@ def test_checker_finds_a_key_read():
 )
 def test_only_graphs_reads_keys(path):
     assert _key_reads(path.read_text()) == []
+
+
+def _run_reads(source: str) -> list[int]:
+    """Lines that read or write an attribute named runs."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "runs"
+    )
+
+
+def test_checker_finds_a_run_read():
+    source = "for run in s.runs:\n    pass\nruns = [0]\ns.runs = runs\nm = len(report.sierpinski.runs)\n"
+    assert _run_reads(source) == [1, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "sierpinski.py"], ids=lambda p: p.name
+)
+def test_only_sierpinski_reads_runs(path):
+    assert _run_reads(path.read_text()) == []
 
 
 def _load_tracing():
