@@ -19,9 +19,10 @@ writes it, and no other family takes one; solve --oracle takes no
 --timeout; and the vertex budget is --budget.
 
 Exit codes: 0 success, 1 a verified property failed (construct: the
-labeling it prints does not validate), 2 bad input, 3 budget or timeout,
-4 any other error.  Machine output is JSON lines without timing fields,
-so a rerun with the same arguments and seed is byte-identical.
+labeling it prints does not validate), 2 bad input, 3 budget or timeout
+(formula: an n**t too long to print), 4 any other error.  Machine output
+is JSON lines without timing fields, so a rerun with the same arguments
+and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -196,7 +197,18 @@ _FORMULAS = {
 }
 
 
+def _check_printable(n: int, t: int) -> None:
+    """Refuse, before computing it, an n**t with more digits than Python prints
+    of an int, a limit of 0 being none: it bounds every value but path-cycle's."""
+    limit = sys.get_int_max_str_digits()
+    digits = t * math.log10(n) if n >= 2 and t >= 1 else 0  # n**t has floor(digits) + 1
+    if limit and digits > limit - 1 and (digits > limit + 1 or n**t >= 10**limit):  # exact near limit
+        raise BudgetError(f"n**t = {n}**{t} has more than {limit} digits, the most Python prints of an int")
+
+
 def _cmd_formula(args) -> int:
+    if args.name != "path-cycle":  # its value does not depend on t
+        _check_printable(args.n, args.t)
     value = _FORMULAS[args.name](args.n, args.t)
     doc = {"value": value} if isinstance(value, int) else value.to_dict()
     doc.update({"formula": args.name, "n": args.n, "t": args.t})

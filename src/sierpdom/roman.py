@@ -26,7 +26,6 @@ from .errors import ContractError
 from .graphs import Graph
 from .sierpinski import SierpinskiGraph, prefix_vertices, word_of
 
-_LABELS = frozenset((0, 1, 2))
 # bytes.translate tables from labels to binary digits: label >= 1, label >= 2
 _AT_LEAST = {1: bytes.maketrans(b"\0\1\2", b"011"), 2: bytes.maketrans(b"\0\1\2", b"001")}
 
@@ -41,10 +40,11 @@ class RomanFunction:
         if not self.labels:
             raise ValueError("labeling must cover at least one vertex")
         try:
-            known = _LABELS.issuperset(self.labels)
-        except TypeError:  # an unhashable label is no label either
-            known = False
-        if not known:
+            len(self.labels)  # a bare int, which bytes() reads as a length, is no labeling
+            stray = bytes(self.labels).translate(None, b"\0\1\2")
+        except (TypeError, ValueError):  # bytes() takes ints only, bools among them, in 0-255
+            stray = True
+        if stray:
             raise ValueError("labels must be 0, 1 or 2")
 
     @classmethod
@@ -111,11 +111,7 @@ class RomanFunction:
 
 def label_mask(labels: Sequence[int], least: int) -> int:
     """The vertices labeled least or more (least 1 or 2) as a bitmask, bit v for vertex v."""
-    try:
-        digits = bytes(labels)
-    except TypeError:  # a label that equals 0, 1 or 2 without being an int, such as 2.0
-        digits = bytes(map(int, labels))
-    return int(digits[::-1].translate(_AT_LEAST[least]), 2)
+    return int(bytes(labels)[::-1].translate(_AT_LEAST[least]), 2)
 
 
 def is_roman_dominating(f: RomanFunction, g: Graph | SierpinskiGraph) -> bool:

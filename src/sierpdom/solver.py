@@ -57,9 +57,12 @@ witness phase), and neither changes the branching order, so the first
 optimum found by `gamma_exact` and the lexicographically smallest 2-set
 are the same as without them; only `Certificate.nodes` shrinks.
 
-Bounds are evaluated as decisions.  Each prune asks whether a bound
-reaches the gap to the incumbent (or the cover still missing) and stops
-as soon as the answer is known.  A change to how a bound is evaluated
+Bounds are evaluated as decisions.  Each prune asks one reader of the
+cover-count histogram, _top_excess_within, whether the k best covers,
+each less a floor (2 in phase 1, where each pick adds 2, else 0), sum to
+at most a limit: then k picks fall short, and a bound reaches the gap to
+the incumbent (or the cover still missing).  The reader stops as soon as
+the answer is known.  A change to how a bound is evaluated
 may make a node cheaper but must never alter a prune: node counts,
 witnesses and CLI output are pinned to the search trees.  Phase 1 also
 decides each child at its parent, on counts that bound the child's own
@@ -75,14 +78,12 @@ may still pick (in the witness phase, the vertices still uncovered
 stand for undom), plus a histogram of those counts.  A child copies its
 parent's two lists at C level and updates only the closed neighborhoods
 of what it changes: the vertices it newly dominates, settles or bars.
-A phase-1 child that its parent drops copies nothing.
-Its cost follows those neighborhoods, not the order of the graph.  A
-count is at most the largest closed neighborhood, so each bound reads
-the histogram from the top in O(Δ) steps; phase 1's best excess over
-2 per pick is the sum of c - 2 over the top covers above 2.  A node
-makes its counts from its parent's only once the tests that need none
-(a leaf, the weight, the witness phase's reach and size tests) have
-kept it.
+A phase-1 child that its parent drops copies nothing.  Its cost follows
+those neighborhoods, not the order of the graph.  A count is at most the
+largest closed neighborhood, so the reader walks the histogram from the
+top in O(Δ) steps.  A node makes its counts from its parent's only once
+the tests that need none (a leaf, the weight, the witness phase's reach
+and size tests) have kept it.
 
 A solve builds each closed neighborhood once, in one pass over the
 edges, as a bitmask and as a list of ascending ids, and shares them with
@@ -247,34 +248,18 @@ def _branch(levels, nb, counts: list[int], top: int, undom: int) -> tuple[int, l
     return v, sorted(cands, key=counts.__getitem__, reverse=True)
 
 
-def _top_sum_below(hist: list[int], top: int, k: int, need: int) -> bool:
-    """Whether the k largest counts in hist[:top] sum below need."""
-    for c in range(top - 1, 0, -1):
+def _top_excess_within(hist: list[int], top: int, k: int, floor: int, limit: int) -> bool:
+    """Whether the k largest counts in hist[:top] above floor, each less floor,
+    sum to at most limit: every bound of the searches reads the histogram here."""
+    for c in range(top - 1, floor, -1):
         h = hist[c]
         if h >= k:
-            return k * c < need
-        need -= h * c
-        if need <= 0:
+            return k * (c - floor) <= limit
+        limit -= h * (c - floor)
+        if limit < 0:
             return False
         k -= h
     return True
-
-
-def _gamma_drops_early(gap: int) -> bool:
-    """Whether gamma_exact drops a node before making its counts: an
-    undominated vertex needs one more pick, and gap <= 1 allows none."""
-    return gap <= 1
-
-
-def _dominators_short(hist: list[int], top: int, ucount: int, gap: int) -> bool:
-    """Whether fewer than gap unbarred vertices cannot dominate ucount >= 1 vertices."""
-    return _top_sum_below(hist, top, gap - 1, ucount)
-
-
-def _roman_drops_early(ucount: int, gap: int) -> bool:
-    """Whether phase 1 drops a node before making its counts: a completion
-    adds 2 per pick or, with no pick, ucount, so it adds at least min(2, ucount)."""
-    return gap <= 2 and ucount >= gap
 
 
 def _roman_bound_reaches(hist: list[int], top: int, ucount: int, gap: int) -> bool:
@@ -283,22 +268,11 @@ def _roman_bound_reaches(hist: list[int], top: int, ucount: int, gap: int) -> bo
     The bound is the least of ucount = |undom| (label 1 everywhere) and, for
     each k, 2k plus what the k best covers leave of undom.  Only a k with
     2k < gap can go below gap, and it does when the cover of the k best,
-    less 2k, exceeds ucount - gap.  Over k <= picks that excess is largest
-    at the sum of c - 2 over the top min(picks, #{c > 2}) covers.
+    less 2k, exceeds ucount - gap.  Over k <= (gap - 1) // 2 that excess is
+    largest at the sum of c - 2 over the top covers above 2; with gap <= 2
+    no k is left, and the bound is min(2, ucount).
     """
-    slack = ucount - gap
-    if slack < 0:
-        return False
-    picks = (gap - 1) // 2
-    for c in range(top - 1, 2, -1):
-        h = hist[c]
-        if h >= picks:
-            return picks * (c - 2) <= slack
-        slack -= h * (c - 2)
-        if slack < 0:
-            return False
-        picks -= h
-    return True
+    return ucount >= gap and _top_excess_within(hist, top, (gap - 1) // 2, 2, ucount - gap)
 
 
 def _roman_cuts(
@@ -318,13 +292,11 @@ def _roman_cuts(
     rises and hist shrinks: the take children dropped form a suffix."""
     for u in cands:
         hist[counts[u]] -= 1
-    left = ucount - 1
-    settle_cut = _roman_drops_early(left, gap - 1) or _roman_bound_reaches(hist, top, left, gap - 1)
+    settle_cut = _roman_bound_reaches(hist, top, ucount - 1, gap - 1)
     keep, gap = len(cands), gap - 2  # every take child adds 2
     while keep:
         u = cands[keep - 1]
-        left = ucount - counts[u]
-        if not _roman_drops_early(left, gap) and not _roman_bound_reaches(hist, top, left, gap):
+        if not _roman_bound_reaches(hist, top, ucount - counts[u], gap):
             break
         keep -= 1
         hist[counts[u]] += 1
@@ -388,11 +360,10 @@ def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
                 best_size, best = size, chosen
             continue
         gap = best_size - size
-        if _gamma_drops_early(gap):
-            continue
         taken = None if chosen is None else chosen[1]
         counts, hist = _descend(nb, top, counts, hist, before, taken, barred)
-        if _dominators_short(hist, top, undom.bit_count(), gap):
+        # fewer than gap picks cannot dominate undom
+        if _top_excess_within(hist, top, gap - 1, 0, undom.bit_count() - 1):
             continue
         # greedy 2-packing: undominated vertices with pairwise disjoint
         # candidate sets each need a chosen dominator of their own
@@ -439,7 +410,8 @@ def _roman_value(deadline: _Deadline, closed: _Closed) -> tuple[int, int]:
             continue
         gap = best - weight
         ucount = undom.bit_count()
-        if _roman_drops_early(ucount, gap):
+        # with gap <= 2 the bound is min(2, ucount), known without making the counts
+        if gap <= 2 and ucount >= gap:
             continue
         counts, hist = _descend(nb, top, counts, hist, before, taken, barred)
         if _roman_bound_reaches(hist, top, ucount, gap):
@@ -517,7 +489,7 @@ def _lex_min_two_set(
         if i:  # bar i - 1, and take it if it covered anything
             taken = i - 1 if covered != before else None
             counts, hist = _descend(nb, top, counts, hist, ~before, taken, (i - 1,))
-        if _top_sum_below(hist, top, left, need):
+        if _top_excess_within(hist, top, left, 0, need - 1):
             continue
         stack.append((key, None, None, deadline.ticks - 1, None, None, None))
         stack.append((i + 1, left, covered, picked, counts, hist, covered))

@@ -441,6 +441,30 @@ def test_formula_path_cycle_refuses_a_depth_below_one(capsys, t):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "name,t,exit_code",
+    [
+        ("complete-gamma", "9000", 0),  # 3**9000 has 4,295 digits
+        ("path-cycle", "100000000", 0),  # its value does not depend on t
+        ("complete-gamma", "9100", 3),  # 3**9100 has 4,342
+        ("complete-gamma", "100000000", 3),
+        ("cycle", "100000000", 3),
+    ],
+)
+def test_formula_refuses_a_depth_whose_value_cannot_be_printed(capsys, name, t, exit_code):
+    """A depth at which 3**t has more digits than Python prints of an int (4,300
+    by default) exits 3 at once, before any power is computed; below it, and for
+    path-cycle at any depth, the value prints."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "formula", "--name", name, "--n", "3", "--t", t)
+    assert time.perf_counter() - start < 1
+    assert code == exit_code
+    if exit_code:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and f"3**{t}" in err
+    else:
+        assert json.loads(out)["value"] == ((3**9000 + 3) // 4 if name == "complete-gamma" else 2)
+
+
 def test_formula_path_above_depth_two_is_rejected(capsys):
     # the lifted depth-2 value, 224 for S(P7, 3), is only an upper bound
     code, out, err = run(capsys, "formula", "--name", "path", "--n", "7", "--t", "3")

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import or_
 
 import pytest
@@ -41,16 +41,13 @@ from sierpdom.solver import (
     _branch,
     _check_order,
     _descend,
-    _dominators_short,
-    _gamma_drops_early,
     _greedy_cover,
     _lex_min_two_set,
     _picks,
     _roman_bound_reaches,
     _roman_cuts,
-    _roman_drops_early,
     _roman_value,
-    _top_sum_below,
+    _top_excess_within,
 )
 from oracles import (
     domination_min_subsets,
@@ -372,6 +369,59 @@ def test_phase_split_is_pinned():
     assert deadline.ticks == 22_289
 
 
+def _reference_top_sum_below(hist, top, k, need):
+    """Whether the k largest counts in hist[:top] sum below need: the witness
+    phase's and the domination search's reader of the histogram before the
+    searches shared one, kept as a reference for it."""
+    for c in range(top - 1, 0, -1):
+        h = hist[c]
+        if h >= k:
+            return k * c < need
+        need -= h * c
+        if need <= 0:
+            return False
+        k -= h
+    return True
+
+
+def _reference_roman_bound_reaches(hist, top, ucount, gap):
+    """Phase 1's prune decision with its own walk of the histogram, as it was
+    before the searches shared one reader, kept as a reference for it."""
+    slack = ucount - gap
+    if slack < 0:
+        return False
+    picks = (gap - 1) // 2
+    for c in range(top - 1, 2, -1):
+        h = hist[c]
+        if h >= picks:
+            return picks * (c - 2) <= slack
+        slack -= h * (c - 2)
+        if slack < 0:
+            return False
+        picks -= h
+    return True
+
+
+def test_one_reader_makes_every_former_decision():
+    # every histogram of top <= 6 with buckets of 0-2 vertices, buckets at and
+    # above top holding barred vertices the reader must not read
+    for top in range(1, 7):
+        for hist in product(range(3), repeat=top):
+            hist = list(hist) + [2] * top
+            for k, limit in product(range(-1, 8), range(-2, 15)):
+                got = _top_excess_within(hist, top, k, 0, limit)
+                assert got == _reference_top_sum_below(hist, top, k, limit + 1)
+                for gap in (2 * k + 1, 2 * k + 2):  # both leave (gap - 1) // 2 == k picks
+                    want = _reference_roman_bound_reaches(hist, top, limit + gap, gap)
+                    assert (limit >= 0 and _top_excess_within(hist, top, k, 2, limit)) == want
+                    assert _roman_bound_reaches(hist, top, limit + gap, gap) == want
+                for floor in (0, 2):
+                    if limit >= 0 and k >= 0:  # the reader's own contract, read as a sum
+                        excess = sorted((c - floor for c in range(floor + 1, top) for _ in range(hist[c])))
+                        total = sum(excess[::-1][:k])
+                        assert _top_excess_within(hist, top, k, floor, limit) == (total <= limit)
+
+
 def _reference_roman_value(deadline, closed):
     """Phase 1 with every child pushed and decided at its pop, the reference
     for its value and its ticks."""
@@ -390,10 +440,10 @@ def _reference_roman_value(deadline, closed):
             continue
         gap = best - weight
         ucount = undom.bit_count()
-        if _roman_drops_early(ucount, gap):
+        if gap <= 2 and ucount >= gap:
             continue
         counts, hist = _descend(nb, top, counts, hist, before, taken, barred)
-        if _roman_bound_reaches(hist, top, ucount, gap):
+        if _reference_roman_bound_reaches(hist, top, ucount, gap):
             continue
         v, cands = _branch(levels, nb, counts, top, undom)
         stack.append((undom & ~(1 << v), weight + 1, counts, hist, undom, None, nb[v]))
@@ -465,7 +515,7 @@ def _reference_lex_min_two_set(g, k, target_cover, deadline, closed):
         if i:
             taken = i - 1 if covered != before else None
             counts, hist = _descend(nb, top, counts, hist, ~before, taken, (i - 1,))
-        if _top_sum_below(hist, top, left, need):
+        if _reference_top_sum_below(hist, top, left, need):
             continue
         stack.append((i + 1, left, covered, picked, counts, hist, covered))
         stack.append((i + 1, left - 1, covered | masks[i], (picked, i), counts, hist, covered))
@@ -690,7 +740,7 @@ def test_roman_prune_decision_matches_lower_bound(state):
     hist, top = _count_hist(closed, undom, excluded)
     ucount = undom.bit_count()
     assert _roman_bound_reaches(hist, top, ucount, gap) == want
-    if _roman_drops_early(ucount, gap):  # the search's shortcut before it makes the counts
+    if gap <= 2 and ucount >= gap:  # the search's shortcut before it makes the counts
         assert want
 
 
@@ -727,8 +777,8 @@ def test_domination_prune_decision_matches_min_picks(state):
     need = _reference_min_picks(closed, n, undom, excluded)
     hist, top = _count_hist(closed, undom, excluded)
     want = need is None or need >= gap
-    assert _dominators_short(hist, top, undom.bit_count(), gap) == want
-    if _gamma_drops_early(gap):  # the search's shortcut before it makes the counts
+    assert _top_excess_within(hist, top, gap - 1, 0, undom.bit_count() - 1) == want
+    if gap <= 1:  # no pick is allowed, and an undominated vertex needs one
         assert want
 
 
@@ -744,7 +794,7 @@ def test_witness_prune_decision_matches_gains_test(state, data):
     want = _reference_gains_short(closed, n, i, left, covered, target)
     hist, top = _count_hist(closed, ~covered, (1 << i) - 1)  # a node at index i bars every u < i
     need = target - covered.bit_count()
-    assert (left * most[i] < need or _top_sum_below(hist, top, left, need)) == want
+    assert (left * most[i] < need or _top_excess_within(hist, top, left, 0, need - 1)) == want
 
 
 def _random_graph(n, seed, p):

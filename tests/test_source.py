@@ -8,7 +8,7 @@ nothing, so unchecked edges enter a Graph only as S(G, t)'s certified
 keys, and only graphs.py reads a Graph's _keys, so the key format is
 known in one module.  Only sierpinski.py reads S(G, t)'s runs, so one
 module knows how to apply them.  Every function the benchmark's tracer wraps by
-name exists, and build and gen run under the installed tracer."""
+name exists, and build, gen and both solvers run under the installed tracer."""
 
 import ast
 import importlib
@@ -263,3 +263,31 @@ def test_benchmark_tracer_runs_constructions_and_construct_dot(tmp_path, monkeyp
         ("sierpinski.build", 27)
     ] * 2
     assert dot.read_text().startswith("graph S {")
+
+
+def test_benchmark_tracer_runs_the_solvers(monkeypatch):
+    # the per-layer metrics of the benchmark read the phase functions' results:
+    # phase 1's ticks, and each phase-2 attempt's ticks and whether it found a set
+    from sierpdom import generators, sierpinski, solver
+
+    importlib.import_module("sierpdom.cli")  # install() wraps a function of every module it names
+
+    tracing = _load_tracing()
+    monkeypatch.setitem(sys.modules, "workloads", types.ModuleType("workloads"))
+    c6 = sierpinski.build(generators.cycle_graph(6), 2).graph
+    p7 = sierpinski.build(generators.path_graph(7), 2).graph
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        roman = solver.gamma_r_exact(c6)
+        dom = solver.gamma_exact(p7)
+    finally:
+        tracer.uninstall()
+    assert [span[-2] for span in tracer.spans] == [None] * len(tracer.spans)  # no errors
+    facts = {}
+    for span in tracer.spans:
+        facts.setdefault(span[0], []).append(span[-1])
+    assert facts["solver.phase1"] == [6_143]
+    assert facts["solver.phase2"] == [(8_299, False), (7_847, True)]
+    assert 6_143 + 8_299 + 7_847 == roman.nodes == 22_289
+    assert facts["solver.gamma_exact"] == [dom.nodes] == [81]
