@@ -96,7 +96,7 @@ def _cmd_gen(args) -> int:
     g = build(base, t, args.budget).graph
     with _output(args.out) as fh:  # opened only once the build has succeeded
         if args.format == "dot":
-            to_dot(g, graph_name="S", labels=word_labels(n, t), out=fh)
+            to_dot(g, labels=word_labels(n, t), out=fh)
         else:
             format_edge_list(g, out=fh)
     if args.meta:
@@ -173,7 +173,7 @@ def _cmd_construct(args) -> int:
         s = report.sierpinski  # the S(G, t) the labeling was validated on
         colors = {v: _ROMAN_COLORS[x] for v, x in enumerate(report.function.labels)}
         with open(args.dot, "w") as fh:
-            to_dot(s.graph, graph_name="S", colors=colors, labels=s.word_labels(), out=fh)
+            to_dot(s.graph, colors=colors, labels=s.word_labels(), out=fh)
     _emit(report.to_json(words=args.words) + "\n", args.out)
     return 0 if report.valid else 1
 

@@ -28,17 +28,16 @@ read from input.
 
 The edge-list and DOT writers decode a slice of keys at a time into one
 array of ends and format the slice's lines by one %-operation, writing
-each slice to the text stream the caller passes as it is made, or to a
-buffer whose text they return, so a caller with a stream never holds the
-whole text.  digest feeds the same slices to sha256 and so never holds
-the edge list either.  This module holds storage, queries and I/O; the
-labeling checks, domination included, are in roman.
+each slice to the text stream the caller passes as it is made, so no
+caller holds the whole text; the DOT graph is always named S.  digest
+feeds the same slices to sha256 and so never holds the edge list
+either.  This module holds storage, queries and I/O; the labeling
+checks, domination included, are in roman.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import sys
 from array import array
 from itertools import islice, repeat
@@ -223,28 +222,23 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
     return Graph(n, edges, name=name)
 
 
-def format_edge_list(g: Graph, out: Optional[TextIO] = None) -> Optional[str]:
-    """The "n m" header, then one "u v" line per edge, written to out, or
-    returned as a str without one.
+def format_edge_list(g: Graph, out: TextIO) -> None:
+    """Write the "n m" header, then one "u v" line per edge, to out.
 
     Each slice of _SLICE keys is decoded into one array of ends, formatted
     by one %-operation and written as it is made, so out receives the text
     without its ever being held whole."""
-    buf = io.StringIO() if out is None else out
-    buf.write(f"{g.order} {g.size}\n")
-    _write_edges(buf.write, "%d %d\n", g._keys)
-    return buf.getvalue() if out is None else None
+    out.write(f"{g.order} {g.size}\n")
+    _write_edges(out.write, "%d %d\n", g._keys)
 
 
 def to_dot(
     g: Graph,
-    graph_name: str = "G",
+    out: TextIO,
     colors: Optional[dict[int, str]] = None,
     labels: Optional[Iterable[str]] = None,
-    out: Optional[TextIO] = None,
-) -> Optional[str]:
-    """Render as Graphviz DOT, one node per vertex, written to out, or
-    returned as a str without one.
+) -> None:
+    """Write g as the Graphviz DOT graph S, one node per vertex, to out.
 
     labels gives each vertex's label in vertex order (default: the id);
     it is consumed once and must cover exactly the vertices (ValueError
@@ -260,9 +254,8 @@ def to_dot(
     fill_of.update((c, f', style=filled, fillcolor="{c}"') for c in set(colors.values()))
     fills = map(fill_of.__getitem__, map(colors.get, range(n), repeat(_ABSENT)))
     labels = iter(range(n) if labels is None else labels)
-    buf = io.StringIO() if out is None else out
-    write = buf.write
-    write(f"graph {graph_name} {{\n")
+    write = out.write
+    write("graph S {\n")
     for lo in range(0, n, _SLICE):
         count = min(_SLICE, n - lo)
         part = [None] * (3 * count)
@@ -277,7 +270,6 @@ def to_dot(
         raise ValueError(f"more labels than the {n} vertices")
     _write_edges(write, "  %d -- %d;\n", g._keys)
     write("}\n")
-    return buf.getvalue() if out is None else None
 
 
 _SLICE = 1024

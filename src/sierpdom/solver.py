@@ -130,14 +130,13 @@ class Certificate:
     nodes: int
     elapsed: float
 
-    def to_json(self, graph: Optional[Graph] = None) -> str:
+    def to_json(self, graph: Graph) -> str:
         doc: dict = {"kind": self.kind, "value": self.value, "nodes": self.nodes}
         if self.kind == "domination":
             doc["witness"] = sorted(self.witness)
         else:
             doc["witness"] = list(self.witness.labels)
-        if graph is not None:
-            doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
+        doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
         return json.dumps(doc, sort_keys=True)
 
 
@@ -513,8 +512,6 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     twos: Optional[list[int]] = None
     failed: dict[tuple[int, int, int, int], int] = {}  # one table for every k
     for k in range(value // 2, -1, -1):
-        if value - 2 * k > n:
-            break
         twos = _lex_min_two_set(k, n - (value - 2 * k), deadline, closed, failed)[0]
         if twos is not None:
             break

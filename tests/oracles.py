@@ -3,14 +3,23 @@
 Deliberately naive: full enumeration everywhere, no shared code with the
 package's solver beyond the Graph accessors.  The closed-neighborhood
 bitmasks are the oracles' own, built from g.neighbors by
-masks_from_neighbors, not the solver's.
+masks_from_neighbors, not the solver's.  written collects what a writer
+writes, for tests that compare its text.
 """
 
 from __future__ import annotations
 
+import io
 from itertools import combinations, product
 
 from sierpdom import Graph
+
+
+def written(write, *args, **kwargs) -> str:
+    """The text write(*args, out=stream, **kwargs) writes to a fresh io.StringIO."""
+    stream = io.StringIO()
+    write(*args, out=stream, **kwargs)
+    return stream.getvalue()
 
 
 def masks_from_neighbors(g: Graph) -> list[int]:

@@ -30,6 +30,7 @@ from sierpdom import (
 )
 from sierpdom import graphs
 from sierpdom.cli import _build_parser, main
+from oracles import written
 
 
 def run(capsys, *argv):
@@ -76,11 +77,11 @@ def test_gen_streams_the_bytes_of_the_built_graph(tmp_path, seed):
     rng = random.Random(seed)
     n, t = rng.randint(2, 11), rng.randint(1, 4)
     base = Graph(n, name="E") if seed == 0 else _random_base(rng, n)  # seed 0: edgeless
-    (tmp_path / "base.txt").write_text(format_edge_list(base))
+    (tmp_path / "base.txt").write_text(written(format_edge_list, base))
     s = build(base, t)
     expect = {
-        "edgelist": format_edge_list(s.graph),
-        "dot": to_dot(s.graph, graph_name="S", labels=s.word_labels()),
+        "edgelist": written(format_edge_list, s.graph),
+        "dot": written(to_dot, s.graph, labels=s.word_labels()),
     }
     for fmt, text in expect.items():
         out, meta = tmp_path / f"s.{fmt}", tmp_path / f"meta.{fmt}"
@@ -105,9 +106,9 @@ def test_gen_to_stdout_prints_the_writer_bytes(capsys, fmt, meta):
     across slice boundaries, then the meta line when --meta is -."""
     s = build(complete_graph(4), 5)  # 1024 vertices, 2046 edges
     if fmt == "dot":
-        text = to_dot(s.graph, graph_name="S", labels=s.word_labels())
+        text = written(to_dot, s.graph, labels=s.word_labels())
     else:
-        text = format_edge_list(s.graph)
+        text = written(format_edge_list, s.graph)
     if meta:
         text += json.dumps(
             {
@@ -353,7 +354,7 @@ def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, f
     stable."""
     args = ["--family", family, "--t", str(t)] + ["--words"] * words
     if family == "theorem":
-        (tmp_path / "P4.txt").write_text(format_edge_list(path_graph(4)))
+        (tmp_path / "P4.txt").write_text(written(format_edge_list, path_graph(4)))
         (tmp_path / "f.json").write_text(RomanFunction((0, 2, 0, 1)).to_json())
         args += ["--base", str(tmp_path / "P4.txt"), "--function", str(tmp_path / "f.json")]
     else:
@@ -488,7 +489,7 @@ def test_solve_modes_are_exclusive(capsys, monkeypatch):
 def test_solve_oracle_refuses_a_timeout(capsys, tmp_path):
     # --oracle used to drop --timeout and exit 0, where the default solver times out
     base = tmp_path / "P3.txt"
-    base.write_text(format_edge_list(path_graph(3)))
+    base.write_text(written(format_edge_list, path_graph(3)))
     solve = ["solve", "--base", str(base), "--depth", "2"]
     for timeout in ("0", "1"):
         code, out, err = run(capsys, *solve, "--oracle", "--timeout", timeout)

@@ -26,7 +26,7 @@ from sierpdom import (
 )
 from sierpdom.cli import main
 from sierpdom.solver import _Closed
-from oracles import shortest_path_by_enumeration
+from oracles import shortest_path_by_enumeration, written
 
 
 @st.composite
@@ -63,7 +63,7 @@ def test_order_is_bounded_by_the_edge_key():
         Graph(2**32 + 1)
     g = Graph(2**32, [(2**32 - 1, 0), (1, 2**32 - 1)])
     assert list(g.edges) == [(0, 2**32 - 1), (1, 2**32 - 1)]
-    assert format_edge_list(g) == "4294967296 2\n0 4294967295\n1 4294967295\n"
+    assert written(format_edge_list, g) == "4294967296 2\n0 4294967295\n1 4294967295\n"
 
 
 BAD_EDGE_CASES = [
@@ -220,8 +220,8 @@ def test_build_serialize_validate_never_builds_neighbor_tuples():
     private slots are read because the public views would build them."""
     s = build(complete_graph(4), 6)
     g = s.graph
-    format_edge_list(g)
-    to_dot(g, labels=s.word_labels())
+    written(format_edge_list, g)
+    written(to_dot, g, labels=s.word_labels())
     rep = complete_graph_construction(4, 6)
     assert is_roman_dominating(rep.function, g)
     assert g._adj is None
@@ -323,20 +323,20 @@ def test_digest_peak_holds_no_edge_list():
 
 @pytest.mark.parametrize("n,m", [(1, 0), (7, 12), (1500, 3000), (2100, 2100)])
 def test_writers_stream_the_text_they_return(n, m):
-    """Given a stream, each writer writes exactly the text it returns without
-    one and returns None; digest hashes that edge list."""
+    """Each writer writes its text to the stream it is given and returns None;
+    digest hashes that edge list."""
     rng = random.Random(n * 7919 + m)
     g = Graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
     colors = {v: rng.choice(["red", "blue"]) for v in rng.sample(range(n), n // 3)}
     for write in (
         format_edge_list,
         to_dot,
-        lambda g, **out: to_dot(g, "H", colors=colors, labels=map(str, g.vertices), **out),
+        lambda g, **out: to_dot(g, colors=colors, labels=map(str, g.vertices), **out),
     ):
         stream = io.StringIO()
         assert write(g, out=stream) is None
-        assert stream.getvalue() == write(g)
-    assert g.digest() == hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:12]
+        assert stream.getvalue() == written(write, g)
+    assert g.digest() == hashlib.sha256(written(format_edge_list, g).encode()).hexdigest()[:12]
 
 
 def test_sierpinski_graph_holds_its_sorted_keys():
@@ -416,11 +416,11 @@ def test_connectivity():
 
 def test_edge_list_round_trip_bit_exact():
     g = cycle_graph(7)
-    text = format_edge_list(g)
+    text = written(format_edge_list, g)
     assert text.splitlines()[0] == "7 7"
     again = parse_edge_list(text)
     assert again == g
-    assert format_edge_list(again) == text
+    assert written(format_edge_list, again) == text
 
 
 def test_edge_list_parse_errors():
@@ -434,12 +434,12 @@ def test_edge_list_parse_errors():
 
 def test_dot_output():
     g = Graph(3, [(0, 1), (1, 2)])
-    dot = to_dot(g, graph_name="T", colors={1: "black"}, labels="abc")
-    assert "graph T {" in dot
+    dot = written(to_dot, g, colors={1: "black"}, labels="abc")
+    assert "graph S {" in dot
     assert '1 [label="b", style=filled, fillcolor="black"];' in dot
     assert "  0 -- 1;" in dot
     with pytest.raises(ValueError):
-        to_dot(g, labels="ab")  # labels must cover every vertex
+        written(to_dot, g, labels="ab")  # labels must cover every vertex
 
 
 def _edge_list_line_by_line(g):
@@ -450,11 +450,11 @@ def _edge_list_line_by_line(g):
     return out.getvalue()
 
 
-def _dot_line_by_line(g, graph_name="G", colors=None, labels=None):
+def _dot_line_by_line(g, colors=None, labels=None):
     if labels is None:
         labels = map(str, g.vertices)
     out = io.StringIO()
-    out.write(f"graph {graph_name} {{\n")
+    out.write("graph S {\n")
     for v, text in zip(g.vertices, labels, strict=True):
         attrs = f'label="{text}"'
         if colors and v in colors:
@@ -473,13 +473,13 @@ def test_writers_match_a_line_by_line_reference(n, m):
     """Byte-identical to one write per line, across slice boundaries."""
     rng = random.Random(n * 7919 + m)
     g = Graph(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
-    assert format_edge_list(g) == _edge_list_line_by_line(g)
-    assert to_dot(g) == _dot_line_by_line(g)
+    assert written(format_edge_list, g) == _edge_list_line_by_line(g)
+    assert written(to_dot, g) == _dot_line_by_line(g)
     names = [f"v{rng.randrange(100)}" for _ in range(n)]
-    assert to_dot(g, "H", labels=iter(names)) == _dot_line_by_line(g, "H", labels=names)
+    assert written(to_dot, g, labels=iter(names)) == _dot_line_by_line(g, labels=names)
     colors = {v: rng.choice(["red", "blue"]) for v in rng.sample(range(n), n // 3)}
-    assert to_dot(g, colors=colors, labels=names) == _dot_line_by_line(g, colors=colors, labels=names)
-    assert to_dot(g, colors={}) == _dot_line_by_line(g)
+    assert written(to_dot, g, colors=colors, labels=names) == _dot_line_by_line(g, colors=colors, labels=names)
+    assert written(to_dot, g, colors={}) == _dot_line_by_line(g)
 
 
 @pytest.mark.parametrize("base", [path_graph(11), star_graph(12)])
@@ -488,7 +488,7 @@ def test_dot_word_labels_on_large_bases_match_the_reference(base):
     s = build(base, 3)
     want = _dot_line_by_line(s.graph, labels=s.word_labels())
     assert "-" in want
-    assert to_dot(s.graph, labels=s.word_labels()) == want
+    assert written(to_dot, s.graph, labels=s.word_labels()) == want
 
 
 @pytest.mark.parametrize("count", [0, 1, 1499, 1501, 2048, 2049])
@@ -496,25 +496,25 @@ def test_dot_word_labels_on_large_bases_match_the_reference(base):
 def test_dot_rejects_a_label_count_that_does_not_match(count, colors):
     g = Graph(1500, [(0, 1)])
     with pytest.raises(ValueError):
-        to_dot(g, colors=colors, labels=map(str, range(count)))
+        written(to_dot, g, colors=colors, labels=map(str, range(count)))
 
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 1499])
 def test_dot_names_too_few_labels(count):
     g = Graph(1500, [(0, 1)])
     with pytest.raises(ValueError, match="fewer labels than the 1500 vertices"):
-        to_dot(g, labels=map(str, range(count)))
+        written(to_dot, g, labels=map(str, range(count)))
 
 
 @pytest.mark.parametrize(
-    "write", [format_edge_list, to_dot, lambda g: to_dot(g, labels=map(str, g.vertices))]
+    "write", [format_edge_list, to_dot, lambda g, out: to_dot(g, out, labels=map(str, g.vertices))]
 )
 def test_writer_peak_memory_stays_near_the_text(write):
-    """Each writer's traced peak on S(K6,5) stays below 3x the text it returns."""
+    """Each writer's traced peak on S(K6,5) stays below 3x the text it writes."""
     g = build(complete_graph(6), 5).graph
     tracemalloc.start()
     try:
-        text = write(g)
+        text = written(write, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

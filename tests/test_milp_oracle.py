@@ -94,3 +94,28 @@ def test_path_formula_is_only_an_upper_bound_above_depth_two(n, t, value, lifted
     assert is_roman_dominating(f, g)
     assert n ** (t - 2) * gamma_r_sierpinski_path(n, 2) == lifted
     assert value < lifted
+
+
+# Values the branch and bound does not reach within tier-1's time, pinned by the
+# MILP alone.  Each that ROADMAP's boundary-DP table lists is the same there.
+MILP_PINS = [
+    (path_graph(8), 2, True, 43),
+    (cycle_graph(9), 2, True, 51),
+    (path_graph(4), 3, True, 40),
+    (path_graph(3), 4, True, 45),
+    (complete_graph(4), 4, True, 103),
+    (cycle_graph(5), 3, True, 75),
+    (cycle_graph(6), 3, True, 130),
+    (cycle_graph(8), 2, False, 24),
+    (cycle_graph(9), 2, False, 27),
+    (path_graph(8), 2, False, 24),
+]
+
+
+@pytest.mark.parametrize(
+    "base,t,roman,value",
+    MILP_PINS,
+    ids=[f"{'gamma_r' if roman else 'gamma'}:S({base.name},{t})" for base, t, roman, _ in MILP_PINS],
+)
+def test_milp_pins_values_past_the_branch_and_bound(base, t, roman, value):
+    assert milp_value(build(base, t).graph, roman) == value

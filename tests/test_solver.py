@@ -18,6 +18,7 @@ from sierpdom import (
     BudgetError,
     ContractError,
     Graph,
+    RomanFunction,
     SolveTimeout,
     brute_force_gamma_r,
     build,
@@ -313,7 +314,7 @@ def test_certificate_json_shape():
     assert doc["witness"] == [0, 2, 0, 1]
     assert doc["graph"]["name"] == "P4"
     assert "elapsed_s" not in doc
-    doc2 = json.loads(gamma_exact(g).to_json())
+    doc2 = json.loads(gamma_exact(g).to_json(g))
     assert doc2["witness"] == sorted(doc2["witness"])
     assert "elapsed_s" not in doc2
 
@@ -919,6 +920,63 @@ def test_roman_witness_of_s_c8_2_is_pinned():
     assert hashlib.sha256(json.dumps(labels).encode()).hexdigest() == (
         "1852eed1bfef87eefa7177536135b62aa863a5077ed64d4cbeff601c56f8e3dc"
     )
+
+
+def _roman_by_witness_search(g, time_limit=None):
+    """gamma_r_exact's value and witness labels from the witness search alone.
+
+    Weights W are tried upward from the counting bound min(n, ceil(2n/(Δ+1)))
+    of Cockayne, Dreyer, Hedetniemi & Hedetniemi (Discrete Math. 278, 2004);
+    at each W, k = W//2 down to 0 as gamma_r_exact tries them at its value,
+    all through one table of failed subtrees.  Below the optimum no k-set
+    covers enough, so the first hit is the value and the canonical 2-set."""
+    closed, deadline, failed = _Closed(g), _Deadline(time_limit), {}
+    n = g.order
+    for weight in range(min(n, -(-2 * n // max(map(len, closed.ids)))), n + 1):
+        for k in range(weight // 2, -1, -1):
+            twos = _lex_min_two_set(k, n - (weight - 2 * k), deadline, closed, failed)[0]
+            if twos is not None:
+                covered = 0
+                for u in twos:
+                    covered |= closed.masks[u]
+                labels = [2 if v in twos else 1 - (covered >> v & 1) for v in range(n)]
+                return weight, tuple(labels)
+    raise AssertionError("no weight up to n has a witness")
+
+
+_ROMAN_PINNED = sorted(
+    {(fam, n, t) for solve, fam, n, t, _ in NODE_COUNTS if solve is gamma_r_exact}
+    | {(fam, n, t) for fam, n, t, *_ in WITNESS_SHA256}
+)
+
+
+@pytest.mark.parametrize("fam,n,t", _ROMAN_PINNED, ids=[f"S({f}{n},{t})" for f, n, t in _ROMAN_PINNED])
+def test_witness_search_alone_gives_the_pinned_solves(fam, n, t):
+    g = _sierpinski(fam, n, t)
+    rom = gamma_r_exact(g)
+    assert _roman_by_witness_search(g) == (rom.value, rom.witness.labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10**6), st.sampled_from((0.0, 0.15, 0.3, 0.5)), st.booleans())
+def test_witness_search_alone_gives_the_solve(n, seed, p, connected):
+    # p = 0 gives a tree when connected and an edgeless graph otherwise
+    g = random_connected_graph(n, random.Random(seed), p) if connected else _random_graph(n, seed, p)
+    rom = gamma_r_exact(g)
+    assert _roman_by_witness_search(g) == (rom.value, rom.witness.labels)
+
+
+@pytest.mark.parametrize(
+    "fam,n,t,value",
+    [("P", 8, 2, 43), ("C", 9, 2, 51), ("P", 4, 3, 40), ("P", 3, 4, 45), ("K", 4, 4, 103)],
+)
+def test_witness_search_alone_reaches_past_the_value_search(fam, n, t, value):
+    # the MILP pins these values (test_milp_oracle); gamma_r_exact times out on the
+    # first three at 15 s and takes 2-11 s on the last two
+    g = _sierpinski(fam, n, t)
+    got, labels = _roman_by_witness_search(g, time_limit=0.5)
+    assert got == value
+    assert is_roman_dominating(RomanFunction(labels), g) and sum(labels) == value
 
 
 def test_searches_leave_no_reference_cycles():

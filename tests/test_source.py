@@ -8,11 +8,14 @@ nothing, so unchecked edges enter a Graph only as S(G, t)'s certified
 keys, and only graphs.py reads a Graph's _keys, so the key format is
 known in one module.  Only sierpinski.py reads S(G, t)'s runs, so one
 module knows how to apply them.  Every function the benchmark's tracer wraps by
-name exists, and build, gen and both solvers run under the installed tracer."""
+name exists, build, gen and both solvers run under the installed tracer, and a
+short benchmark run finds every output it checks correct."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -291,3 +294,17 @@ def test_benchmark_tracer_runs_the_solvers(monkeypatch):
     assert facts["solver.phase2"] == [(8_299, False), (7_847, True)]
     assert 6_143 + 8_299 + 7_847 == roman.nodes == 22_289
     assert facts["solver.gamma_exact"] == [dom.nodes] == [81]
+
+
+@pytest.mark.parametrize("workload", ["families", "large"])
+def test_benchmark_checks_its_outputs(workload):
+    # a short traced run of the benchmark checks every output against its pins
+    # (digests, MILP values, node counts equal across passes, phase splits that
+    # add up) and reports correct: false or failed ops when one does not hold
+    root = PACKAGE.parent.parent
+    argv = ["--workload", workload, "--seed", "7", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", *argv], cwd=root, capture_output=True, text=True, check=True
+    )
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0)
