@@ -16,7 +16,9 @@ Each input has one way in: the base graph is --family with --n or --base
 FILE, never both (solve --depth D solves S(base, D)); the theorem
 construction's labeling is --function FILE, as RomanFunction.to_json
 writes it, and no other family takes one; solve --oracle takes no
---timeout; and the vertex budget is --budget.
+--timeout; and the vertex budget is --budget.  A --family base is held
+to the budget, or a bare solve's to the solver's order limit, before it
+is made.
 
 Exit codes: 0 success, 1 a verified property failed (construct: the
 labeling it prints does not validate), 2 bad input, 3 budget or timeout
@@ -49,8 +51,8 @@ from .generators import (
 )
 from .graphs import Graph, format_edge_list, parse_edge_list, to_dot
 from .roman import RomanFunction
-from .sierpinski import DEFAULT_VERTEX_BUDGET, build, format_word, word_labels
-from .solver import brute_force_gamma_r, gamma_exact, gamma_r_exact
+from .sierpinski import DEFAULT_VERTEX_BUDGET, build, check_budget, format_word, word_labels
+from .solver import brute_force_gamma_r, check_solve_order, gamma_exact, gamma_r_exact
 
 _FAMILIES = {
     "path": path_graph,
@@ -67,8 +69,9 @@ def _read_graph(path: str) -> Graph:
         return parse_edge_list(fh.read(), name=os.path.basename(path))
 
 
-def _load_base(args) -> Graph:
-    """The gen and solve base: --base FILE, or --family with --n."""
+def _load_base(args, check=None) -> Graph:
+    """The gen and solve base: --base FILE, or --family with --n, which
+    check(n) may refuse before the family graph is made."""
     if args.base:
         if args.n is not None:
             raise ValueError("--n goes with --family, not with --base")
@@ -77,6 +80,8 @@ def _load_base(args) -> Graph:
         raise ValueError("give either --family with --n or --base FILE")
     if args.n is None:
         raise ValueError("--family needs --n")
+    if check and args.n > 2:  # 2 vertices cost nothing, so C2 is refused as bad input first
+        check(args.n)
     return _FAMILIES[args.family](args.n)
 
 
@@ -91,7 +96,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _cmd_gen(args) -> int:
-    base = _load_base(args)
+    base = _load_base(args, lambda n: check_budget(n, args.t, args.budget))
     n, t = base.order, args.t
     g = build(base, t, args.budget).graph
     with _output(args.out) as fh:  # opened only once the build has succeeded
@@ -116,9 +121,11 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     if args.oracle and args.timeout is not None:
         raise ValueError("--oracle takes no --timeout: the exhaustive solver has no time limit")
-    g, s = _load_base(args), None
-    if args.depth is not None and args.depth != 1:
-        s = build(g, args.depth, args.budget)  # rejects a depth below 1
+    if args.depth is None or args.depth == 1:
+        g, s = _load_base(args, check_solve_order), None
+    else:
+        base = _load_base(args, lambda n: check_budget(n, args.depth, args.budget))
+        s = build(base, args.depth, args.budget)  # rejects a depth below 1
         g = s.graph
     if args.domination:
         cert = gamma_exact(g, time_limit=args.timeout)

@@ -50,6 +50,7 @@ from .roman import DerivedSets, RomanFunction, derived_sets, is_roman_dominating
 from .sierpinski import (
     SierpinskiGraph,
     build,
+    check_budget,
     extreme_vertices,
     id_of,
     suffix_labels,
@@ -291,6 +292,7 @@ def path_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Con
         raise ValueError("construction needs depth at least 2")
     if n < 5 or n % 3 != 2:
         raise ValueError("path construction needs order 3k + 2 with k >= 1")
+    check_budget(n, t, max_vertices)  # before the patterns, which take n**2 steps
     k = (n - 2) // 3
     anchors = [x for x in range(n - 1) if x % 3 == 1]
     twos = set()
@@ -329,6 +331,7 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
         raise ValueError("construction needs depth at least 2")
     if n < 4:
         raise ValueError("cycle construction needs order at least 4")
+    check_budget(n, t, max_vertices)
     base = cycle_graph(n)
     bracket = gamma_r_sierpinski_cycle(n, t)
     if n % 3 == 0:
@@ -385,6 +388,7 @@ def perfect_code_knt(n: int, t: int, max_vertices: Optional[int] = None) -> froz
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
+    check_budget(n, t, max_vertices)  # before K_n, which has n**2/2 edges
     s = build(complete_graph(n), t, max_vertices)
     labels = _rule_labels(n, t, 2 if t % 2 else 0, 0)  # from O(0) at odd depth, E at even
     if not _is_perfect_code(labels, s):
@@ -408,6 +412,7 @@ def complete_graph_construction(n: int, t: int, max_vertices: Optional[int] = No
     """
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
+    check_budget(n, t, max_vertices)  # before K_n, which has n**2/2 edges
     s = build(complete_graph(n), t, max_vertices)
     if t % 2:
         labels = _rule_labels(n, t, 2, 0)  # from O(0), 2 on the words ending in E

@@ -10,21 +10,19 @@ neighbor tuples that neighbors, degree and adjacent read, built in one
 pass over the edges on first use, so a graph that is only built,
 serialized or validated never holds them.  The exact searches make
 their own closed neighborhoods from the edges.  This module is the one
-place that knows the key format: edge_key_range gives the keys of a run
-of edges for a caller that makes them itself.
+place that makes, sorts or reads edge keys.
 
-Graph(n, edges) is the way in for any input: one pass over the edges in
-input order checks each for vertices of type int exactly (a bool or a
-float is refused, so the writers format vertices with %d), then for
-range, then for a self-loop, and adds its key to a set, which one sort
-turns into the key list.  A ValueError names the first invalid edge, as
-given.  Appending neighbors from the ascending edges fills every
-neighbor tuple in ascending order, so no per-vertex sort is needed.
-from_canonical_keys skips the edge checks for a caller that has already
-proven its keys canonical.  Only a SierpinskiGraph calls it, with the
-keys it merges from its certified edge runs, so S(G, t) skips the
-checks however large it is, and they run on base graphs and on graphs
-read from input.
+There are two ways in, and both check their input.  Graph(n, edges)
+takes any edges: one pass in input order checks each for vertices of
+type int exactly (a bool or a float is refused, so the writers format
+vertices with %d), then for range, then for a self-loop, and adds its
+key to a set, which one sort turns into the key list.  A ValueError
+names the first invalid edge, as given.  from_edge_runs(n, runs) takes
+arithmetic runs of edges, as S(G, t) holds them: it checks each run,
+merges the runs' ascending keys with one sort and refuses two runs
+that share an edge.  Appending neighbors from the ascending edges fills
+every neighbor tuple in ascending order, so no per-vertex sort is
+needed.
 
 The edge-list and DOT writers decode a slice of keys at a time into one
 array of ends and format the slice's lines by one %-operation, writing
@@ -41,6 +39,7 @@ import hashlib
 import sys
 from array import array
 from itertools import islice, repeat
+from operator import lt
 from typing import Iterable, Iterator, Optional, TextIO
 
 
@@ -136,15 +135,25 @@ class Graph:
         return f"<Graph{tag} n={self._n} m={self.size}>"
 
 
-def from_canonical_keys(n: int, keys: list[int], name: str = "") -> Graph:
-    """A Graph on keys the caller has proven canonical, taking the list as it is.
+def from_edge_runs(n: int, runs: Iterable[tuple[int, int, int]], name: str = "") -> Graph:
+    """The Graph of order n whose edges are the runs (u0, v0, stride): the
+    pairs (u0 + k·stride, v0 + k·stride) for k = 0 .. n/stride - 1.
 
-    keys must be the keys (edge_key_range) of pairs 0 <= u < v < n in
-    strictly ascending order; only the order is checked.  Input from
-    outside the package goes through Graph(n, edges), which checks and
-    canonicalizes it.
+    Raises ValueError for a run without 0 <= u0 < v0 < stride or whose
+    stride does not divide n, the checks that put every pair at
+    u < v < n, and for two runs that share an edge.  Each run's keys
+    ascend, so one list.sort merges them, and the merged keys must
+    ascend strictly.
     """
     _check_order(n)
+    keys: list[int] = []
+    for u0, v0, stride in runs:
+        if not 0 <= u0 < v0 < stride or n % stride:
+            raise ValueError(f"edges ({u0}, {v0}) + k·{stride} leave 0 <= u < v < {n}")
+        keys += range(u0 << 32 | v0, n << 32, stride * _BOTH_HALVES)
+    keys.sort()
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        raise ValueError("two edge runs share an edge")
     g = Graph.__new__(Graph)
     g._n, g._keys, g._adj, g.name = n, keys, None, name
     return g
@@ -155,16 +164,6 @@ def _check_order(n: int) -> None:
         raise ValueError("graph order must be at least 1")
     if n > 1 << 32:
         raise ValueError(f"graph order {n} is above 2**32, the most an edge key holds")
-
-
-def edge_key_range(u: int, v: int, stride: int, order: int) -> range:
-    """The keys of the edges (u + k·stride, v + k·stride) for k = 0, 1, ...
-    while u + k·stride < order, ascending: the keys Graph makes of them.
-
-    The caller proves u < v and every v + k·stride below the order.  The
-    range's stop lies above the key of every edge of vertices below order.
-    """
-    return range(u << 32 | v, order << 32, stride * _BOTH_HALVES)
 
 
 _BOTH_HALVES = 1 << 32 | 1  # times stride: u and v both grow by stride

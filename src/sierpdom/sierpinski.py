@@ -11,20 +11,19 @@ In ids, the level-r edges of base edge {a, b} are one run, the pairs
 (a·rep + b·run, b·rep + a·run) + k·nʳ for k < nᵗ⁻ʳ, where rep = nʳ⁻¹ and
 run is the value of the word 11..1 of length r-1.  A run is held as
 (u0, v0, stride): its first edge and the stride nʳ.  Each run is
-certified to hold only pairs u < v < N = nᵗ, with v0 below the stride
+checked to hold only pairs u < v < N = nᵗ, with v0 below the stride
 and the stride dividing N, and the t·|E(G)| runs to hold size edges.
 
-build checks the vertex budget and returns S(G, t) in two views: a
-SierpinskiGraph, whose order, size and cover (the vertices whose closed
-neighbourhoods hold one, and two, vertices of a bitmask, read off the
-runs by shifts) are all that validation and the construction checks
-read, and its graph, which everything else reads: gen, construct --dot,
-the word-keyed labeling's digest, the solvers and the copy checks.
-graph takes each run's keys from graphs.edge_key_range, merges them
-with one list.sort and certifies them to ascend strictly, which with the
-runs' checks proves them the canonical keys Graph would make of the
-edges; the sorted list becomes the Graph as it is, on first read, and
-is kept.  No other module reads the runs.
+check_budget refuses an S(G, t) over the vertex budget from n and t
+alone, so a caller can refuse one before it makes the base.  build
+checks the budget and returns S(G, t) in two views: a SierpinskiGraph,
+whose order, size and cover (the vertices whose closed neighbourhoods
+hold one, and two, vertices of a bitmask, read off the runs by shifts)
+are all that validation and the construction checks read, and its
+graph, which everything else reads: gen, construct --dot, the
+word-keyed labeling's digest, the solvers and the copy checks.  graph
+is graphs.from_edge_runs of the runs, made on first read and kept.  No
+other module reads the runs.
 
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word turns a word into its display
@@ -34,12 +33,11 @@ each word the value a table holds for its trailing letters.
 
 from __future__ import annotations
 
-from itertools import chain, islice, product
-from operator import lt
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
-from .graphs import Graph, edge_key_range, from_canonical_keys
+from .graphs import Graph, from_edge_runs
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -47,10 +45,10 @@ Word = tuple[int, ...]
 
 
 class SierpinskiGraph:
-    """S(G, t) as its certified edge runs, with its base graph and word coding.
+    """S(G, t) as its checked edge runs, with its base graph and word coding.
 
-    order, size and cover come off the runs.  graph is the canonical
-    Graph, made from the runs' certified keys on first read and then kept.
+    order, size and cover come off the runs.  graph is the Graph of the
+    runs, made on first read and then kept.
     Raises ValueError for depth < 1 or a base of fewer than 2 vertices.
     """
 
@@ -73,21 +71,13 @@ class SierpinskiGraph:
 
     @property
     def size(self) -> int:
-        """|E(G)|·(nᵗ - 1)/(n - 1), the count _edge_runs certified the runs to hold."""
+        """|E(G)|·(nᵗ - 1)/(n - 1), the count _edge_runs checked the runs to hold."""
         return self.base.size * (self.order - 1) // (self.base.order - 1)
 
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            total = self.order
-            keys = list(
-                chain.from_iterable(
-                    edge_key_range(u0, v0, stride, total) for u0, v0, stride in self.runs
-                )
-            )
-            keys.sort()  # each run ascends, and list.sort merges ascending runs
-            _certify(keys, total, self.size)
-            self._graph = from_canonical_keys(total, keys, self.name)
+            self._graph = from_edge_runs(self.order, self.runs, self.name)
         return self._graph
 
     def cover(self, marks: int) -> tuple[int, int]:
@@ -172,22 +162,27 @@ def suffix_labels(table: Sequence[int], n: int, length: int) -> tuple[int, ...]:
     return tuple(table) * (n**length // len(table))
 
 
-def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
-    """S(base, depth) as its certified edge runs; its graph is made on first read.
+def check_budget(n: int, depth: int, max_vertices: Optional[int] = None, name: str = "G") -> None:
+    """Raise BudgetError when S(name, depth), over a base of order n, would
+    have more vertices than the budget (DEFAULT_VERTEX_BUDGET unless given).
 
-    Raises BudgetError when the vertex count n**depth would exceed the
-    budget (DEFAULT_VERTEX_BUDGET unless given), and SierpinskiGraph's
-    ValueError for depth < 1 or a base of fewer than 2 vertices.
+    Only a valid S(G, t) meets the budget, so bad input is a ValueError at
+    any budget: n < 2 and depth < 1 pass here for the caller to refuse.
     """
-    n = base.order
     budget = DEFAULT_VERTEX_BUDGET if max_vertices is None else max_vertices
-    # only a valid S(G, t) meets the budget, so bad input is a ValueError at any
-    # budget; there n >= 2 gives n**depth >= 2**depth, so a depth of the budget's
-    # bit length is over it without the power, which can run to millions of digits
+    # n >= 2 gives n**depth >= 2**depth, so a depth of the budget's bit length is
+    # over it without the power, which can run to millions of digits
     if n >= 2 and depth >= 1 and (depth >= budget.bit_length() or n**depth > budget):
-        raise BudgetError(
-            f"S({base.name or 'G'},{depth}) has {n}**{depth} vertices, over the budget of {budget}"
-        )
+        raise BudgetError(f"S({name},{depth}) has {n}**{depth} vertices, over the budget of {budget}")
+
+
+def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
+    """S(base, depth) as its checked edge runs; its graph is made on first read.
+
+    Raises check_budget's BudgetError, and SierpinskiGraph's ValueError
+    for depth < 1 or a base of fewer than 2 vertices.
+    """
+    check_budget(base.order, depth, max_vertices, base.name or "G")
     return SierpinskiGraph(base, depth)
 
 
@@ -219,21 +214,6 @@ def _progression(u0: int, v0: int, stride: int, total: int) -> tuple[int, int, i
     if not 0 <= u0 < v0 < stride or total % stride:
         raise AssertionError(f"edges ({u0}, {v0}) + k·{stride} leave 0 <= u < v < {total}")
     return u0, v0, stride
-
-
-def _certify(keys: list[int], total: int, expect: int) -> None:
-    """Raise unless the sorted keys number expect, belong to vertices below
-    total, and ascend strictly.
-
-    With the checks of _progression this proves them the canonical keys of
-    a Graph of order total: pairs u < v < total, sorted, none repeated.
-    """
-    if len(keys) != expect:
-        raise AssertionError(f"edge generation produced {len(keys)} edges, expected {expect}")
-    if keys and (keys[0] < 0 or keys[-1] >= edge_key_range(0, 1, 1, total).stop):
-        raise AssertionError(f"edge key out of range for order {total}")
-    if not all(map(lt, keys, islice(keys, 1, None))):
-        raise AssertionError("edge keys repeat or descend")
 
 
 def extreme_vertices(s: SierpinskiGraph) -> tuple[int, ...]:

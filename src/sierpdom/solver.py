@@ -327,15 +327,15 @@ def _greedy_cover(nb, deadline: _Deadline) -> list[int]:
     return chosen
 
 
-def _check_order(g: Graph) -> None:
+def check_solve_order(n: int) -> None:
     """Refuse an order above MAX_SOLVE_ORDER before any mask is built."""
-    if g.order > MAX_SOLVE_ORDER:
-        raise BudgetError(f"graph order {g.order} exceeds the solve budget of {MAX_SOLVE_ORDER}")
+    if n > MAX_SOLVE_ORDER:
+        raise BudgetError(f"graph order {n} exceeds the solve budget of {MAX_SOLVE_ORDER}")
 
 
 def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     """Exact domination number with a minimum dominating set witness."""
-    _check_order(g)
+    check_solve_order(g.order)
     start = time.perf_counter()
     closed = _Closed(g)
     masks, nb, top, levels = closed.masks, closed.ids, closed.top, closed.levels
@@ -503,7 +503,7 @@ def gamma_r_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
     lexicographically smallest 2-set; its 1s are exactly the vertices not
     covered by the 2s.
     """
-    _check_order(g)
+    check_solve_order(g.order)
     start = time.perf_counter()
     deadline = _Deadline(time_limit)
     n = g.order

@@ -166,6 +166,32 @@ def test_depth_with_a_vertex_count_of_thousands_of_digits_exits_3(capsys, tmp_pa
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "path", "--n", "300000", "--t", "1"],
+        ["solve", "--family", "path", "--n", "100000"],
+        ["construct", "--family", "path", "--n", "1100", "--t", "2"],
+        ["construct", "--family", "complete", "--n", "800", "--t", "2"],
+        ["gen", "--family", "complete", "--n", "800", "--t", "1", "--budget", "500"],
+    ],
+    ids=["gen-path", "solve-path", "construct-path", "construct-complete", "gen-complete"],
+)
+def test_budget_is_checked_before_the_base_is_made(capsys, argv):
+    """A --family base over the vertex budget, or a bare solve over the
+    solver's order limit, is refused before the base, the patterns or K_n
+    are made: exit 3 with a traced peak under 1 MiB."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3 and "budget" in err
+    assert peak < 2**20
+
+
 def test_construct_dot_peak_holds_no_dot_text(tmp_path):
     """construct --dot on S(K4, 7) (16,384 vertices) writes its DOT a slice at
     a time: the traced peak stays below 4.5 MiB."""
@@ -332,14 +358,14 @@ def test_construct_builds_its_graph_once(capsys, monkeypatch, tmp_path, family, 
 
 
 def _count_graphs(monkeypatch) -> list:
-    """Record the order of every Graph that S(G, t) makes of its sorted keys."""
+    """Record the order of every Graph that S(G, t) makes of its edge runs."""
     made = []
 
     def count(*args):
         made.append(args[0])
-        return graphs.from_canonical_keys(*args)
+        return graphs.from_edge_runs(*args)
 
-    monkeypatch.setattr("sierpdom.sierpinski.from_canonical_keys", count)
+    monkeypatch.setattr("sierpdom.sierpinski.from_edge_runs", count)
     return made
 
 

@@ -21,9 +21,9 @@ from sierpdom import (
     random_connected_graph,
     star_graph,
 )
-from sierpdom.graphs import edge_key_range, from_canonical_keys
+from sierpdom.graphs import from_edge_runs
 from sierpdom.sierpinski import (
-    _certify,
+    _edge_runs,
     _progression,
     format_word,
     id_of,
@@ -129,31 +129,40 @@ def test_adjacency_matches_word_rule_random_bases(n, t, seed):
     _assert_word_rule(build(base, t))
 
 
-def _key(u, v):
-    return edge_key_range(u, v, 1, u + 1)[0]  # the run of the one edge (u, v)
-
-
 def test_edge_progressions_are_certified():
+    """A run (u0, v0, stride) must have 0 <= u0 < v0 < stride and a stride
+    dividing the order, both where S(G, t) makes it and where its Graph is
+    made; the runs of S(G, t) must hold its size."""
     # order 4, stride 2: the edges (u0 + 2k, v0 + 2k) for k = 0, 1
     run = _progression(0, 1, 2, 4)
-    assert list(from_canonical_keys(4, list(edge_key_range(*run, 4))).edges) == [(0, 1), (2, 3)]
-    for u0, v0 in ((1, 1), (1, 0)):  # u0 >= v0
+    assert list(from_edge_runs(4, [run]).edges) == [(0, 1), (2, 3)]
+    # u0 >= v0 twice, u0 below 0, v0 at the stride (the last pair would be (2, 4), off
+    # the graph), and strides of 3 and 8 that do not divide the order
+    for bad in ((1, 1, 2), (1, 0, 2), (-1, 1, 2), (0, 2, 2), (0, 1, 3), (0, 1, 8)):
+        with pytest.raises(ValueError, match="leave 0 <= u < v < 4"):
+            from_edge_runs(4, [(0, 3, 4), bad])
+    for u0, v0 in ((1, 1), (1, 0), (0, 2)):
         with pytest.raises(AssertionError):
             _progression(u0, v0, 2, 4)
-    with pytest.raises(AssertionError):  # the last pair would be (2, 4), off the graph
-        _progression(0, 2, 2, 4)
+    with pytest.raises(AssertionError):
+        _edge_runs(path_graph(3), 2, 7)  # S(P3, 2) has 8 edges, not 7
 
 
 def test_edge_key_certification():
-    good = [_key(0, 1), _key(0, 2), _key(1, 3), _key(2, 3)]  # order 4
-    assert _certify(good, 4, 4) is None
-    repeat, descent = [*good[:2], good[1], good[3]], [good[0], good[2], good[1], good[3]]
-    past, below = [*good[:3], _key(4, 0)], [-1, *good[1:]]
-    for keys in (repeat, descent, past, below):
-        with pytest.raises(AssertionError):  # a repeat, a descent, a key past the order, one below 0
-            _certify(keys, 4, 4)
-    with pytest.raises(AssertionError):
-        _certify(good, 4, 5)  # one edge short
+    """from_edge_runs merges the runs' keys into those Graph makes of the same
+    edges, however the runs interleave, and refuses runs that share an edge."""
+    # order 6: (0, 1), (2, 3), (4, 5) from the first run, then (1, 2) and (0, 3)
+    runs = [(0, 1, 2), (1, 2, 6), (0, 3, 6)]
+    g = from_edge_runs(6, runs, "runs")
+    assert list(g.edges) == [(0, 1), (0, 3), (1, 2), (2, 3), (4, 5)]
+    assert g == Graph(6, [(0, 1), (2, 3), (4, 5), (1, 2), (0, 3)]) and g.name == "runs"
+    assert from_edge_runs(1, []) == Graph(1)
+    for shared in ([(0, 1, 2), (2, 3, 6)], [(0, 3, 6), (0, 3, 6)]):  # (2, 3) twice; one run twice
+        with pytest.raises(ValueError, match="share an edge"):
+            from_edge_runs(6, shared)
+    for order in (0, 2**32 + 1):  # an order an edge key cannot hold
+        with pytest.raises(ValueError):
+            from_edge_runs(order, [])
 
 
 def test_edge_runs_are_the_graph_random_bases():

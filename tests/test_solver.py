@@ -40,7 +40,6 @@ from sierpdom.solver import (
     _Closed,
     _Deadline,
     _branch,
-    _check_order,
     _descend,
     _greedy_cover,
     _lex_min_two_set,
@@ -49,6 +48,7 @@ from sierpdom.solver import (
     _roman_cuts,
     _roman_value,
     _top_excess_within,
+    check_solve_order,
 )
 from oracles import (
     domination_min_subsets,
@@ -220,8 +220,8 @@ def test_solver_refuses_orders_whose_masks_outgrow_memory():
     order above 65,536 (256 MiB of masks) before building any."""
     g = path_graph(65_537)
     with pytest.raises(BudgetError):
-        _check_order(g)  # raises on its own, so a missing guard fails here, not in a solve
-    _check_order(path_graph(65_536))
+        check_solve_order(g.order)  # raises on its own, so a missing guard fails here, not in a solve
+    check_solve_order(65_536)
 
     def closed(h):
         if h.order > solver.MAX_SOLVE_ORDER:
@@ -942,6 +942,39 @@ def _roman_by_witness_search(g, time_limit=None):
                 labels = [2 if v in twos else 1 - (covered >> v & 1) for v in range(n)]
                 return weight, tuple(labels)
     raise AssertionError("no weight up to n has a witness")
+
+
+def _gamma_by_witness_search(g, time_limit=None):
+    """A minimum dominating set from the witness search alone, as (size, set).
+
+    Sizes k are tried upward from the counting bound ceil(n/(Δ+1)), each
+    through _lex_min_two_set with every vertex to cover and all through one
+    table of failed subtrees.  Below γ no k-set covers every vertex, so the
+    first hit is a minimum dominating set; is_dominating_set validates it."""
+    closed, deadline, failed = _Closed(g), _Deadline(time_limit), {}
+    n = g.order
+    for k in range(-(-n // max(map(len, closed.ids))), n + 1):
+        picks = _lex_min_two_set(k, n, deadline, closed, failed)[0]
+        if picks is not None:
+            if not is_dominating_set(g, picks):
+                raise AssertionError(f"witness search's {k}-set {picks} does not dominate")
+            return k, frozenset(picks)
+    raise AssertionError("no set of up to n vertices dominates")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10**6), st.sampled_from((0.0, 0.15, 0.3, 0.5)), st.booleans())
+def test_witness_search_alone_gives_gamma(n, seed, p, connected):
+    # p = 0 gives a tree when connected and an edgeless graph otherwise
+    g = random_connected_graph(n, random.Random(seed), p) if connected else _random_graph(n, seed, p)
+    assert _gamma_by_witness_search(g)[0] == gamma_exact(g).value
+
+
+@pytest.mark.parametrize("fam,n,t,value", [("C", 8, 2, 24), ("C", 9, 2, 27), ("P", 8, 2, 24)])
+def test_witness_search_alone_reaches_gamma_past_the_branch_and_bound(fam, n, t, value):
+    # the MILP pins these values (test_milp_oracle); gamma_exact times out at 20 s
+    # on S(C8,2) and takes about 5 s on S(C9,2)
+    assert _gamma_by_witness_search(_sierpinski(fam, n, t), time_limit=0.5)[0] == value
 
 
 _ROMAN_PINNED = sorted(

@@ -3,10 +3,10 @@ package imports only the standard library and itself, takes no private
 (_-prefixed) name from another of its modules, reads no
 environment variable (its settings are CLI flags), and has no assert
 statement (a certifying check is an explicit raise, which python -O
-keeps).  Only sierpinski.py reads from_canonical_keys, which checks
-nothing, so unchecked edges enter a Graph only as S(G, t)'s certified
-keys, and only graphs.py reads a Graph's _keys, so the key format is
-known in one module.  Only sierpinski.py reads S(G, t)'s runs, so one
+keeps).  Only graphs.py reads a Graph's _keys, so the key format is
+known in one module, whose two ways into a Graph both check their input:
+Graph(n, edges) each edge, and from_edge_runs each run and that no two
+runs share an edge.  Only sierpinski.py reads S(G, t)'s runs, so one
 module knows how to apply them.  Every function the benchmark's tracer wraps by
 name exists, build, gen and both solvers run under the installed tracer, and a
 short benchmark run finds every output it checks correct."""
@@ -129,30 +129,6 @@ def test_checker_finds_an_assert_statement():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert _assert_statements(path.read_text()) == []
-
-
-def _canonical_key_reads(source: str) -> list[int]:
-    """Lines that read the name from_canonical_keys, bare or as an attribute."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.Name) and node.id == "from_canonical_keys")
-        or (isinstance(node, ast.Attribute) and node.attr == "from_canonical_keys")
-    )
-
-
-def test_checker_finds_a_canonical_edge_read():
-    source = "from .graphs import from_canonical_keys\ng = from_canonical_keys(2, [1])\n"
-    source += "make = graphs.from_canonical_keys\ndef from_canonical_keys(n, keys):\n    pass\n"
-    assert _canonical_key_reads(source) == [2, 3]
-
-
-# the id keeps an earlier name of from_canonical_keys, so it stays stable
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "sierpinski.py"], ids=lambda p: p.name
-)
-def test_only_sierpinski_reads_from_canonical_edges(path):
-    assert _canonical_key_reads(path.read_text()) == []
 
 
 def _key_reads(source: str) -> list[int]:
@@ -296,7 +272,7 @@ def test_benchmark_tracer_runs_the_solvers(monkeypatch):
     assert facts["solver.gamma_exact"] == [dom.nodes] == [81]
 
 
-@pytest.mark.parametrize("workload", ["families", "large"])
+@pytest.mark.parametrize("workload", ["families", "large", "sweep"])
 def test_benchmark_checks_its_outputs(workload):
     # a short traced run of the benchmark checks every output against its pins
     # (digests, MILP values, node counts equal across passes, phase splits that
