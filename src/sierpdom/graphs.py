@@ -1,9 +1,10 @@
 """Immutable simple graphs on vertices 0..n-1.
 
 A graph is its sorted edge keys: u << 32 | v for each edge {u, v} with
-u < v, ascending and without repeats, so two graphs compare equal exactly
-when they have the same order and edge set, and a graph of order above
-2³² is refused.  edges reads the keys as pairs of 32-bit halves (_ends),
+u < v, ascending and without repeats, held in one array("Q") at 8 bytes
+an edge, so two graphs compare equal exactly when they have the same
+order and edge set, and a graph of order above 2³² is refused.  edges
+reads the keys as pairs of 32-bit halves (_ends, which byteswaps a copy),
 as a fresh iterator on every read that is spent once gone over, and
 size counts them.  The one thing derived and cached is the sorted
 neighbor tuples that neighbors, degree and adjacent read, built in one
@@ -16,13 +17,13 @@ There are two ways in, and both check their input.  Graph(n, edges)
 takes any edges: one pass in input order checks each for vertices of
 type int exactly (a bool or a float is refused, so the writers format
 vertices with %d), then for range, then for a self-loop, and adds its
-key to a set, which one sort turns into the key list.  A ValueError
-names the first invalid edge, as given.  from_edge_runs(n, runs) takes
-arithmetic runs of edges, as S(G, t) holds them: it checks each run,
-merges the runs' ascending keys with one sort and refuses two runs
-that share an edge.  Appending neighbors from the ascending edges fills
-every neighbor tuple in ascending order, so no per-vertex sort is
-needed.
+key to a set, which one sort turns into the key array.  A ValueError
+names the first invalid edge, as given.  copies(g, k, bridges) takes k
+disjoint copies of a Graph joined by bridge edges, as S(G, t) is made of
+S(G, t - 1): it checks the order and each bridge, shifts each copy's
+keys by one big-int add and sorts nothing but the bridges.  Appending
+neighbors from the ascending edges fills every neighbor tuple in
+ascending order, so no per-vertex sort is needed.
 
 The edge-list and DOT writers decode a slice of keys at a time into one
 array of ends and format the slice's lines by one %-operation, writing
@@ -38,8 +39,8 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
+from bisect import bisect_left
 from itertools import islice, repeat
-from operator import lt
 from typing import Iterable, Iterator, Optional, TextIO
 
 
@@ -60,7 +61,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u} not allowed")
             canon.add(u << 32 | v if u < v else v << 32 | u)
         self._n = n
-        self._keys = sorted(canon)
+        self._keys = array("Q", sorted(canon))
         self._adj: Optional[tuple[tuple[int, ...], ...]] = None
         self.name = name
 
@@ -80,7 +81,7 @@ class Graph:
         Each read is a one-shot iterator: a caller that goes over the edges
         twice keeps them as a tuple, or reads edges again.
         """
-        ends = iter(_ends(self._keys))
+        ends = iter(_ends(self._keys[:]))
         return zip(ends, ends)
 
     @property
@@ -127,7 +128,7 @@ class Graph:
 
     def __hash__(self) -> int:
         """Reads the order, the size and at most the first 64 keys, so hashing
-        S(G, t) copies no more of its key list than that; equal graphs hash equal."""
+        S(G, t) copies no more of its key array than that; equal graphs hash equal."""
         return hash((self._n, len(self._keys), *self._keys[:64]))
 
     def __repr__(self) -> str:
@@ -135,28 +136,57 @@ class Graph:
         return f"<Graph{tag} n={self._n} m={self.size}>"
 
 
-def from_edge_runs(n: int, runs: Iterable[tuple[int, int, int]], name: str = "") -> Graph:
-    """The Graph of order n whose edges are the runs (u0, v0, stride): the
-    pairs (u0 + k·stride, v0 + k·stride) for k = 0 .. n/stride - 1.
+def copies(g: Graph, k: int, bridges: Iterable[tuple[int, int]], name: str = "") -> Graph:
+    """k disjoint copies of g, copy x on the vertices x·m .. x·m + m - 1 where
+    m is g's order, joined by the bridges: the Graph of order k·m.
 
-    Raises ValueError for a run without 0 <= u0 < v0 < stride or whose
-    stride does not divide n, the checks that put every pair at
-    u < v < n, and for two runs that share an edge.  Each run's keys
-    ascend, so one list.sort merges them, and the merged keys must
-    ascend strictly.
+    Raises ValueError for an order k·m below 1 or above 2³², for a bridge
+    with an end that is not an int or not below k·m, or with both ends in
+    one copy, and for a bridge given twice, either way round.  Copy x is
+    g's keys shifted by x·m in both halves, one big-int add over all of
+    them; the order check keeps every half below 2³², so no half carries
+    into the next.  The copies fill disjoint blocks of ids, so they follow
+    each other in ascending order.  A bridge's larger end lies in a later
+    copy, so it goes into its copy after every edge whose smaller end is
+    at most its own, found by bisection, and must lie strictly above the
+    key before it.
     """
+    m, lanes = g._n, len(g._keys)
+    n = k * m
     _check_order(n)
-    keys: list[int] = []
-    for u0, v0, stride in runs:
-        if not 0 <= u0 < v0 < stride or n % stride:
-            raise ValueError(f"edges ({u0}, {v0}) + k·{stride} leave 0 <= u < v < {n}")
-        keys += range(u0 << 32 | v0, n << 32, stride * _BOTH_HALVES)
-    keys.sort()
-    if not all(map(lt, keys, islice(keys, 1, None))):
-        raise ValueError("two edge runs share an edge")
-    g = Graph.__new__(Graph)
-    g._n, g._keys, g._adj, g.name = n, keys, None, name
-    return g
+    marks = []
+    for u, v in bridges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"bridge ({u!r}, {v!r}) has an end that is not an int")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"bridge ({u}, {v}) out of range for order {n}")
+        if u // m == v // m:
+            raise ValueError(f"bridge ({u}, {v}) lies inside copy {u // m}")
+        marks.append(u << 32 | v if u < v else v << 32 | u)
+    marks.sort()
+    marks.append(n << 32)  # past every key, so the loop below needs no end test
+    keys = array("Q")
+    shifted = int.from_bytes(g._keys, _BYTE_ORDER)
+    step = int.from_bytes((m * _BOTH_HALVES).to_bytes(8, _BYTE_ORDER) * lanes, _BYTE_ORDER)
+    at, key = 0, marks[0]
+    block = g._keys.tobytes()  # copy 0 is g's keys as they are
+    for x in range(k):
+        if x:
+            shifted += step
+            block = shifted.to_bytes(8 * lanes, _BYTE_ORDER)
+        lo, top = 0, (x + 1) * m << 32
+        while key < top:  # a bridge whose smaller end is in copy x
+            hi = 8 * bisect_left(g._keys, ((key >> 32) - x * m + 1) << 32)
+            keys.frombytes(block[lo:hi])
+            if keys and keys[-1] >= key:
+                raise ValueError(f"bridge ({key >> 32}, {key & _LOW_HALF}) is given twice")
+            keys.append(key)
+            at, lo = at + 1, hi
+            key = marks[at]
+        keys.frombytes(block[lo:])
+    out = Graph.__new__(Graph)
+    out._n, out._keys, out._adj, out.name = n, keys, None, name
+    return out
 
 
 def _check_order(n: int) -> None:
@@ -166,14 +196,16 @@ def _check_order(n: int) -> None:
         raise ValueError(f"graph order {n} is above 2**32, the most an edge key holds")
 
 
-_BOTH_HALVES = 1 << 32 | 1  # times stride: u and v both grow by stride
-_LITTLE_ENDIAN = sys.byteorder == "little"
+_BOTH_HALVES = 1 << 32 | 1  # times x: u and v both grow by x
+_LOW_HALF = (1 << 32) - 1
+_BYTE_ORDER = sys.byteorder  # an array's items are in the machine's byte order
+_LITTLE_ENDIAN = _BYTE_ORDER == "little"
 
 
-def _ends(keys: list[int]) -> array:
-    """u0, v0, u1, v1, ... of the keys: each 64-bit key read as its two 32-bit
-    halves, the high half first, with no Python object made per key."""
-    halves = array("Q", keys)
+def _ends(halves: array) -> array:
+    """u0, v0, u1, v1, ... of the array("Q") of keys halves, which it
+    byteswaps in place: each 64-bit key read as its two 32-bit halves, the
+    high half first, with no Python object made per key."""
     if _LITTLE_ENDIAN:
         halves.byteswap()  # to big-endian bytes, so u's half comes first
     ends = array("I", halves.tobytes())
@@ -287,7 +319,7 @@ class _Sha256Sink:
         self.sha.update(text.encode())
 
 
-def _write_edges(write, line: str, keys: list[int]) -> None:
+def _write_edges(write, line: str, keys: array) -> None:
     """Write line % (u, v) for every edge key, _SLICE keys per write."""
     for lo in range(0, len(keys), _SLICE):
         ends = _ends(keys[lo : lo + _SLICE])

@@ -22,8 +22,12 @@ hold one, and two, vertices of a bitmask, read off the runs by shifts)
 are all that validation and the construction checks read, and its
 graph, which everything else reads: gen, construct --dot, the
 word-keyed labeling's digest, the solvers and the copy checks.  graph
-is graphs.from_edge_runs of the runs, made on first read and kept.  No
-other module reads the runs.
+is made on first read and kept, level by level as the paper describes
+S(G, t): from the base, which is S(G, 1), graphs.copies makes S(G, d) of
+n copies of S(G, d - 1) joined by the first edge of each level-d run,
+the edge x·yᵈ⁻¹ -- y·xᵈ⁻¹ of base edge {x, y}, and the last level must
+hold size edges.  Beyond those first edges the runs serve cover alone, and
+no other module reads them.
 
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word turns a word into its display
@@ -37,7 +41,7 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
-from .graphs import Graph, from_edge_runs
+from .graphs import Graph, copies
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -47,8 +51,9 @@ Word = tuple[int, ...]
 class SierpinskiGraph:
     """S(G, t) as its checked edge runs, with its base graph and word coding.
 
-    order, size and cover come off the runs.  graph is the Graph of the
-    runs, made on first read and then kept.
+    order, size and cover come off the runs.  graph is the Graph made
+    level by level, n copies of the level below joined by the runs' first
+    edges, on first read and then kept.
     Raises ValueError for depth < 1 or a base of fewer than 2 vertices.
     """
 
@@ -77,7 +82,14 @@ class SierpinskiGraph:
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            self._graph = from_edge_runs(self.order, self.runs, self.name)
+            n, m, t = self.base.order, self.base.size, self.depth
+            g = self.base if t > 1 else copies(self.base, 1, (), self.name)
+            for d in range(2, t + 1):  # the level-d runs follow the m runs of each level below
+                bridges = [run[:2] for run in self.runs[(d - 1) * m : d * m]]
+                g = copies(g, n, bridges, self.name if d == t else "")
+            if g.size != self.size:
+                raise AssertionError(f"{self.name} was built with {g.size} edges, expected {self.size}")
+            self._graph = g
         return self._graph
 
     def cover(self, marks: int) -> tuple[int, int]:

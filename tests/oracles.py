@@ -4,7 +4,8 @@ Deliberately naive: full enumeration everywhere, no shared code with the
 package's solver beyond the Graph accessors.  The closed-neighborhood
 bitmasks are the oracles' own, built from g.neighbors by
 masks_from_neighbors, not the solver's.  written collects what a writer
-writes, for tests that compare its text.
+writes, for tests that compare its text.  sierpinski_word_edges lists
+the edges of S(G, t) from the paper's word rule alone.
 """
 
 from __future__ import annotations
@@ -146,3 +147,24 @@ def perfect_codes_enumerated(g: Graph) -> list[frozenset[int]]:
 
     extend(0, [])
     return codes
+
+
+def sierpinski_word_edges(n: int, base_edges, t: int) -> list[tuple[int, int]]:
+    """The edges of S(G, t) over a base of order n, by the word rule: for each
+    base edge {a, b}, level r = 1..t and word w of length t - r, the word
+    w·a·bʳ⁻¹ is adjacent to w·b·aʳ⁻¹.  A word's id is its value as a base-n
+    numeral; each edge is given as (smaller id, larger id)."""
+
+    def value(word):
+        vid = 0
+        for letter in word:
+            vid = vid * n + letter
+        return vid
+
+    edges = []
+    for r in range(1, t + 1):
+        for w in product(range(n), repeat=t - r):
+            for a, b in base_edges:
+                u, v = value(w + (a,) + (b,) * (r - 1)), value(w + (b,) + (a,) * (r - 1))
+                edges.append((min(u, v), max(u, v)))
+    return edges

@@ -358,15 +358,22 @@ def test_construct_builds_its_graph_once(capsys, monkeypatch, tmp_path, family, 
 
 
 def _count_graphs(monkeypatch) -> list:
-    """Record the order of every Graph that S(G, t) makes of its edge runs."""
+    """Record the order of every Graph that S(G, t) makes of copies of the
+    level below; _levels gives the orders that making the Graph of one
+    S(G, t) records."""
     made = []
 
-    def count(*args):
-        made.append(args[0])
-        return graphs.from_edge_runs(*args)
+    def count(g, k, *args):
+        made.append(k * g.order)
+        return graphs.copies(g, k, *args)
 
-    monkeypatch.setattr("sierpdom.sierpinski.from_edge_runs", count)
+    monkeypatch.setattr("sierpdom.sierpinski.copies", count)
     return made
+
+
+def _levels(n: int, t: int) -> list[int]:
+    """The orders n², .., nᵗ of S(G, 2), .., S(G, t), or n for S(G, 1), one per copies call."""
+    return [n**d for d in range(2, t + 1)] or [n]
 
 
 @pytest.mark.parametrize("words", [False, True])
@@ -389,7 +396,7 @@ def test_construct_without_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, f
     made = _count_graphs(monkeypatch)
     code, out, _ = run(capsys, "construct", *args)
     assert code == 0 and json.loads(out)["valid"] is True
-    assert made == [n**t] * words
+    assert made == _levels(n, t) * words
     monkeypatch.undo()
     if words:  # the name and digest of the Graph that build makes
         bases = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}
@@ -413,7 +420,7 @@ def test_construct_dot_decodes_no_graph(capsys, monkeypatch, tmp_path, family, n
         dot = tmp_path / f"s{len(words)}.dot"
         made = _count_graphs(monkeypatch)
         code, out, _ = run(capsys, *args, "--dot", str(dot), *words)
-        assert code == 0 and made == [n**t]
+        assert code == 0 and made == _levels(n, t)
         monkeypatch.undo()
         assert [line for line in dot.read_text().splitlines() if " -- " in line] == want
         if words:
@@ -901,6 +908,23 @@ def test_golden_stdout(capsys, monkeypatch, argv, digest):
         code, out = exc.code, capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of gen's file at the sizes the benchmark writes: S(K6, 6) as an edge
+# list and as DOT, and S(P2, 16) as an edge list
+GEN_SHA256 = [
+    ("complete --n 6 --t 6", "edgelist", "f335930c158677ef63cd1ddc022498c4d7d05bd3fc4b6bd67ee00d675dd72251"),
+    ("complete --n 6 --t 6", "dot", "e405278b1fa73935394457544f2b350db15c5ea65cf8dc0d2ef4d1a6273c6ca4"),
+    ("path --n 2 --t 16", "edgelist", "c4167547b9931c7ecbaa54774d17e8f02ec3494da00d84155fbfbdc9b704b852"),
+]
+
+
+@pytest.mark.parametrize("family,fmt,digest", GEN_SHA256)
+def test_gen_bytes_at_benchmark_sizes(capsys, tmp_path, family, fmt, digest):
+    out = tmp_path / f"s.{fmt}"
+    code, _, _ = run(capsys, "gen", "--family", *family.split(), "--format", fmt, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # (verify arguments, rows that pass, sha256 of the --out rows)

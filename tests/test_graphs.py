@@ -25,6 +25,7 @@ from sierpdom import (
     to_dot,
 )
 from sierpdom.cli import main
+from sierpdom.graphs import copies
 from sierpdom.solver import _Closed
 from oracles import shortest_path_by_enumeration, written
 
@@ -113,6 +114,24 @@ def test_construction_contract(case):
     same = Graph(n, sorted(canon))
     assert g == same and hash(g) == hash(same)
     assert Graph(n, iter(raw)) == g
+
+
+@given(small_graphs(max_n=5), st.integers(1, 4), st.data())
+def test_copies_is_the_graph_of_the_shifted_edges(g, k, data):
+    """copies(g, k, bridges) is the Graph of every copy's shifted edges plus
+    the bridges, drawn between any two copies and given in any order and
+    either way round; the same bridges with one of them repeated are refused."""
+    m = g.order
+    cross = [(u, v) for u in range(k * m) for v in range(u + 1, k * m) if u // m != v // m]
+    bridges = data.draw(st.lists(st.sampled_from(cross), unique=True, max_size=6)) if cross else []
+    given_bridges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in bridges]
+    want = Graph(k * m, [(u + x * m, v + x * m) for x in range(k) for u, v in g.edges] + bridges)
+    got = copies(g, k, given_bridges, "c")
+    assert got == want and tuple(got.edges) == tuple(want.edges) and got.name == "c"
+    if bridges:
+        again = given_bridges[data.draw(st.integers(0, len(bridges) - 1))]
+        with pytest.raises(ValueError, match="given twice"):
+            copies(g, k, given_bridges + [again[::-1]])
 
 
 def _reference_edges(n, edges):
@@ -340,8 +359,9 @@ def test_writers_stream_the_text_they_return(n, m):
 
 
 def test_sierpinski_graph_holds_its_sorted_keys():
-    """The Graph of S(K4, 7) is one sorted list of int keys: at most 64 bytes
-    per edge under tracemalloc, where a tuple of pairs would hold about 127."""
+    """The Graph of S(K4, 7) is one array of 64-bit keys: at most 16 bytes per
+    edge under tracemalloc, where a list of int keys holds about 40 and a
+    tuple of pairs about 127."""
     base = complete_graph(4)
     tracemalloc.start()
     try:
@@ -349,7 +369,22 @@ def test_sierpinski_graph_holds_its_sorted_keys():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 64 * g.size
+    assert held <= 16 * g.size
+
+
+@pytest.mark.parametrize("base,t", [(complete_graph(4), 7), (complete_graph(6), 6), (path_graph(2), 16)])
+def test_sierpinski_graph_build_peak(base, t):
+    """Making the Graph of S(G, t) level by level peaks at no more than 40
+    bytes per edge under tracemalloc: the keys made, the level they copy and
+    the big ints of one copy, with no sort of all the keys."""
+    s = build(base, t)
+    tracemalloc.start()
+    try:
+        g = s.graph
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * g.size
 
 
 def test_distance_small_cases():

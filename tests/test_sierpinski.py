@@ -4,7 +4,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sierpdom import (
     BudgetError,
@@ -21,7 +21,8 @@ from sierpdom import (
     random_connected_graph,
     star_graph,
 )
-from sierpdom.graphs import from_edge_runs
+from sierpdom.graphs import copies
+from oracles import sierpinski_word_edges
 from sierpdom.sierpinski import (
     _edge_runs,
     _progression,
@@ -131,38 +132,85 @@ def test_adjacency_matches_word_rule_random_bases(n, t, seed):
 
 def test_edge_progressions_are_certified():
     """A run (u0, v0, stride) must have 0 <= u0 < v0 < stride and a stride
-    dividing the order, both where S(G, t) makes it and where its Graph is
-    made; the runs of S(G, t) must hold its size."""
+    dividing the order; the runs of S(G, t) must hold its size."""
     # order 4, stride 2: the edges (u0 + 2k, v0 + 2k) for k = 0, 1
-    run = _progression(0, 1, 2, 4)
-    assert list(from_edge_runs(4, [run]).edges) == [(0, 1), (2, 3)]
+    assert _progression(0, 1, 2, 4) == (0, 1, 2)
     # u0 >= v0 twice, u0 below 0, v0 at the stride (the last pair would be (2, 4), off
     # the graph), and strides of 3 and 8 that do not divide the order
     for bad in ((1, 1, 2), (1, 0, 2), (-1, 1, 2), (0, 2, 2), (0, 1, 3), (0, 1, 8)):
-        with pytest.raises(ValueError, match="leave 0 <= u < v < 4"):
-            from_edge_runs(4, [(0, 3, 4), bad])
-    for u0, v0 in ((1, 1), (1, 0), (0, 2)):
-        with pytest.raises(AssertionError):
-            _progression(u0, v0, 2, 4)
+        with pytest.raises(AssertionError, match="leave 0 <= u < v < 4"):
+            _progression(*bad, 4)
     with pytest.raises(AssertionError):
         _edge_runs(path_graph(3), 2, 7)  # S(P3, 2) has 8 edges, not 7
 
 
 def test_edge_key_certification():
-    """from_edge_runs merges the runs' keys into those Graph makes of the same
-    edges, however the runs interleave, and refuses runs that share an edge."""
-    # order 6: (0, 1), (2, 3), (4, 5) from the first run, then (1, 2) and (0, 3)
-    runs = [(0, 1, 2), (1, 2, 6), (0, 3, 6)]
-    g = from_edge_runs(6, runs, "runs")
-    assert list(g.edges) == [(0, 1), (0, 3), (1, 2), (2, 3), (4, 5)]
-    assert g == Graph(6, [(0, 1), (2, 3), (4, 5), (1, 2), (0, 3)]) and g.name == "runs"
-    assert from_edge_runs(1, []) == Graph(1)
-    for shared in ([(0, 1, 2), (2, 3, 6)], [(0, 3, 6), (0, 3, 6)]):  # (2, 3) twice; one run twice
-        with pytest.raises(ValueError, match="share an edge"):
-            from_edge_runs(6, shared)
-    for order in (0, 2**32 + 1):  # an order an edge key cannot hold
-        with pytest.raises(ValueError):
-            from_edge_runs(order, [])
+    """copies places copy x of g on ids x·m .. x·m + m - 1 and merges in the
+    bridges, given in any order and either way round, to the keys Graph
+    makes of the same edges; it refuses a bridge inside one copy, an end
+    outside the copies or not an int, a repeated bridge, and an order it
+    cannot key."""
+    p2, p3 = path_graph(2), path_graph(3)
+    g = copies(p2, 2, [(2, 1)], "joined")
+    assert list(g.edges) == [(0, 1), (1, 2), (2, 3)] and g.name == "joined"
+    assert g == Graph(4, [(0, 1), (1, 2), (2, 3)])
+    # bridges into the middle of a copy, at its end, and from its first vertex
+    g = copies(p3, 3, [(7, 1), (3, 2), (0, 8)])
+    want = [(0, 1), (0, 8), (1, 2), (1, 7), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8)]
+    assert list(g.edges) == want and g == Graph(9, want) and g.name == ""
+    assert copies(p3, 1, ()) == p3 and copies(Graph(1), 1, ()) == Graph(1)
+    assert copies(Graph(1), 3, [(0, 2), (1, 2)]) == Graph(3, [(0, 2), (1, 2)])  # copies without edges
+    # ends near 2**32: the shifted halves stay in their lanes
+    top = 2**31
+    g = copies(Graph(top, [(0, top - 1), (5, 6)]), 2, [(top - 1, top)])
+    assert g.order == 2**32
+    assert list(g.edges) == [(0, top - 1), (5, 6), (top - 1, top), (top, 2**32 - 1), (top + 5, top + 6)]
+    for bridges, match in (
+        ([(0, 2)], "inside copy 0"),
+        ([(1, 3), (4, 5)], "inside copy 1"),
+        ([(0, 6)], "out of range"),
+        ([(-1, 3)], "out of range"),
+        ([(1, 3.0)], "not an int"),
+        ([(True, 3)], "not an int"),
+        ([(1, 4), (4, 1)], "given twice"),
+        ([(1, 4), (2, 3), (1, 4)], "given twice"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            copies(p3, 2, bridges)
+    for g, k in ((Graph(top + 1), 2), (Graph(top), 3), (p3, 0)):  # an order an edge key cannot hold
+        with pytest.raises(ValueError, match="graph order"):
+            copies(g, k, ())
+
+
+@st.composite
+def sierpinski_cases(draw):
+    """A base of order 2-6 with any edge set, edgeless and disconnected ones
+    included, and a depth of 1-4."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, keep in zip(pairs, kept) if keep]), draw(st.integers(1, 4))
+
+
+ELEVEN = Graph(11, [(i, (i + 1) % 11) for i in range(11)] + [(0, 5)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sierpinski_cases())
+@example((Graph(2), 4))  # edgeless
+@example((Graph(6, [(0, 1), (0, 2), (3, 5)]), 3))  # disconnected, vertex 4 isolated
+@example((ELEVEN, 1))
+@example((ELEVEN, 2))
+@example((ELEVEN, 3))
+@example((ELEVEN, 4))
+def test_graph_is_the_word_rule_graph(case):
+    """build(base, t).graph is the Graph of the word rule's edges, listed by
+    an oracle that shares no code with the package, and holds each once."""
+    base, t = case
+    edges = sierpinski_word_edges(base.order, list(base.edges), t)
+    g = build(base, t).graph
+    assert g == Graph(base.order**t, edges)
+    assert g.size == len(edges)
 
 
 def test_edge_runs_are_the_graph_random_bases():

@@ -5,8 +5,8 @@ environment variable (its settings are CLI flags), and has no assert
 statement (a certifying check is an explicit raise, which python -O
 keeps).  Only graphs.py reads a Graph's _keys, so the key format is
 known in one module, whose two ways into a Graph both check their input:
-Graph(n, edges) each edge, and from_edge_runs each run and that no two
-runs share an edge.  Only sierpinski.py reads S(G, t)'s runs, so one
+Graph(n, edges) each edge, and copies the order and each bridge between
+the copies of a Graph.  Only sierpinski.py reads S(G, t)'s runs, so one
 module knows how to apply them.  Every function the benchmark's tracer wraps by
 name exists, build, gen and both solvers run under the installed tracer, and a
 short benchmark run finds every output it checks correct."""
