@@ -17,8 +17,9 @@ FILE, never both (solve --depth D solves S(base, D)); the theorem
 construction's labeling is --function FILE, as RomanFunction.to_json
 writes it, and no other family takes one; solve --oracle takes no
 --timeout; and the vertex budget is --budget.  A --family base is held
-to the budget, or a bare solve's to the solver's order limit, before it
-is made.
+to the budget, and a solve's to the solver's order limit (with --depth
+t, its nᵗ words), before it is made; a --base file's S(G, t) is held to
+that limit before it is made, and sweep --max-n before any base is.
 
 Exit codes: 0 success, 1 a verified property failed (construct: the
 labeling it prints does not validate), 2 bad input, 3 budget or timeout
@@ -124,8 +125,12 @@ def _cmd_solve(args) -> int:
     if args.depth is None or args.depth == 1:
         g, s = _load_base(args, check_solve_order), None
     else:
-        base = _load_base(args, lambda n: check_budget(n, args.depth, args.budget))
-        s = build(base, args.depth, args.budget)  # rejects a depth below 1
+        def check(n):
+            check_budget(n, args.depth, args.budget)  # bounds n**depth
+            check_solve_order(n**args.depth)
+
+        s = build(_load_base(args, check), args.depth, args.budget)  # rejects a depth below 1
+        check_solve_order(s.order)  # a --base file, before its S(G, t) is made
         g = s.graph
     if args.domination:
         cert = gamma_exact(g, time_limit=args.timeout)
@@ -354,6 +359,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--max-n must be at least 2")
     if args.full and args.t < 2:
         raise ValueError("--full checks the product bounds, which need --t of at least 2")
+    check_solve_order(args.max_n)  # before a base of up to max_n vertices is made
     rng = random.Random(args.seed)
     rows = []
     failures = 0

@@ -9,10 +9,10 @@ itself.
 
 In ids, the level-r edges of base edge {a, b} are one run, the pairs
 (a·rep + b·run, b·rep + a·run) + k·nʳ for k < nᵗ⁻ʳ, where rep = nʳ⁻¹ and
-run is the value of the word 11..1 of length r-1.  A run is held as
-(u0, v0, stride): its first edge and the stride nʳ.  Each run is
-checked to hold only pairs u < v < N = nᵗ, with v0 below the stride
-and the stride dividing N, and the t·|E(G)| runs to hold size edges.
+run is the value of the word 11..1 of length r-1.  S(G, t) is held as
+the first pair of each run, its bridges: per level r, the |E(G)| edges
+x·yʳ⁻¹ -- y·xʳ⁻¹ of the base edges {x, y}, in base-edge order, each
+checked to lie at 0 <= u < v < nʳ, so its run stays on the graph.
 
 check_budget refuses an S(G, t) over the vertex budget from n and t
 alone, so a caller can refuse one before it makes the base.  build
@@ -24,10 +24,8 @@ graph, which everything else reads: gen, construct --dot, the
 word-keyed labeling's digest, the solvers and the copy checks.  graph
 is made on first read and kept, level by level as the paper describes
 S(G, t): from the base, which is S(G, 1), graphs.copies makes S(G, d) of
-n copies of S(G, d - 1) joined by the first edge of each level-d run,
-the edge x·yᵈ⁻¹ -- y·xᵈ⁻¹ of base edge {x, y}, and the last level must
-hold size edges.  Beyond those first edges the runs serve cover alone, and
-no other module reads them.
+n copies of S(G, d - 1) joined by the level-d bridges, and the last
+level must hold size edges.  No other module reads the bridges.
 
 This module is the one place that knows the coding: word_of and id_of
 convert between ids and words, format_word turns a word into its display
@@ -49,15 +47,15 @@ Word = tuple[int, ...]
 
 
 class SierpinskiGraph:
-    """S(G, t) as its checked edge runs, with its base graph and word coding.
+    """S(G, t) as its checked bridges per level, with its base graph and word coding.
 
-    order, size and cover come off the runs.  graph is the Graph made
-    level by level, n copies of the level below joined by the runs' first
-    edges, on first read and then kept.
+    order, size and cover come off the bridges.  graph is the Graph made
+    level by level, n copies of the level below joined by that level's
+    bridges, on first read and then kept.
     Raises ValueError for depth < 1 or a base of fewer than 2 vertices.
     """
 
-    __slots__ = ("base", "depth", "order", "runs", "_graph")
+    __slots__ = ("base", "depth", "order", "bridges", "_graph")
 
     def __init__(self, base: Graph, depth: int):
         if depth < 1:
@@ -67,7 +65,7 @@ class SierpinskiGraph:
         self.base = base
         self.depth = depth
         self.order = base.order**depth
-        self.runs = _edge_runs(base, depth, self.size)
+        self.bridges = _bridges(base, depth)
         self._graph: Optional[Graph] = None
 
     @property
@@ -76,17 +74,16 @@ class SierpinskiGraph:
 
     @property
     def size(self) -> int:
-        """|E(G)|·(nᵗ - 1)/(n - 1), the count _edge_runs checked the runs to hold."""
+        """|E(G)|·(nᵗ - 1)/(n - 1), the count graph checks its Graph to hold."""
         return self.base.size * (self.order - 1) // (self.base.order - 1)
 
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            n, m, t = self.base.order, self.base.size, self.depth
+            n, t = self.base.order, self.depth
             g = self.base if t > 1 else copies(self.base, 1, (), self.name)
-            for d in range(2, t + 1):  # the level-d runs follow the m runs of each level below
-                bridges = [run[:2] for run in self.runs[(d - 1) * m : d * m]]
-                g = copies(g, n, bridges, self.name if d == t else "")
+            for d in range(2, t + 1):
+                g = copies(g, n, self.bridges[d - 1], self.name if d == t else "")
             if g.size != self.size:
                 raise AssertionError(f"{self.name} was built with {g.size} edges, expected {self.size}")
             self._graph = g
@@ -97,22 +94,23 @@ class SierpinskiGraph:
         marks in their closed neighbourhood, as (once, twice).
 
         marks and both results are bitmasks, bit v for vertex v.  With ends
-        a bit at every multiple of the stride below the order, a run's u
-        ends are ends << u0 and its v ends ends << v0: a marked u end
-        reaches the v end d = v0 - u0 bits up, a marked v end the u end d
-        bits down.  _progression proved 0 <= u0 < v0 < stride and that the
-        stride divides the order, so the shifts stay on the run's ends and
-        a run reaches each vertex along at most one edge.
+        a bit at every multiple of nᵈ below the order, the run of a level-d
+        bridge (u0, v0) has its u ends at ends << u0 and its v ends at
+        ends << v0: a marked u end reaches the v end gap = v0 - u0 bits up,
+        a marked v end the u end gap bits down.  _bridges proved
+        0 <= u0 < v0 < nᵈ, and nᵈ divides the order, so the shifts stay on
+        the run's ends and a run reaches each vertex along at most one edge.
         """
-        total, stride_of_ends, ends = self.order, 0, 0
+        n, total = self.base.order, self.order
         once, twice = marks, 0
-        for u0, v0, stride in self.runs:
-            if stride != stride_of_ends:  # the runs come level by level, one stride each
-                stride_of_ends, ends = stride, int("1".rjust(stride, "0") * (total // stride), 2)
-            d = v0 - u0
-            hit = (marks & ends << u0) << d | (marks & ends << v0) >> d
-            twice |= once & hit
-            once |= hit
+        for d, level in enumerate(self.bridges, 1):
+            stride = n**d
+            ends = int("1".rjust(stride, "0") * (total // stride), 2)
+            for u0, v0 in level:
+                gap = v0 - u0
+                hit = (marks & ends << u0) << gap | (marks & ends << v0) >> gap
+                twice |= once & hit
+                once |= hit
         return once, twice
 
     def word_of(self, vid: int) -> Word:
@@ -189,7 +187,7 @@ def check_budget(n: int, depth: int, max_vertices: Optional[int] = None, name: s
 
 
 def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> SierpinskiGraph:
-    """S(base, depth) as its checked edge runs; its graph is made on first read.
+    """S(base, depth) as its checked bridges; its graph is made on first read.
 
     Raises check_budget's BudgetError, and SierpinskiGraph's ValueError
     for depth < 1 or a base of fewer than 2 vertices.
@@ -198,34 +196,23 @@ def build(base: Graph, depth: int, max_vertices: Optional[int] = None) -> Sierpi
     return SierpinskiGraph(base, depth)
 
 
-def _edge_runs(base: Graph, depth: int, expect: int) -> list[tuple[int, int, int]]:
-    """The t·|E(G)| runs (u0, v0, stride), level by level, each certified by
-    _progression; raises unless they number expect edges."""
+def _bridges(base: Graph, depth: int) -> list[list[tuple[int, int]]]:
+    """Per level d = 1 .. depth, the edges x·yᵈ⁻¹ -- y·xᵈ⁻¹ of the base edges
+    {x, y}, in base-edge order; raises unless each is a pair u0 < v0 within
+    0 .. nᵈ - 1, which keeps its run (u0, v0) + k·nᵈ at u < v < nᵗ."""
     n = base.order
-    total = n**depth
     edges = tuple(base.edges)
-    runs = []
-    for r in range(1, depth + 1):
-        rep = n ** (r - 1)
-        # a letter d repeated r-1 times has numeric value d * run
+    levels = []
+    for d in range(1, depth + 1):
+        rep = n ** (d - 1)
+        # a letter x repeated d-1 times has numeric value x * run
         run = (rep - 1) // (n - 1)
-        for a, b in edges:
-            runs.append(_progression(a * rep + b * run, b * rep + a * run, rep * n, total))
-    held = sum(total // stride for _, _, stride in runs)
-    if held != expect:
-        raise AssertionError(f"edge runs hold {held} edges, expected {expect}")
-    return runs
-
-
-def _progression(u0: int, v0: int, stride: int, total: int) -> tuple[int, int, int]:
-    """The run of edges (u0 + k·stride, v0 + k·stride), k = 0 .. total/stride - 1.
-
-    Raises unless 0 <= u0 < v0 < stride and stride divides total, which
-    puts every pair of the run at u < v < total.
-    """
-    if not 0 <= u0 < v0 < stride or total % stride:
-        raise AssertionError(f"edges ({u0}, {v0}) + k·{stride} leave 0 <= u < v < {total}")
-    return u0, v0, stride
+        level = [(a * rep + b * run, b * rep + a * run) for a, b in edges]
+        for u0, v0 in level:
+            if not 0 <= u0 < v0 < rep * n:
+                raise AssertionError(f"level-{d} bridge ({u0}, {v0}) leaves 0 <= u < v < {rep * n}")
+        levels.append(level)
+    return levels
 
 
 def extreme_vertices(s: SierpinskiGraph) -> tuple[int, ...]:

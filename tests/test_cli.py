@@ -174,13 +174,22 @@ def test_depth_with_a_vertex_count_of_thousands_of_digits_exits_3(capsys, tmp_pa
         ["construct", "--family", "path", "--n", "1100", "--t", "2"],
         ["construct", "--family", "complete", "--n", "800", "--t", "2"],
         ["gen", "--family", "complete", "--n", "800", "--t", "1", "--budget", "500"],
+        ["solve", "--family", "complete", "--n", "300", "--depth", "2"],
+        ["solve", "--base", "K20.txt", "--depth", "4"],
     ],
-    ids=["gen-path", "solve-path", "construct-path", "construct-complete", "gen-complete"],
+    ids=[
+        "gen-path", "solve-path", "construct-path", "construct-complete", "gen-complete",
+        "solve-depth-complete", "solve-depth-base",
+    ],
 )
-def test_budget_is_checked_before_the_base_is_made(capsys, argv):
-    """A --family base over the vertex budget, or a bare solve over the
-    solver's order limit, is refused before the base, the patterns or K_n
-    are made: exit 3 with a traced peak under 1 MiB."""
+def test_budget_is_checked_before_the_base_is_made(capsys, tmp_path, monkeypatch, argv):
+    """A --family base over the vertex budget, or a solve over the solver's
+    order limit, is refused before the base, the patterns, K_n or, for a
+    --base file, S(G, t) are made: exit 3 with a traced peak under 1 MiB.
+    S(K300, 2) and S(K20, 4) are inside the vertex budget but over the
+    solver's limit, and used to be built before the solver refused them."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "K20.txt").write_text(written(format_edge_list, complete_graph(20)))
     tracemalloc.start()
     try:
         code = main(argv)
@@ -765,6 +774,18 @@ def test_construct_function_with_another_family_is_bad_input(
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--function" in err
+
+
+def test_sweep_max_n_over_the_solve_limit_exits_3_before_any_graph(capsys, monkeypatch):
+    # used to make a random base of up to 100,000 vertices, O(n**2) pairs, before
+    # the solver refused it
+    def no_graph(*a, **k):
+        raise AssertionError("made a base before checking --max-n")
+
+    monkeypatch.setattr("sierpdom.cli.random_connected_graph", no_graph)
+    code, out, err = run(capsys, "sweep", "--count", "1", "--max-n", "100000")
+    assert (code, out) == (3, "")
+    assert err == "error: graph order 100000 exceeds the solve budget of 65536\n"
 
 
 @pytest.mark.parametrize("max_n", ["1", "0", "-4"])

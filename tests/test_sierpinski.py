@@ -24,8 +24,7 @@ from sierpdom import (
 from sierpdom.graphs import copies
 from oracles import sierpinski_word_edges
 from sierpdom.sierpinski import (
-    _edge_runs,
-    _progression,
+    _bridges,
     format_word,
     id_of,
     suffix_labels,
@@ -131,17 +130,16 @@ def test_adjacency_matches_word_rule_random_bases(n, t, seed):
 
 
 def test_edge_progressions_are_certified():
-    """A run (u0, v0, stride) must have 0 <= u0 < v0 < stride and a stride
-    dividing the order; the runs of S(G, t) must hold its size."""
-    # order 4, stride 2: the edges (u0 + 2k, v0 + 2k) for k = 0, 1
-    assert _progression(0, 1, 2, 4) == (0, 1, 2)
-    # u0 >= v0 twice, u0 below 0, v0 at the stride (the last pair would be (2, 4), off
-    # the graph), and strides of 3 and 8 that do not divide the order
-    for bad in ((1, 1, 2), (1, 0, 2), (-1, 1, 2), (0, 2, 2), (0, 1, 3), (0, 1, 8)):
-        with pytest.raises(AssertionError, match="leave 0 <= u < v < 4"):
-            _progression(*bad, 4)
-    with pytest.raises(AssertionError):
-        _edge_runs(path_graph(3), 2, 7)  # S(P3, 2) has 8 edges, not 7
+    """Level d holds the bridges x·yᵈ⁻¹ -- y·xᵈ⁻¹, one per base edge in base-edge
+    order, each the first edge of its run and checked to lie below nᵈ with u < v."""
+    assert _bridges(path_graph(3), 3) == [[(0, 1), (1, 2)], [(1, 3), (5, 7)], [(4, 9), (17, 22)]]
+    base = random_connected_graph(5, random.Random(3), 0.5)
+    for d, level in enumerate(_bridges(base, 4), 1):
+        words = [((a,) + (b,) * (d - 1), (b,) + (a,) * (d - 1)) for a, b in base.edges]
+        assert level == [(id_of(x, 5), id_of(y, 5)) for x, y in words]
+    # an edge given high end first puts v0 below u0 at every level
+    with pytest.raises(AssertionError, match=r"level-1 bridge \(1, 0\) leaves 0 <= u < v < 3"):
+        _bridges(SimpleNamespace(order=3, edges=[(1, 0)]), 2)
 
 
 def test_edge_key_certification():
@@ -214,15 +212,21 @@ def test_graph_is_the_word_rule_graph(case):
 
 
 def test_edge_runs_are_the_graph_random_bases():
-    """The runs' edges, sorted, are the Graph's edges, and their count its size,
-    on seeded random bases of order 2-6, edgeless and disconnected ones included, t = 1-4."""
+    """The runs' edges, each level-d bridge repeated at stride nᵈ, sorted, are
+    the Graph's edges, and their count its size, on seeded random bases of
+    order 2-6, edgeless and disconnected ones included, t = 1-4."""
     bases = []
     for seed in range(60):
         rng = random.Random(seed)
         n, t, p = rng.randint(2, 6), rng.randint(1, 4), rng.choice((0.0, 0.25, 0.5, 0.9))
         base = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         s = build(base, t)
-        edges = [(u0 + k, v0 + k) for u0, v0, stride in s.runs for k in range(0, s.order, stride)]
+        edges = [
+            (u0 + k, v0 + k)
+            for d, level in enumerate(s.bridges, 1)
+            for u0, v0 in level
+            for k in range(0, s.order, n**d)
+        ]
         assert sorted(edges) == list(s.graph.edges)
         assert s.size == s.graph.size
         bases.append(base)

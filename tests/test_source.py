@@ -6,10 +6,11 @@ statement (a certifying check is an explicit raise, which python -O
 keeps).  Only graphs.py reads a Graph's _keys, so the key format is
 known in one module, whose two ways into a Graph both check their input:
 Graph(n, edges) each edge, and copies the order and each bridge between
-the copies of a Graph.  Only sierpinski.py reads S(G, t)'s runs, so one
-module knows how to apply them.  Every function the benchmark's tracer wraps by
-name exists, build, gen and both solvers run under the installed tracer, and a
-short benchmark run finds every output it checks correct."""
+the copies of a Graph.  Only sierpinski.py reads S(G, t)'s bridges, the
+first edge of each of its edge runs, so one module knows how to expand
+them.  Every function the benchmark's tracer wraps by name exists, build,
+gen and both solvers run under the installed tracer, and a short
+benchmark run finds every output it checks correct."""
 
 import ast
 import importlib
@@ -153,16 +154,19 @@ def test_only_graphs_reads_keys(path):
 
 
 def _run_reads(source: str) -> list[int]:
-    """Lines that read or write an attribute named runs."""
+    """Lines that read or write an attribute named bridges, the form S(G, t) holds its runs in."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr == "runs"
+        if isinstance(node, ast.Attribute) and node.attr == "bridges"
     )
 
 
 def test_checker_finds_a_run_read():
-    source = "for run in s.runs:\n    pass\nruns = [0]\ns.runs = runs\nm = len(report.sierpinski.runs)\n"
+    source = (
+        "for level in s.bridges:\n    pass\nbridges = [0]\ns.bridges = bridges\n"
+        "m = len(report.sierpinski.bridges)\n"
+    )
     assert _run_reads(source) == [1, 4, 5]
 
 
