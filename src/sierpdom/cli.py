@@ -19,7 +19,8 @@ writes it, and no other family takes one; solve --oracle takes no
 --timeout; and the vertex budget is --budget.  A --family base is held
 to the budget, and a solve's to the solver's order limit (with --depth
 t, its nᵗ words), before it is made; a --base file's S(G, t) is held to
-that limit before it is made, and sweep --max-n before any base is.
+that limit before it is made, and sweep --max-n before any base is (with
+--full, also --max-n to the --t, against the budget and that limit).
 
 Exit codes: 0 success, 1 a verified property failed (construct: the
 labeling it prints does not validate), 2 bad input, 3 budget or timeout
@@ -360,6 +361,9 @@ def _cmd_sweep(args) -> int:
     if args.full and args.t < 2:
         raise ValueError("--full checks the product bounds, which need --t of at least 2")
     check_solve_order(args.max_n)  # before a base of up to max_n vertices is made
+    if args.full:  # and before any row is solved, as --full solves S(G, t) of up to max_n**t
+        check_budget(args.max_n, args.t, args.budget)  # bounds the power
+        check_solve_order(args.max_n**args.t)
     rng = random.Random(args.seed)
     rows = []
     failures = 0

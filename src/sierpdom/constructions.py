@@ -4,7 +4,9 @@ Every construction fills a table of labels by trailing letters and
 leaves through _certified, which repeats the table under every prefix,
 validates the result on the built S(G, t) and reports its weight next to
 the predicted one; the report keeps that S(G, t), so nothing downstream
-builds it again.  Validation and the one perfect-code check
+builds it again.  Its to_json writes the label list from the labels'
+bytes (roman.dumps), byte for byte what json.dumps(sort_keys=True)
+writes.  Validation and the one perfect-code check
 (_is_perfect_code) read SierpinskiGraph.cover, so no construction makes
 its Graph; only construct --dot and the word-keyed report's digest read
 it.  A weight off the prediction is a program fault and raises
@@ -32,7 +34,6 @@ F, and 1 on the word 0..0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Optional
@@ -46,7 +47,7 @@ from .formulas import (
 )
 from .generators import complete_graph, cycle_graph, path_graph
 from .graphs import Graph
-from .roman import DerivedSets, RomanFunction, derived_sets, is_roman_dominating, label_mask
+from .roman import DerivedSets, RomanFunction, derived_sets, dumps, is_roman_dominating, label_mask
 from .sierpinski import (
     SierpinskiGraph,
     build,
@@ -89,7 +90,7 @@ class ConstructionReport:
         if self.lower_bound is not None:
             doc["lower_bound"] = self.lower_bound
         doc["function"] = self.function.to_dict(self.sierpinski if words else None)
-        return json.dumps(doc, sort_keys=True)
+        return dumps(doc, None if words else self.function.labels)
 
 
 def lift_base_function(f: RomanFunction, base: Graph, t: int) -> RomanFunction:

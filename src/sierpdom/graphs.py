@@ -280,10 +280,12 @@ def to_dot(
     assignments.
     """
     n = g.order
-    colors = colors or {}
-    fill_of = {_ABSENT: ""}
-    fill_of.update((c, f', style=filled, fillcolor="{c}"') for c in set(colors.values()))
-    fills = map(fill_of.__getitem__, map(colors.get, range(n), repeat(_ABSENT)))
+    if colors:
+        fill_of = {_ABSENT: ""}
+        fill_of.update((c, f', style=filled, fillcolor="{c}"') for c in set(colors.values()))
+        fills = map(fill_of.__getitem__, map(colors.get, range(n), repeat(_ABSENT)))
+    else:
+        fills = repeat("")
     labels = iter(range(n) if labels is None else labels)
     write = out.write
     write("graph S {\n")

@@ -14,6 +14,15 @@ copy_weight_profile validate on the runs and make no Graph of S(G, t)
 for it.  to_dict with S(G, t) names it and digests its Graph, and
 derived_sets and copy_weight_profile read neighbors and degrees, so
 they read a Graph too.
+
+Label lists are written into JSON from their bytes.  dumps encodes a
+document once, with LABELS standing where the list goes, and writes the
+list there from bytes(labels): the digits are translated and interleaved
+with ", " in one bytearray, with no Python str per label.  The text
+matches json.dumps(doc, sort_keys=True) byte for byte.  The labelings
+of RomanFunction.to_json and ConstructionReport.to_json and the Roman
+witness of Certificate.to_json are written this way; the word-keyed form
+and the domination witness are plain JSON.
 """
 
 from __future__ import annotations
@@ -28,6 +37,33 @@ from .sierpinski import SierpinskiGraph, prefix_vertices, word_of
 
 # bytes.translate tables from labels to binary digits: label >= 1, label >= 2
 _AT_LEAST = {1: bytes.maketrans(b"\0\1\2", b"011"), 2: bytes.maketrans(b"\0\1\2", b"001")}
+_DIGITS = bytes.maketrans(b"\0\1\2", b"012")
+_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(doc, sort_keys=True) builds per call
+
+# stands for the label list in a document that dumps writes; the encoder writes it as NaN
+LABELS = float("nan")
+
+
+def dumps(doc: dict, labels: Optional[Sequence[int]] = None, key: str = "labels") -> str:
+    """json.dumps(doc, sort_keys=True), byte for byte, from one encoder call.
+
+    With labels (each 0, 1 or 2), doc holds LABELS once, as the value of
+    key, and no other float; the labels are written there as the JSON
+    array json.dumps writes of them, made from bytes(labels) with no str
+    per label: their digits go between ", " separators in one bytearray,
+    around the text of the rest of doc.
+    """
+    text = _ENCODER.encode(doc)
+    if labels is None:
+        return text
+    # inside a JSON string every quote is escaped, so the quote after key closes a key;
+    # its value NaN is LABELS, the document's one float, so the split finds one match
+    head, tail = text.split(f'"{key}": NaN', 1)
+    out = bytearray(b", 0") * len(labels)
+    out[2::3] = bytes(labels).translate(_DIGITS)
+    out[:2] = f'{head}"{key}": ['.encode()  # the encoder escapes non-ASCII, so all is ASCII
+    out += f"]{tail}".encode()
+    return out.decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -79,17 +115,18 @@ class RomanFunction:
         return sum(self.labels)
 
     def to_dict(self, sierpinski: Optional[SierpinskiGraph] = None) -> dict:
-        """The document to_json writes; with sierpinski, the labels keyed by its words."""
+        """The document to_json writes through dumps: with sierpinski, the
+        labels keyed by its words; without, LABELS under "labels"."""
         doc: dict = {"weight": self.weight}
         if sierpinski is not None:
             doc["labels_by_word"] = dict(zip(sierpinski.word_labels(), self.labels, strict=True))
             doc["graph"] = {"name": sierpinski.name, "sha256": sierpinski.graph.digest()}
         else:
-            doc["labels"] = list(self.labels)
+            doc["labels"] = LABELS
         return doc
 
     def to_json(self, sierpinski: Optional[SierpinskiGraph] = None) -> str:
-        return json.dumps(self.to_dict(sierpinski), sort_keys=True)
+        return dumps(self.to_dict(sierpinski), self.labels if sierpinski is None else None)
 
     @classmethod
     def from_json(cls, text: str) -> "RomanFunction":

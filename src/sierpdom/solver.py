@@ -90,11 +90,13 @@ edges, as a bitmask and as a list of ascending ids, and shares them with
 both phases and every k of the witness phase.  The certificate checks
 read the edges afresh.  The masks take at least n**2/16 bytes, so both
 searches refuse an order above MAX_SOLVE_ORDER before building them.
+
+Certificate.to_json writes a Roman witness's label list from its bytes
+(roman.dumps), byte for byte what json.dumps(sort_keys=True) writes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from bisect import insort
@@ -105,7 +107,7 @@ from typing import Optional, Union
 
 from .errors import BudgetError, SolveTimeout
 from .graphs import Graph
-from .roman import RomanFunction, is_dominating_set, is_roman_dominating
+from .roman import LABELS, RomanFunction, dumps, is_dominating_set, is_roman_dominating
 
 # every closed mask holds its own vertex's bit, so the masks of order n take at least
 # n**2/16 bytes: 256 MiB at this order
@@ -132,12 +134,12 @@ class Certificate:
 
     def to_json(self, graph: Graph) -> str:
         doc: dict = {"kind": self.kind, "value": self.value, "nodes": self.nodes}
+        doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
         if self.kind == "domination":
             doc["witness"] = sorted(self.witness)
-        else:
-            doc["witness"] = list(self.witness.labels)
-        doc["graph"] = {"name": graph.name, "sha256": graph.digest()}
-        return json.dumps(doc, sort_keys=True)
+            return dumps(doc)
+        doc["witness"] = LABELS
+        return dumps(doc, self.witness.labels, "witness")
 
 
 class _Deadline:

@@ -788,6 +788,26 @@ def test_sweep_max_n_over_the_solve_limit_exits_3_before_any_graph(capsys, monke
     assert err == "error: graph order 100000 exceeds the solve budget of 65536\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--t", "3", "--max-n", "50"), "graph order 125000 exceeds the solve budget of 65536"),
+        (("--t", "2", "--max-n", "20", "--budget", "300"), "S(G,2) has 20**2 vertices, over the budget of 300"),
+    ],
+    ids=["solve-order", "budget"],
+)
+def test_sweep_full_checks_max_n_to_the_t_before_any_solve(capsys, monkeypatch, args, message):
+    # used to solve rows, and build S(G, t) of up to max_n**t words, before the solver
+    # or the build refused one
+    def no_solve(*a, **k):
+        raise AssertionError("solved before checking --max-n**t")
+
+    monkeypatch.setattr("sierpdom.cli.gamma_exact", no_solve)
+    code, out, err = run(capsys, "sweep", "--count", "3", "--seed", "1", "--full", *args)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("max_n", ["1", "0", "-4"])
 def test_sweep_max_n_below_two_names_the_flag(capsys, monkeypatch, max_n):
     # used to exit 2 with "error: empty range for randrange() (2, 2, 0)"

@@ -410,6 +410,19 @@ def test_complete_construction_peak_is_small():
     assert peak <= 8 * 2**20
 
 
+def test_complete_construction_report_json_peak():
+    """The report of S(K4, 8) writes its 65,536 labels from their bytes: to_json
+    peaks under 1 MiB (3.8 MiB with a str per label through json.dumps)."""
+    report = complete_graph_construction(4, 8)
+    tracemalloc.start()
+    try:
+        report.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_complete_construction_builds_once(monkeypatch):
     from sierpdom import constructions
 

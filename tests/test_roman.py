@@ -1,5 +1,7 @@
 """Roman labelings, derived structure, copy weight profiles."""
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -12,8 +14,10 @@ from sierpdom import (
     build,
     complete_graph,
     copy_weight_profile,
+    cycle_construction,
     cycle_graph,
     derived_sets,
+    gamma_exact,
     gamma_r_exact,
     is_roman_dominating,
     path_graph,
@@ -22,6 +26,7 @@ from sierpdom import (
     star_graph,
 )
 from sierpdom.constructions import _is_perfect_code
+from sierpdom.roman import LABELS, dumps
 from oracles import is_rdf_by_definition
 
 
@@ -92,6 +97,74 @@ def test_json_round_trip_plain():
     again = RomanFunction.from_json(text)
     assert again == f
     assert '"weight": 3' in text
+
+
+def _labelings():
+    rng = random.Random(35)
+    for n in range(1, 301):
+        yield tuple(rng.choice((0, 1, 2)) for _ in range(n))
+    for n in (1, 2, 300, 4096):
+        yield (0,) * n
+        yield (2,) * n
+
+
+def test_dumps_writes_labels_as_json_dumps():
+    for labels in _labelings():
+        doc = {"weight": sum(labels), "labels": list(labels)}
+        expect = json.dumps(doc, sort_keys=True)
+        assert dumps({**doc, "labels": LABELS}, labels) == expect
+        assert RomanFunction(labels).to_json() == expect
+    for key in ("a", "labels", "z"):  # the key first, in the middle and last
+        doc = {"b": [1, "x"], "labels": 5, "y": {"c": None}}
+        doc[key] = [2, 0, 1]
+        assert dumps({**doc, key: LABELS}, (2, 0, 1), key) == json.dumps(doc, sort_keys=True)
+    assert dumps({"labels": LABELS}, ()) == "{\"labels\": []}"
+
+
+# strings that hold the text dumps splits on, escapes and non-ASCII
+_AWKWARD = ('"labels": NaN', 'x\\"labels": NaN', '"witness": NaN', "\\", "S\u00e9rie \u2014 \U0001d4ae", "")
+
+
+def test_every_to_json_is_json_dumps():
+    """Each document that writes labels from their bytes is the text json.dumps
+    writes of it, with plain lists, keys sorted."""
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], name='P5 "' + _AWKWARD[1] + _AWKWARD[4])
+    digest = {"name": g.name, "sha256": g.digest()}
+    rom, dom = gamma_r_exact(g), gamma_exact(g)
+    assert rom.to_json(g) == json.dumps(
+        {"kind": "roman", "value": rom.value, "nodes": rom.nodes, "graph": digest,
+         "witness": list(rom.witness.labels)},
+        sort_keys=True,
+    )
+    assert dom.to_json(g) == json.dumps(
+        {"kind": "domination", "value": dom.value, "nodes": dom.nodes, "graph": digest,
+         "witness": sorted(dom.witness)},
+        sort_keys=True,
+    )
+    report = cycle_construction(6, 2)
+    s, f = report.sierpinski, report.function
+    by_word = {
+        "weight": f.weight,
+        "labels_by_word": dict(zip(s.word_labels(), f.labels)),
+        "graph": {"name": s.name, "sha256": s.graph.digest()},
+    }
+    assert f.to_json(s) == json.dumps(by_word, sort_keys=True)
+    for lower in (None, 0, 11):
+        for notes in ((), _AWKWARD):
+            r = dataclasses.replace(report, lower_bound=lower, notes=notes)
+            doc = {
+                "predicted_weight": r.predicted_weight,
+                "actual_weight": r.actual_weight,
+                "valid": r.valid,
+                "steps_applied": list(r.steps_applied),
+                "step_weights": [list(p) for p in r.step_weights],
+                "notes": list(notes),
+                "function": {"weight": f.weight, "labels": list(f.labels)},
+            }
+            if lower is not None:
+                doc["lower_bound"] = lower
+            assert r.to_json() == json.dumps(doc, sort_keys=True)
+            assert r.to_json(words=True) == json.dumps({**doc, "function": by_word}, sort_keys=True)
 
 
 def test_json_weight_mismatch_rejected():
