@@ -792,7 +792,10 @@ def test_sweep_max_n_over_the_solve_limit_exits_3_before_any_graph(capsys, monke
     "args, message",
     [
         (("--t", "3", "--max-n", "50"), "graph order 125000 exceeds the solve budget of 65536"),
-        (("--t", "2", "--max-n", "20", "--budget", "300"), "S(G,2) has 20**2 vertices, over the budget of 300"),
+        (
+            ("--t", "2", "--max-n", "20", "--budget", "300"),
+            "S(G,2) has 20**2 vertices, over the budget of 300",
+        ),
     ],
     ids=["solve-order", "budget"],
 )
