@@ -90,7 +90,7 @@ class ConstructionReport:
         if self.lower_bound is not None:
             doc["lower_bound"] = self.lower_bound
         doc["function"] = self.function.to_dict(self.sierpinski if words else None)
-        return dumps(doc, None if words else self.function.labels)
+        return dumps(doc, None if words else self.function.packed)
 
 
 def lift_base_function(f: RomanFunction, base: Graph, t: int) -> RomanFunction:
@@ -357,7 +357,7 @@ def cycle_construction(n: int, t: int, max_vertices: Optional[int] = None) -> Co
             raise AssertionError("1-pattern collides with the 2-pattern")
         steps = ("packing-blocks", "shift-ones")
     rep = _certified(s, _pair_table(n, pair_twos, pair_ones), bracket.exact, steps)
-    if n % 3 == 1 and not _is_perfect_code(rep.function.labels, s):
+    if n % 3 == 1 and not _is_perfect_code(rep.function.packed, s):
         raise AssertionError("2-set is not a perfect code")
     return rep
 

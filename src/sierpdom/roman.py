@@ -15,6 +15,13 @@ for it.  to_dict with S(G, t) names it and digests its Graph, and
 derived_sets and copy_weight_profile read neighbors and degrees, so
 they read a Graph too.
 
+A RomanFunction packs its labels once: packed is the bytes(labels) its
+check makes, kept beside the labels tuple and left out of ==, hash and
+repr.  weight counts its 1s and 2s, is_roman_dominating reads it (as
+label_mask's input on S(G, t)), the constructions' perfect-code check
+reads it, and every to_json hands it to dumps, so no reader turns the
+tuple into bytes or sums it again.
+
 Label lists are written into JSON from their bytes.  dumps encodes a
 document once, with LABELS standing where the list goes, and writes the
 list there from bytes(labels): the digits are translated and interleaved
@@ -28,7 +35,7 @@ and the domination witness are plain JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError
@@ -68,20 +75,26 @@ def dumps(doc: dict, labels: Optional[Sequence[int]] = None, key: str = "labels"
 
 @dataclass(frozen=True)
 class RomanFunction:
-    """A total labeling vertex -> {0, 1, 2}, independent of any one graph."""
+    """A total labeling vertex -> {0, 1, 2}, independent of any one graph.
+
+    packed is bytes(labels), made once when the labels are checked; it
+    takes no part in ==, hash or repr, which read labels alone.
+    """
 
     labels: tuple[int, ...]
+    packed: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
             raise ValueError("labeling must cover at least one vertex")
         try:
             len(self.labels)  # a bare int, which bytes() reads as a length, is no labeling
-            stray = bytes(self.labels).translate(None, b"\0\1\2")
+            packed = bytes(self.labels)
         except (TypeError, ValueError):  # bytes() takes ints only, bools among them, in 0-255
-            stray = True
-        if stray:
+            packed = b"\3"
+        if packed.translate(None, b"\0\1\2"):
             raise ValueError("labels must be 0, 1 or 2")
+        object.__setattr__(self, "packed", packed)
 
     @classmethod
     def from_sets(cls, n: int, ones: Iterable[int] = (), twos: Iterable[int] = ()) -> "RomanFunction":
@@ -112,7 +125,7 @@ class RomanFunction:
 
     @property
     def weight(self) -> int:
-        return sum(self.labels)
+        return self.packed.count(1) + 2 * self.packed.count(2)
 
     def to_dict(self, sierpinski: Optional[SierpinskiGraph] = None) -> dict:
         """The document to_json writes through dumps: with sierpinski, the
@@ -126,7 +139,7 @@ class RomanFunction:
         return doc
 
     def to_json(self, sierpinski: Optional[SierpinskiGraph] = None) -> str:
-        return dumps(self.to_dict(sierpinski), self.labels if sierpinski is None else None)
+        return dumps(self.to_dict(sierpinski), self.packed if sierpinski is None else None)
 
     @classmethod
     def from_json(cls, text: str) -> "RomanFunction":
@@ -155,7 +168,7 @@ def is_roman_dominating(f: RomanFunction, g: Graph | SierpinskiGraph) -> bool:
     """Check the defining condition: every 0-vertex sees a 2."""
     if f.order != g.order:
         raise ValueError(f"labeling covers {f.order} vertices, graph has {g.order}")
-    labels = f.labels
+    labels = f.packed
     if isinstance(g, SierpinskiGraph):
         # a vertex needs nothing more when it is labeled 1 or 2, or is next to a 2
         return label_mask(labels, 1) | g.cover(label_mask(labels, 2))[0] == (1 << g.order) - 1

@@ -10,7 +10,7 @@ from ever entering S.  The lower bound at a node adds the best k of
 "2 per chosen vertex, covering at most its closed neighborhood" against
 the 1-per-vertex fallback.
 
-Witnesses are canonicalized in a second phase: among minimum-weight
+Roman witnesses are canonicalized in a second phase: among minimum-weight
 labelings, maximize the number of 2s (equivalently minimize the number
 of 1s), then take the lexicographically smallest 2-set.  Searches are
 sequential, deterministic explicit-stack loops, so their depth is not
@@ -139,7 +139,7 @@ class Certificate:
             doc["witness"] = sorted(self.witness)
             return dumps(doc)
         doc["witness"] = LABELS
-        return dumps(doc, self.witness.labels, "witness")
+        return dumps(doc, self.witness.packed, "witness")
 
 
 class _Deadline:
@@ -336,7 +336,12 @@ def check_solve_order(n: int) -> None:
 
 
 def gamma_exact(g: Graph, time_limit: Optional[float] = None) -> Certificate:
-    """Exact domination number with a minimum dominating set witness."""
+    """Exact domination number with a minimum dominating set witness.
+
+    The witness is the greedy cover when that cover is optimal, and
+    otherwise the first optimum the search reaches.  It is deterministic,
+    but unlike gamma_r_exact's it follows no canonical order.
+    """
     check_solve_order(g.order)
     start = time.perf_counter()
     closed = _Closed(g)

@@ -516,6 +516,27 @@ def test_writers_match_a_line_by_line_reference(n, m):
     assert written(to_dot, g, colors={}) == _dot_line_by_line(g)
 
 
+def _widths_graph():
+    """Order 100,001, with edges across each decimal width and over three slices."""
+    rng = random.Random(36)
+    edges = {(9, 10), (99, 100), (999, 1000), (9999, 10000), (99999, 100000), (0, 100000)}
+    while len(edges) < 2600:
+        edges.add(tuple(sorted(rng.sample(range(100001), 2))))
+    return Graph(100001, edges)
+
+
+@pytest.mark.parametrize("g", [Graph(1), Graph(100001), _widths_graph()], ids=["one", "edgeless", "widths"])
+def test_writers_are_the_str_rendering_of_the_keys(g):
+    """The bytes templates write what str %-formatting writes of the same edges."""
+    pairs = list(g.edges)
+    edge_list = "%d %d\n" % (g.order, g.size) + "".join("%d %d\n" % e for e in pairs)
+    nodes = "".join('  %d [label="%d"];\n' % (v, v) for v in g.vertices)
+    dot = "graph S {\n" + nodes + "".join("  %d -- %d;\n" % e for e in pairs) + "}\n"
+    assert written(format_edge_list, g) == edge_list
+    assert written(to_dot, g) == dot
+    assert g.digest() == hashlib.sha256(edge_list.encode()).hexdigest()[:12]
+
+
 @pytest.mark.parametrize("base", [path_graph(11), star_graph(12)])
 def test_dot_word_labels_on_large_bases_match_the_reference(base):
     """Bases of more than 10 vertices join a word's letters with '-'."""

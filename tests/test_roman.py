@@ -71,6 +71,27 @@ def test_label_validation_takes_ints_only():
     assert RomanFunction((0, True, 2)).weight == 3
 
 
+def test_packed_is_the_labels_bytes():
+    for labels in ((0,), (2, 1, 0), (0, True, 2), tuple(range(3)) * 500):
+        assert RomanFunction(labels).packed == bytes(labels)
+    f = RomanFunction.from_json('{"labels": [1, 0, 2, 2]}')
+    assert f.packed == b"\1\0\2\2"
+    assert f.labels == (1, 0, 2, 2) and type(f.labels) is tuple
+
+
+def test_packed_leaves_eq_hash_and_repr_to_the_labels():
+    f, g = RomanFunction((0, 2, 1)), RomanFunction.from_sets(3, ones=[2], twos=[1])
+    assert f == g and hash(f) == hash(g) == hash(((0, 2, 1),))
+    assert repr(f) == repr(g) == "RomanFunction(labels=(0, 2, 1))"
+    assert f != RomanFunction((0, 2, 2))
+    assert [x.name for x in dataclasses.fields(f) if x.init] == ["labels"]
+
+
+def test_weight_is_the_label_sum():
+    for labels in _labelings():
+        assert RomanFunction(labels).weight == sum(labels)
+
+
 def test_is_roman_dominating_basics():
     p4 = path_graph(4)
     assert is_roman_dominating(RomanFunction((0, 2, 0, 1)), p4)
