@@ -29,8 +29,8 @@ The edge-list and DOT writers decode a slice of keys at a time into one
 array of ends and format the slice's edge lines by one %-operation on a
 bytes template (bytes %d runs faster than str's), writing the ASCII
 decode of each slice to the text stream the caller passes as it is
-made, so no caller holds the whole text; the DOT graph is always named S.  digest
-feeds the same slices to sha256 and so never holds the edge list
+made, so no caller holds the whole text; the DOT graph is always named
+S.  digest feeds the same slices to sha256 and so never holds the edge list
 either.  This module holds storage, queries and I/O; the labeling
 checks, domination included, are in roman.
 """
@@ -258,8 +258,8 @@ def format_edge_list(g: Graph, out: TextIO) -> None:
     """Write the "n m" header, then one "u v" line per edge, to out.
 
     Each slice of _SLICE keys is decoded into one array of ends, formatted
-    by one %-operation on a bytes template and written as it is made, so out receives the text
-    without its ever being held whole."""
+    by one %-operation on a bytes template and written as it is made, so
+    out receives the text without its ever being held whole."""
     out.write(f"{g.order} {g.size}\n")
     _write_edges(out.write, b"%d %d\n", g._keys)
 

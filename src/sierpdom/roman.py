@@ -91,7 +91,7 @@ class RomanFunction:
             len(self.labels)  # a bare int, which bytes() reads as a length, is no labeling
             packed = bytes(self.labels)
         except (TypeError, ValueError):  # bytes() takes ints only, bools among them, in 0-255
-            packed = b"\3"
+            packed = b"\3"  # no label, so the check below raises
         if packed.translate(None, b"\0\1\2"):
             raise ValueError("labels must be 0, 1 or 2")
         object.__setattr__(self, "packed", packed)
